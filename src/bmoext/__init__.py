@@ -16,7 +16,7 @@ from .domains import (Domain, DomainSpec, cusp, disk, distance_to_boundary,
                       half_plane, intro_lipschitz, l_shape, make_domain,
                       parse_domain_arg, parse_domain_file, polygon, slit_disk,
                       square)
-from .dyadic import DyadicCube, Window, cube_geometry, cubes_adjacent
+from .dyadic import DyadicCube, Window, cubes_adjacent
 from .extension import (ExtensionResult, counterexample_experiment, extend,
                         make_suite, max_extension_scale,
                         operator_norm_experiment)
@@ -36,7 +36,7 @@ __all__ = [
     "Domain", "DomainSpec", "cusp", "disk", "distance_to_boundary",
     "half_plane", "intro_lipschitz", "l_shape", "make_domain",
     "parse_domain_arg", "parse_domain_file", "polygon", "slit_disk", "square",
-    "DyadicCube", "Window", "cube_geometry", "cubes_adjacent",
+    "DyadicCube", "Window", "cubes_adjacent",
     "ExtensionResult", "counterexample_experiment", "extend", "make_suite",
     "max_extension_scale", "operator_norm_experiment", "MetricGraph",
     "Polyline", "build_metric_graph", "eta_lambda", "j_distance",

@@ -9,12 +9,12 @@ every integral and the excluded volume fraction is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import Domain
-from .dyadic import DyadicCube, SQRT_N, Window, level_cell_centers
+from .dyadic import DyadicCube, SQRT_N, Window, level_cell_centers, resolution_level
 from .errors import DisconnectedGraphError
 from .qhyper import MetricGraph, build_metric_graph, segment_qh_batch
 
@@ -42,7 +42,6 @@ class GridFunction:
     level: int
     values: np.ndarray
     mask: np.ndarray
-    _sats: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_cells(self) -> int:
@@ -325,7 +324,7 @@ def qh_distance_field(domain: Domain, a, resolution: float,
     if domain.sd(a) <= 0:
         raise ValueError("source point must lie inside the domain")
     window = window or domain.default_window
-    level = round(math.log2(1.0 / resolution))
+    level = resolution_level(resolution)
     if graph is None:
         graph = _field_graph(domain, window, level)
     mask, _, _ = classify_cells(domain, window, level)
@@ -356,7 +355,7 @@ def dipole_field(domain: Domain, z1, z2, r1: float, r2: float,
     if r1 < 0 or r2 < 0:
         raise ValueError("radii must be nonnegative")
     window = window or domain.default_window
-    level = round(math.log2(1.0 / resolution))
+    level = resolution_level(resolution)
     if graph is None:
         graph = _field_graph(domain, window, level)
     f1 = qh_distance_field(domain, z1, resolution, window, graph)
@@ -375,15 +374,16 @@ def whitney_cellwise_field(dec, grid_level: int, rng,
     window = dec.window
     n = 1 << grid_level
     mask, _, _ = classify_cells(dec.domain, window, grid_level)
-    vals = np.full((n, n), np.nan)
-    for idx in dec.indices(TAG_DOMAIN):
-        info = dec.cubes[idx]
-        if info.level > grid_level:
-            continue
-        v = float(rng.uniform(-amplitude, amplitude))
-        f = 1 << (grid_level - info.level)
-        i, j = info.coords
-        vals[i * f:(i + 1) * f, j * f:(j + 1) * f] = v
+    # one draw per domain cube no finer than the grid, in build order; each
+    # grid cell inside such a cube takes its value
+    c = dec.cubes
+    drawn = np.flatnonzero((c["tag"] == TAG_DOMAIN) & (c["level"] <= grid_level))
+    leaf_vals = np.full(len(c) + len(dec.frontier), np.nan)
+    leaf_vals[drawn] = rng.uniform(-amplitude, amplitude, size=drawn.size)
+    ii, jj = np.indices((n, n)).reshape(2, -1)
+    pos = dec.leaf_containing(grid_level, ii, jj)
+    vals = np.where(dec.leaf_levels[pos] <= grid_level,
+                    leaf_vals[dec.leaf_ids[pos]], np.nan).reshape(n, n)
     # flood unfilled inside cells from filled neighbors, deterministic order
     need = (mask == MASK_INSIDE) & ~np.isfinite(vals)
     guard = 0
@@ -419,48 +419,37 @@ def _cube_means_lookup(f: GridFunction, levels):
     return out
 
 
-def log_growth_ratio(f: GridFunction, dec, lam: float) -> float:
-    """max over domain Whitney cubes of |average| / (1 + log_+(lam/side))."""
+def _domain_cube_means(f: GridFunction, dec):
+    """Mean of f over each domain Whitney cube no finer than the grid; NaN
+    for the other cubes and for cubes without inside cells."""
     from .whitney import TAG_DOMAIN
 
-    idxs = [k for k in dec.indices(TAG_DOMAIN) if dec.cubes[k].level <= f.level]
-    lookup = _cube_means_lookup(f, [dec.cubes[k].level for k in idxs])
+    c = dec.cubes
+    out = np.full(len(c), np.nan)
+    rows = np.flatnonzero((c["tag"] == TAG_DOMAIN) & (c["level"] <= f.level))
+    for lvl, (means, counts) in _cube_means_lookup(f, c["level"][rows]).items():
+        k = rows[c["level"][rows] == lvl]
+        i, j = c["i"][k], c["j"][k]
+        ok = counts[i, j] > 0
+        out[k[ok]] = means[i[ok], j[ok]]
+    return out
+
+
+def log_growth_ratio(f: GridFunction, dec, lam: float) -> float:
+    """max over domain Whitney cubes of |average| / (1 + log_+(lam/side))."""
+    means = _domain_cube_means(f, dec)
+    level = dec.cubes["level"]
     best = 0.0
-    for k in idxs:
-        info = dec.cubes[k]
-        means, counts = lookup[info.level]
-        i, j = info.coords
-        if counts[i, j] == 0:
-            continue
-        side = dec.window.cell_size(info.level)
-        best = max(best, abs(float(means[i, j])) / (1.0 + log_plus(lam / side)))
+    for lvl in np.unique(level[np.isfinite(means)]).tolist():
+        growth = np.abs(means[level == lvl]) / (1.0 + log_plus(lam / dec.window.cell_size(lvl)))
+        best = max(best, float(np.nanmax(growth)))
     return best
 
 
 def adjacent_average_gap(f: GridFunction, dec) -> float:
     """max over adjacent domain Whitney cube pairs of the average gap."""
-    from .whitney import TAG_DOMAIN
-
-    idxs = [k for k in dec.indices(TAG_DOMAIN) if dec.cubes[k].level <= f.level]
-    keep = set(idxs)
-    lookup = _cube_means_lookup(f, [dec.cubes[k].level for k in idxs])
-
-    def mean_of(k):
-        info = dec.cubes[k]
-        means, counts = lookup[info.level]
-        i, j = info.coords
-        return float(means[i, j]) if counts[i, j] > 0 else None
-
-    best = 0.0
-    for k in idxs:
-        mk = mean_of(k)
-        if mk is None:
-            continue
-        for nb in dec.adjacency[k]:
-            if nb <= k or nb not in keep:
-                continue
-            mn = mean_of(nb)
-            if mn is None:
-                continue
-            best = max(best, abs(mk - mn))
-    return best
+    means = _domain_cube_means(f, dec)
+    rows = np.repeat(np.arange(len(means)), np.diff(dec.adj_indptr))
+    gaps = np.abs(means[rows] - means[dec.adj_indices])
+    gaps = gaps[np.isfinite(gaps)]
+    return float(gaps.max()) if gaps.size else 0.0

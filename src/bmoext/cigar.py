@@ -18,8 +18,8 @@ import numpy as np
 from .domains import Domain
 from .dyadic import Window
 from .errors import GeometryError, QuadratureError
-from .qhyper import (MetricGraph, Polyline, build_metric_graph, j_distance,
-                     qh_distance, qh_length, segment_qh_batch)
+from .qhyper import (MetricGraph, Polyline, _refine_path, build_metric_graph,
+                     grid_path, j_distance, qh_length, segment_qh_batch)
 
 ENDPOINT_EXCLUSION = 1e-3
 SQRT2 = math.sqrt(2.0)      # arclength fraction dropped around each endpoint
@@ -307,17 +307,22 @@ def mirror_pairs(domain: Domain, window: Window, delta: float,
 
 def _curve_menu(domain: Domain, graph: MetricGraph, p: PairSample):
     """Candidate curves: the straight segment when it stays inside, the raw
-    grid geodesic, and its shortened refinement."""
+    grid geodesic, and its shortened refinement, both from one Dijkstra
+    solve and measured to the quadrature tolerance of qh_distance."""
     curves = []
     seg = Polyline(np.array([p.x, p.y]))
     sd = domain.signed_distance(seg.resample(64))
     if (sd > 0).all():
         curves.append(seg)
+    try:
+        raw = grid_path(graph, p.x, p.y)
+    except (GeometryError, ValueError):
+        return curves
     for refine in (False, True):
         try:
-            _, pl = qh_distance(domain, p.x, p.y, 2.0 ** (-graph.level),
-                                graph=graph, refine=refine)
-            curves.append(pl)
+            pts = _refine_path(domain, raw, graph.h) if refine else raw
+            value, err = qh_length(domain, pts, tol=2e-3)
+            curves.append(Polyline(pts, qh_value=value, qh_error=err))
         except (GeometryError, ValueError):
             pass
     return curves

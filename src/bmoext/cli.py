@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bmo, cigar, extension, svgout
 from .domains import Domain, parse_domain_arg, parse_domain_file
-from .dyadic import Window
+from .dyadic import Window, resolution_level
 from .errors import GeometryError
 from .qhyper import qh_distance
 from .whitney import build_whitney
@@ -145,7 +145,7 @@ def _make_function(spec: str, domain, window, resolution, seed):
     """Builtin generators: const:c, ramp, coord:x|y, qh:ax,ay,
     dipole:x1,y1,x2,y2,r1,r2, cellwise:depth, or csv:path."""
     name, _, args = spec.partition(":")
-    level = round(math.log2(1.0 / resolution))
+    level = resolution_level(resolution)
     if name == "const":
         c = float(args or 1.0)
         return bmo.sample_grid_function(domain, window, level,
@@ -182,15 +182,12 @@ def _make_function(spec: str, domain, window, resolution, seed):
 def cmd_decompose(args, out: Path):
     domain = _load_domain(args.domain)
     window = args.window or domain.default_window
-    depth = args.max_depth or round(math.log2(1.0 / args.resolution))
+    depth = args.max_depth or resolution_level(args.resolution)
     dec = build_whitney(domain, window, depth)
-    rows = []
-    for info in dec.cubes:
-        side = dec.window.cell_size(info.level)
-        rows.append((info.tag, info.level, info.coords[0], info.coords[1],
-                     side, info.dist_lo, info.dist_hi))
-    for lvl, i, j in dec.frontier:
-        rows.append(("frontier", lvl, i, j, dec.window.cell_size(lvl), None, None))
+    rows = [(tag, lvl, i, j, window.cell_size(lvl), lo, hi)
+            for tag, lvl, i, j, lo, hi in dec.cubes.tolist()]
+    rows += [("frontier", lvl, i, j, window.cell_size(lvl), None, None)
+             for lvl, i, j in dec.frontier.tolist()]
     write_csv(out / "cubes.csv", "whitney-cubes",
               ["tag", "level", "i", "j", "side", "dist_lo", "dist_hi"], rows)
     svgout.render_decomposition(dec, out / "decomposition.svg")
@@ -283,7 +280,7 @@ def cmd_norm(args, out: Path):
 def cmd_extend(args, out: Path):
     domain = _load_domain(args.domain)
     window = args.window or domain.default_window
-    depth = args.max_depth or round(math.log2(1.0 / args.resolution))
+    depth = args.max_depth or resolution_level(args.resolution)
     dec = build_whitney(domain, window, depth)
     f = _make_function(args.function, domain, window, args.resolution, args.seed)
     with warnings.catch_warnings():

@@ -23,9 +23,7 @@ class Domain:
     sd_func: object
     bounding_box: tuple[float, float, float, float]  # (x0, y0, x1, y1)
     label: str
-    is_exact: bool = True
     default_window: Window | None = None
-    n: int = 2
     features: dict = field(default_factory=dict)
 
     def signed_distance(self, pts) -> np.ndarray:

@@ -101,9 +101,6 @@ class DyadicCube:
         return [DyadicCube(lv, (2 * i + di, 2 * j + dj), self.window)
                 for dj in (0, 1) for di in (0, 1)]
 
-    def child(self, k: int) -> DyadicCube:
-        return self.children()[k]
-
     def int_box(self, at_level: int) -> tuple[int, int, int, int]:
         """Closed integer extent (ilo, ihi, jlo, jhi) in level-`at_level` cells."""
         if at_level < self.level:
@@ -116,17 +113,6 @@ class DyadicCube:
         lo = self.lower
         s = self.side
         return lo[0] <= p[0] <= lo[0] + s and lo[1] <= p[1] <= lo[1] + s
-
-    def contains_cube(self, other: DyadicCube) -> bool:
-        if other.level < self.level:
-            return False
-        f = 1 << (other.level - self.level)
-        return (other.coords[0] // f, other.coords[1] // f) == self.coords
-
-
-def cube_geometry(q: DyadicCube):
-    """(center, side, corners) of a cube, from the window formula."""
-    return q.center, q.side, q.corners
 
 
 def cubes_adjacent(q1: DyadicCube, q2: DyadicCube) -> bool:
@@ -143,22 +129,24 @@ def cubes_adjacent(q1: DyadicCube, q2: DyadicCube) -> bool:
     return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
 
 
-def box_gap(q1: DyadicCube, q2: DyadicCube) -> float:
-    """Euclidean distance between two closed cubes (0 if they touch)."""
-    lo1, s1 = q1.lower, q1.side
-    lo2, s2 = q2.lower, q2.side
-    gx = max(0.0, lo2[0] - (lo1[0] + s1), lo1[0] - (lo2[0] + s2))
-    gy = max(0.0, lo2[1] - (lo1[1] + s1), lo1[1] - (lo2[1] + s2))
-    return math.hypot(gx, gy)
+def box_distance(lo1, hi1, lo2, hi2) -> np.ndarray:
+    """Euclidean distance between the closed boxes [lo1, hi1] and [lo2, hi2]
+    (0 where they touch): per axis the larger of the two one-sided gaps,
+    floored at 0, then the hypotenuse. Corners are arrays of shape (..., 2)
+    that broadcast against each other; a point is the box with lo == hi."""
+    lo1, hi1, lo2, hi2 = (np.asarray(a, dtype=float) for a in (lo1, hi1, lo2, hi2))
+    gx = np.maximum(0.0, np.maximum(lo2[..., 0] - hi1[..., 0], lo1[..., 0] - hi2[..., 0]))
+    gy = np.maximum(0.0, np.maximum(lo2[..., 1] - hi1[..., 1], lo1[..., 1] - hi2[..., 1]))
+    return np.hypot(gx, gy)
 
 
-def point_box_gap(q: DyadicCube, p) -> float:
-    """Distance from a point to the closed cube."""
-    lo = q.lower
-    s = q.side
-    gx = max(0.0, lo[0] - p[0], p[0] - (lo[0] + s))
-    gy = max(0.0, lo[1] - p[1], p[1] - (lo[1] + s))
-    return math.hypot(gx, gy)
+def resolution_level(resolution: float) -> int:
+    """The k of a resolution 1/2^k; ValueError for any other value."""
+    finite = 0 < resolution < math.inf
+    level = round(-math.log2(resolution)) if finite else -1
+    if level < 0 or abs(math.ldexp(resolution, level) - 1.0) > 1e-12:
+        raise ValueError(f"resolution must be a dyadic fraction 1/2^k, got {resolution}")
+    return level
 
 
 def level_cell_centers(window: Window, level: int, ij: np.ndarray) -> np.ndarray:

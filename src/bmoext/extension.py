@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .bmo import (GridFunction, MASK_INSIDE, MASK_OUTSIDE, NormReport,
                   qh_distance_field, sample_grid_function,
                   whitney_cellwise_field, _field_graph)
 from .domains import Domain
-from .dyadic import N_DIM, Window
+from .dyadic import DyadicCube, N_DIM, Window, box_distance, resolution_level
 from .errors import ExtensionError, MatchingError
 from .whitney import (TAG_COMPLEMENT, WhitneyDecomposition, build_whitney,
                       matching_cube)
@@ -66,12 +66,6 @@ class ExtensionResult:
         return self.output_norm / self.input_norm
 
 
-def _touches_window_edge(info) -> bool:
-    n = 1 << info.level
-    i, j = info.coords
-    return i == 0 or j == 0 or i == n - 1 or j == n - 1
-
-
 def extend(f: GridFunction, domain: Domain, dec: WhitneyDecomposition,
            lam: float, epsilon: float, delta: float,
            best_effort: bool = False, compute_norms: bool = True) -> ExtensionResult:
@@ -101,16 +95,16 @@ def extend(f: GridFunction, domain: Domain, dec: WhitneyDecomposition,
     painted = []            # (key, value) per painted complement cube
 
     tol = 1e-12 * dec.window.size
-    for idx in dec.indices(TAG_COMPLEMENT):
-        info = dec.cubes[idx]
-        side = dec.window.cell_size(info.level)
-        key = info.key()
-        if info.level > f.level:
+    comp = dec.cubes[dec.cubes["tag"] == TAG_COMPLEMENT]
+    for key in comp[["level", "i", "j"]].tolist():
+        level, i, j = key
+        if level > f.level:
             subcell.append(key)
             continue
-        q = dec.cube(idx)
+        q = DyadicCube(level, (i, j), dec.window)
         blk = f.block(q)
-        if side > lam + tol or _touches_window_edge(info):
+        last = (1 << level) - 1
+        if q.side > lam + tol or 0 in (i, j) or last in (i, j):
             vals[blk] = 0.0
             zero_region.append(key)
             painted.append((key, 0.0))
@@ -125,32 +119,28 @@ def extend(f: GridFunction, domain: Domain, dec: WhitneyDecomposition,
             continue
         v = cube_average(f, q_star, cells="inside")
         vals[blk] = v
-        assignment[key] = (q_star.level, q_star.coords[0], q_star.coords[1])
+        assignment[key] = q_star.sort_key()
         painted.append((key, v))
 
     if failed and not best_effort:
         raise ExtensionError(failed)
 
-    # frontier leftovers: outside-classified cells never painted
+    # frontier leftovers: outside-classified cells never painted take the
+    # value of the nearest painted cube (first in build order on ties)
     need = (f.mask == MASK_OUTSIDE) & ~np.isfinite(vals)
     frontier_filled = int(need.sum())
     if frontier_filled:
         if painted:
-            cube_keys = [k for k, _ in painted]
+            keys = np.array([k for k, _ in painted])
             cube_vals = np.array([v for _, v in painted])
-            lows = np.array([
-                np.asarray(dec.window.origin) + np.array(k[1:]) * dec.window.cell_size(k[0])
-                for k in cube_keys])
-            sides = np.array([dec.window.cell_size(k[0]) for k in cube_keys])
+            sides = np.ldexp(dec.window.size, -keys[:, 0])
+            lows = np.asarray(dec.window.origin) + keys[:, 1:] * sides[:, None]
+            highs = lows + sides[:, None]
             cells = np.argwhere(need)
             centers = np.asarray(dec.window.origin) + (cells + 0.5) * f.h
             for lo in range(0, len(cells), 4096):
-                c = centers[lo:lo + 4096]
-                gx = np.maximum(0.0, np.maximum(lows[None, :, 0] - c[:, None, 0],
-                                                c[:, None, 0] - (lows[None, :, 0] + sides[None, :])))
-                gy = np.maximum(0.0, np.maximum(lows[None, :, 1] - c[:, None, 1],
-                                                c[:, None, 1] - (lows[None, :, 1] + sides[None, :])))
-                nearest = np.argmin(np.hypot(gx, gy), axis=1)
+                c = centers[lo:lo + 4096, None, :]
+                nearest = np.argmin(box_distance(lows, highs, c, c), axis=1)
                 sel = cells[lo:lo + 4096]
                 vals[sel[:, 0], sel[:, 1]] = cube_vals[nearest]
         else:
@@ -176,7 +166,7 @@ def make_suite(domain: Domain, window: Window, resolution: float,
     several boundary clearances, dipoles, and random cube-wise functions
     with unit adjacent oscillation."""
     rng = np.random.default_rng(seed)
-    level = round(math.log2(1.0 / resolution))
+    level = resolution_level(resolution)
     graph = _field_graph(domain, window, level)
     suite = []
     for k in range(n_const):
@@ -216,7 +206,7 @@ def operator_norm_experiment(domain: Domain, epsilon: float, delta: float,
     scale cutoffs; rows carry resolution and degeneracy flags so the CSV is
     self-describing."""
     window = window or domain.default_window
-    level = round(math.log2(1.0 / resolution))
+    level = resolution_level(resolution)
     if dec is None:
         dec = build_whitney(domain, window, level)
     rows = []

@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sp_dijkstra
 
 from .domains import Domain
-from .dyadic import Window
+from .dyadic import Window, resolution_level
 from .errors import DisconnectedGraphError, EmptyInteriorError, QuadratureError
 
 _SD_FLOOR_FRAC = 1e-12  # of the window side: below this the integrand is unbounded
@@ -138,20 +138,13 @@ class Polyline:
         return np.column_stack([x, y])
 
 
-def polyline_in_domain(domain: Domain, pts: np.ndarray) -> bool:
-    """Vertices and segment midpoints all strictly inside."""
-    pts = np.atleast_2d(pts)
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    probe = np.vstack([pts, mids])
-    return bool((domain.signed_distance(probe) > 0.0).all())
-
-
 def qh_length(domain: Domain, gamma, tol: float = 1e-6):
     """Adaptive quasi-hyperbolic length of a polyline with error bound.
 
     Returns (value, err) with err <= tol * value unless the refinement
-    budget runs out, in which case err reports the achieved bound.
-    Raises QuadratureError when the curve touches or leaves the domain.
+    budget runs out, in which case err reports the achieved bound; the
+    curve itself is left as it is. Raises QuadratureError when the curve
+    touches or leaves the domain.
     """
     pts = gamma.points if isinstance(gamma, Polyline) else np.atleast_2d(np.asarray(gamma, float))
     scale = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
@@ -162,9 +155,6 @@ def qh_length(domain: Domain, gamma, tol: float = 1e-6):
         raise QuadratureError(
             f"unbounded integrand on segment {k} "
             f"({pts[k]} -> {pts[k + 1]}): curve touches the boundary")
-    if isinstance(gamma, Polyline):
-        gamma.qh_value = float(vals.sum())
-        gamma.qh_error = float(errs.sum())
     return float(vals.sum()), float(errs.sum())
 
 
@@ -259,13 +249,6 @@ class MetricGraph:
         return np.bincount(labels, minlength=ncomp), labels
 
 
-def _as_level(resolution: float) -> int:
-    level = round(math.log2(1.0 / resolution))
-    if not (0 < level <= 14) or abs(2.0 ** (-level) - resolution) > 1e-12:
-        raise ValueError(f"resolution must be a dyadic fraction 1/2^k, got {resolution}")
-    return level
-
-
 def build_metric_graph(domain: Domain, window: Window, resolution: float,
                        node_margin: float = math.sqrt(2.0),
                        edge_rtol: float = 2e-2) -> MetricGraph:
@@ -275,7 +258,9 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
     (default: the cell diagonal). Edge weights integrate 1/dist along the
     straight segment; edges whose integrand cannot be bracketed are dropped.
     """
-    level = _as_level(resolution)
+    level = resolution_level(resolution)
+    if not 0 < level <= 14:
+        raise ValueError(f"graph resolution must be 1/2^k with 1 <= k <= 14, got {resolution}")
     n = 1 << level
     h = window.cell_size(level)
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -421,6 +406,18 @@ def qh_distance(domain: Domain, x, y, resolution: float,
         pl = Polyline(np.array([x, y]), qh_value=0.0, qh_error=0.0)
         return 0.0, pl
 
+    pts = grid_path(graph, x, y)
+    if refine:
+        pts = _refine_path(domain, pts, graph.h)
+    value, err = qh_length(domain, pts, tol=quad_tol)
+    return value, Polyline(pts, qh_value=value, qh_error=err)
+
+
+def grid_path(graph: MetricGraph, x, y) -> np.ndarray:
+    """Vertices of the grid geodesic from x to y: the endpoints joined
+    through their snapped nodes by one Dijkstra solve, repeats dropped."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
     src = graph.snap(x)
     dst = graph.snap(y)
     if src == dst:
@@ -437,12 +434,7 @@ def qh_distance(domain: Domain, x, y, resolution: float,
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.hypot(*(pts[1:] - pts[:-1]).T) > 1e-15
     pts = pts[keep]
-    if len(pts) < 2:
-        pts = np.array([x, y])
-    if refine:
-        pts = _refine_path(domain, pts, graph.h)
-    value, err = qh_length(domain, pts, tol=quad_tol)
-    return value, Polyline(pts, qh_value=value, qh_error=err)
+    return pts if len(pts) >= 2 else np.array([x, y])
 
 
 @dataclass

@@ -91,17 +91,17 @@ def draw_boundary(canvas: SvgCanvas, domain: Domain, n: int = 256,
 def render_decomposition(dec, path, px: int = 900):
     from .whitney import TAG_DOMAIN
 
-    canvas = SvgCanvas(dec.window, px)
-    for info in dec.cubes:
-        side = dec.window.cell_size(info.level)
-        lower = (dec.window.origin[0] + info.coords[0] * side,
-                 dec.window.origin[1] + info.coords[1] * side)
-        fill = "#7fbf7f" if info.tag == TAG_DOMAIN else "#7f9fff"
+    w = dec.window
+    canvas = SvgCanvas(w, px)
+    for tag, level, i, j, _, _ in dec.cubes.tolist():
+        side = w.cell_size(level)
+        lower = (w.origin[0] + i * side, w.origin[1] + j * side)
+        fill = "#7fbf7f" if tag == TAG_DOMAIN else "#7f9fff"
         canvas.rect(lower, side, fill, stroke="#404040", opacity=0.8,
                     stroke_width=0.3)
-    side = dec.window.cell_size(dec.max_depth)
-    for _, i, j in dec.frontier:
-        lower = (dec.window.origin[0] + i * side, dec.window.origin[1] + j * side)
+    side = w.cell_size(dec.max_depth)
+    for _, i, j in dec.frontier.tolist():
+        lower = (w.origin[0] + i * side, w.origin[1] + j * side)
         canvas.rect(lower, side, "url(#hatch)", opacity=0.9)
     draw_boundary(canvas, dec.domain)
     canvas.save(path)

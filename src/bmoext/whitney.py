@@ -7,6 +7,15 @@ undecided cells form the frontier. The acceptance rule makes the classical
 size-vs-distance inequalities hold by construction; they are re-checked
 after every build and a violation aborts loudly, since it can only come
 from a broken distance oracle.
+
+A decomposition is a set of read-only columns. `cubes` is a structured
+array (tag, level, i, j, dist_lo, dist_hi) in build order: level by level,
+the domain family before the complement family, cells in (i, j) order
+within each block, so the cubes of one family and level are contiguous.
+`frontier` holds the undecided (level, i, j) cells. Every leaf, cube or
+frontier cell, is also listed by its Morton key at the deepest level the
+build reached, so locating a cell is one binary search, and same-family
+adjacency is stored once as CSR arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import Domain
-from .dyadic import (DyadicCube, Window, SQRT_N, N_DIM, box_gap,
+from .dyadic import (DyadicCube, Window, SQRT_N, N_DIM, box_distance,
                      level_cell_centers)
 from .errors import MatchingError, WhitneyInvariantError
 
@@ -27,6 +36,17 @@ WC2_LOW = 1.0
 WC2_HIGH = 4.0 * SQRT_N
 TAG_DOMAIN = "E"
 TAG_COMPLEMENT = "E'"
+FRONTIER = "frontier"
+
+CUBE_DTYPE = np.dtype([("tag", "U2"), ("level", np.int64), ("i", np.int64),
+                       ("j", np.int64), ("dist_lo", np.float64),
+                       ("dist_hi", np.float64)])
+
+# Offsets of the 20 cells of side s/4 that ring a cube of side s, in units
+# of those cells from the cube's lower corner.
+_RING = np.array([(a, b) for a in range(-1, 5) for b in range(-1, 5)
+                  if not (0 <= a < 4 and 0 <= b < 4)], dtype=np.int64)
+_PROBE_CHUNK = 1 << 13                # cubes probed per vector pass
 
 
 def matching_size_bound(epsilon: float, delta: float, n: int = N_DIM) -> float:
@@ -39,141 +59,191 @@ def matching_distance_constant(epsilon: float, n: int = N_DIM) -> float:
     return 5.0 * math.sqrt(n) + 8.0 * n / epsilon ** 2
 
 
-@dataclass
-class CubeInfo:
-    tag: str
-    level: int
-    coords: tuple[int, int]
-    dist_lo: float     # rigorous bracket on dist(cube, boundary)
-    dist_hi: float
+# ---------------------------------------------------------------------------
+# Morton keys
 
-    def key(self):
-        return (self.level, self.coords[0], self.coords[1])
+def _spread(v):
+    """The low 32 bits of v moved to the even bit positions."""
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        v = (v | (v << shift)) & mask
+    return v
 
 
-@dataclass
+def _morton(i, j, depth: int):
+    """Bit-interleaved keys of level-`depth` cells (i, j), integers or arrays.
+
+    Keys and their 4**depth range fit int64 up to depth 31; deeper builds
+    (only a few cells stay undecided that far down) use exact Python
+    integers, in object arrays.
+    """
+    if depth > 31:
+        i, j = np.asarray(i).astype(object), np.asarray(j).astype(object)
+    key = _spread(i & 0xFFFFFFFF) | (_spread(j & 0xFFFFFFFF) << 1)
+    if depth > 31:
+        key |= (_spread(i >> 32) | (_spread(j >> 32) << 1)) << 64
+    return key
+
+
+def _first_cell_at(depth: int, level, i, j):
+    """Coordinates at `depth` of each cell's first (lowest) descendant, or of
+    its ancestor when the cell is finer than `depth`."""
+    shift = np.subtract(depth, level)
+    up, down = np.maximum(shift, 0), np.maximum(-shift, 0)
+    return (np.asarray(i) << up) >> down, (np.asarray(j) << up) >> down
+
+
+# ---------------------------------------------------------------------------
+# the decomposition
+
+@dataclass(frozen=True, eq=False)
 class WhitneyDecomposition:
     domain: Domain
     window: Window
     max_depth: int
-    cubes: list[CubeInfo]
-    fate: dict                         # (level,i,j) -> (kind, cube index or None)
-    frontier: list[tuple[int, int, int]]
-    adjacency: list[list[int]] = field(default_factory=list)
+    cubes: np.ndarray                  # CUBE_DTYPE rows in build order
+    frontier: np.ndarray               # (F, 3) int64 rows (level, i, j)
+    depth: int = field(init=False)     # deepest level of any leaf
+    # rows [starts[2l], starts[2l+1]) hold the domain cubes of level l and
+    # [starts[2l+1], starts[2l+2]) its complement cubes
+    block_starts: np.ndarray = field(init=False, repr=False)
+    # leaves (cubes, then frontier rows offset by len(cubes)) in key order
+    leaf_keys: np.ndarray = field(init=False, repr=False)
+    leaf_levels: np.ndarray = field(init=False, repr=False)
+    leaf_ids: np.ndarray = field(init=False, repr=False)
+    # same-family adjacency: neighbors of cube k, in build order, are
+    # adj_indices[adj_indptr[k]:adj_indptr[k + 1]]
+    adj_indptr: np.ndarray = field(init=False, repr=False)
+    adj_indices: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c, fr = self.cubes, self.frontier
+        level = np.concatenate([c["level"], fr[:, 0]])
+        depth = int(level.max())
+        keys = _morton(*_first_cell_at(depth, level, np.concatenate([c["i"], fr[:, 1]]),
+                                       np.concatenate([c["j"], fr[:, 2]])), depth)
+        order = np.argsort(keys, kind="stable")
+        block = 2 * c["level"] + (c["tag"] == TAG_COMPLEMENT)
+        self._attach(cubes=c, frontier=fr, depth=depth,
+                  block_starts=np.searchsorted(block, np.arange(2 * depth + 3)),
+                  leaf_keys=keys[order], leaf_levels=level[order], leaf_ids=order)
+        indptr, indices = self.neighbor_indices()
+        self._attach(adj_indptr=indptr, adj_indices=indices)
+
+    def _attach(self, **columns):
+        """Store columns while constructing (assignment is frozen) and make
+        every array read-only."""
+        for value in columns.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        vars(self).update(columns)
 
     def cube(self, idx: int) -> DyadicCube:
-        info = self.cubes[idx]
-        return DyadicCube(info.level, info.coords, self.window)
+        _, level, i, j, _, _ = self.cubes[idx].item()
+        return DyadicCube(level, (i, j), self.window)
 
-    def indices(self, tag: str) -> list[int]:
-        return [k for k, c in enumerate(self.cubes) if c.tag == tag]
-
-    def family(self, tag: str) -> list[DyadicCube]:
-        return [self.cube(k) for k in self.indices(tag)]
-
-    @property
-    def domain_cubes(self):
-        return self.family(TAG_DOMAIN)
-
-    @property
-    def complement_cubes(self):
-        return self.family(TAG_COMPLEMENT)
+    def indices(self, tag: str) -> np.ndarray:
+        return np.flatnonzero(self.cubes["tag"] == tag)
 
     @property
     def frontier_volume_fraction(self) -> float:
         return len(self.frontier) * 4.0 ** (-self.max_depth)
 
+    # -- point location ----------------------------------------------------
+
+    def leaf_containing(self, level, i, j) -> np.ndarray:
+        """Positions in the leaf arrays of the leaves holding cells (level, i, j).
+
+        A cell coarser than its leaf maps to the leaf of its lowest corner.
+        """
+        keys = _morton(*_first_cell_at(self.depth, level, i, j), self.depth)
+        return np.searchsorted(self.leaf_keys, keys, side="right") - 1
+
     def index_of(self, q: DyadicCube) -> int:
-        key = (q.level, q.coords[0], q.coords[1])
-        kind, idx = self.fate.get(key, (None, None))
-        if idx is None or kind not in (TAG_DOMAIN, TAG_COMPLEMENT):
-            raise KeyError(f"cube {key} is not in this decomposition")
-        return idx
+        if q.level <= self.depth:
+            shift = self.depth - q.level
+            key = _morton(q.coords[0] << shift, q.coords[1] << shift, self.depth)
+            pos = np.searchsorted(self.leaf_keys, key, side="right") - 1
+            idx = int(self.leaf_ids[pos])
+            if self.leaf_levels[pos] == q.level and idx < len(self.cubes):
+                return idx
+        raise KeyError(f"cube {q.sort_key()} is not in this decomposition")
+
+    def locate(self, p):
+        """(kind, index) of the decomposition cell containing the point;
+        frontier cells come back as ("frontier", None)."""
+        if not self.window.contains_point(p):
+            raise ValueError(f"point {tuple(np.asarray(p))} outside the window")
+        i, j = self.window.cell_of_point(p, self.depth)
+        idx = int(self.leaf_ids[self.leaf_containing(self.depth, i, j)])
+        if idx >= len(self.cubes):
+            return FRONTIER, None
+        return str(self.cubes["tag"][idx]), idx
 
     # -- adjacency ---------------------------------------------------------
 
-    def _cells_touching(self, key, box, tag, out):
-        """Collect indices of tag cubes in the subtree at `key` touching `box`.
+    def neighbor_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Same-family adjacency of every cube as CSR (indptr, indices).
 
-        `box` is the closed integer extent of the query cube at its own level;
-        candidate cells are compared after rescaling to a common level.
+        A leaf meeting the closed box of a cube of side s and at least s/4
+        wide contains one of the 20 cells of side s/4 ringing the cube
+        (cells of the deepest level at the bottom two levels), so locating
+        that ring finds every such neighbor. A ring cell inside a finer leaf
+        means touching leaves with side ratio above 4, which the Whitney
+        bounds exclude, so it raises.
         """
-        kind, idx = self.fate.get(key, (None, None))
-        if kind is None:
-            lvl, i, j = key
-            while lvl > 0 and (lvl, i, j) not in self.fate:
-                lvl, i, j = lvl - 1, i // 2, j // 2
-            kind, idx = self.fate.get((lvl, i, j), (None, None))
-            if kind == tag:
-                out.add(idx)
-            return
-        if kind == "split":
-            lvl, i, j = key
-            q_lvl, ilo, ihi, jlo, jhi = box
-            for ci in (2 * i, 2 * i + 1):
-                for cj in (2 * j, 2 * j + 1):
-                    f = 1 << max(0, q_lvl - (lvl + 1))
-                    g = 1 << max(0, (lvl + 1) - q_lvl)
-                    # child extent at the comparison level
-                    a0, a1 = ci * f, (ci + 1) * f
-                    b0, b1 = cj * f, (cj + 1) * f
-                    c0, c1 = ilo * g, ihi * g
-                    d0, d1 = jlo * g, jhi * g
-                    if a0 <= c1 and c0 <= a1 and b0 <= d1 and d0 <= b1:
-                        self._cells_touching((lvl + 1, ci, cj), box, tag, out)
-        elif kind == tag:
-            out.add(idx)
+        c = self.cubes
+        n = len(c)
+        is_domain = c["tag"] == TAG_DOMAIN
+        rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for lo in range(0, n, _PROBE_CHUNK):
+            cube = np.arange(lo, min(lo + _PROBE_CHUNK, n))
+            level = np.repeat(c["level"][cube] + 2, len(_RING))
+            pi = (4 * c["i"][cube, None] + _RING[:, 0]).ravel()
+            pj = (4 * c["j"][cube, None] + _RING[:, 1]).ravel()
+            cube = np.repeat(cube, len(_RING))
+            side = np.left_shift(1, level)
+            ok = (pi >= 0) & (pj >= 0) & (pi < side) & (pj < side)
+            cube, level, pi, pj = cube[ok], level[ok], pi[ok], pj[ok]
+            pos = self.leaf_containing(level, pi, pj)
+            finer = self.leaf_levels[pos] > np.minimum(level, self.depth)
+            if finer.any():
+                k = int(np.flatnonzero(finer)[0])
+                raise WhitneyInvariantError(
+                    f"cube {self.cube(cube[k]).sort_key()} touches a leaf at level "
+                    f"{int(self.leaf_levels[pos[k]])}: side ratio outside [1/4, 4]")
+            leaf = self.leaf_ids[pos]
+            same = leaf < n
+            same[same] = is_domain[leaf[same]] == is_domain[cube[same]]
+            rows.append(cube[same])
+            cols.append(leaf[same])
+        # same-family cubes in build order are in (level, i, j) order
+        pairs = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        rows, cols = np.divmod(pairs, max(n, 1))
+        return np.searchsorted(rows, np.arange(n + 1)), cols
 
-    def neighbor_indices(self, idx: int) -> list[int]:
-        info = self.cubes[idx]
-        lvl = info.level
-        i, j = info.coords
-        n = 1 << lvl
-        out: set[int] = set()
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                ci, cj = i + di, j + dj
-                if not (0 <= ci < n and 0 <= cj < n):
-                    continue
-                self._cells_touching((lvl, ci, cj), (lvl, i, i + 1, j, j + 1),
-                                     info.tag, out)
-        out.discard(idx)
-        return sorted(out, key=lambda k: self.cubes[k].key())
+    def adjacent(self, idx: int) -> np.ndarray:
+        return self.adj_indices[self.adj_indptr[idx]:self.adj_indptr[idx + 1]]
 
     def neighbors(self, q: DyadicCube) -> list[DyadicCube]:
         """Same-family cubes whose closed boxes intersect q (q excluded)."""
-        return [self.cube(k) for k in self.adjacency[self.index_of(q)]]
-
-    # -- point location ----------------------------------------------------
-
-    def locate(self, p):
-        """(kind, index) of the decomposition cell containing the point."""
-        if not self.window.contains_point(p):
-            raise ValueError(f"point {tuple(np.asarray(p))} outside the window")
-        key = (0, 0, 0)
-        while True:
-            kind, idx = self.fate.get(key, (None, None))
-            if kind is None:
-                raise KeyError(f"no decomposition cell at {key}")
-            if kind != "split":
-                return kind, idx
-            lvl = key[0] + 1
-            i, j = self.window.cell_of_point(p, lvl)
-            key = (lvl, i, j)
+        return [self.cube(k) for k in self.adjacent(self.index_of(q))]
 
 
-def build_whitney(domain: Domain, window: Window, max_depth: int,
-                  check: bool = True) -> WhitneyDecomposition:
-    """Subdivide the window into the two Whitney families plus a frontier."""
+def build_whitney(domain: Domain, window: Window, max_depth: int) -> WhitneyDecomposition:
+    """Subdivide the window into the two Whitney families plus a frontier,
+    then check the invariants."""
     if max_depth > 40 or max_depth < 0:
         raise ValueError("max_depth must be in [0, 40]")
     if not domain.window_inside_bbox(window):
         raise ValueError("window must sit inside the domain bounding box")
 
     origin = np.asarray(window.origin)
-    cubes: list[CubeInfo] = []
-    fate: dict = {}
-    frontier: list[tuple[int, int, int]] = []
+    corner_off = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    blocks = []
+    frontier = np.empty((0, 3), dtype=np.int64)
 
     active = np.zeros((1, 2), dtype=np.int64)
     for level in range(max_depth + 1):
@@ -185,114 +255,92 @@ def build_whitney(domain: Domain, window: Window, max_depth: int,
         thr = ACCEPT_FACTOR * side
         acc_e = sd >= thr
         acc_ep = -sd >= thr
-        undecided = ~(acc_e | acc_ep)
 
         for tag, mask in ((TAG_DOMAIN, acc_e), (TAG_COMPLEMENT, acc_ep)):
             cells = active[mask]
             if len(cells) == 0:
                 continue
-            ctr = centers[mask]
-            corner_off = np.array([[0.0, 0.0], [side, 0.0], [0.0, side], [side, side]])
             lows = origin + cells * side
-            corners = (lows[:, None, :] + corner_off[None, :, :]).reshape(-1, 2)
+            corners = (lows[:, None, :] + side * corner_off[None, :, :]).reshape(-1, 2)
             csd = np.abs(domain.signed_distance(corners)).reshape(-1, 4)
             c_abs = np.abs(sd[mask])
-            lo = np.maximum(0.0, c_abs - 0.5 * SQRT_N * side)
-            hi = np.minimum(c_abs, csd.min(axis=1))
-            for k in range(len(cells)):
-                key = (level, int(cells[k, 0]), int(cells[k, 1]))
-                fate[key] = (tag, len(cubes))
-                cubes.append(CubeInfo(tag, level, (key[1], key[2]),
-                                      float(lo[k]), float(hi[k])))
+            block = np.empty(len(cells), dtype=CUBE_DTYPE)
+            block["tag"] = tag
+            block["level"] = level
+            block["i"], block["j"] = cells[:, 0], cells[:, 1]
+            block["dist_lo"] = np.maximum(0.0, c_abs - 0.5 * SQRT_N * side)
+            block["dist_hi"] = np.minimum(c_abs, csd.min(axis=1))
+            blocks.append(block)
 
-        rest = active[undecided]
+        rest = active[~(acc_e | acc_ep)]
         if level == max_depth:
-            for k in range(len(rest)):
-                key = (level, int(rest[k, 0]), int(rest[k, 1]))
-                fate[key] = ("frontier", None)
-                frontier.append(key)
+            frontier = np.column_stack([np.full(len(rest), level, dtype=np.int64), rest])
         else:
-            for k in range(len(rest)):
-                fate[(level, int(rest[k, 0]), int(rest[k, 1]))] = ("split", None)
-            if len(rest):
-                off = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
-                active = (rest[:, None, :] * 2 + off[None, :, :]).reshape(-1, 2)
-                order = np.lexsort((active[:, 1], active[:, 0]))
-                active = active[order]
-            else:
-                active = rest
+            off = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+            active = (rest[:, None, :] * 2 + off[None, :, :]).reshape(-1, 2)
+            active = active[np.lexsort((active[:, 1], active[:, 0]))]
 
-    dec = WhitneyDecomposition(domain, window, max_depth, cubes, fate, frontier)
-    dec.adjacency = [dec.neighbor_indices(k) for k in range(len(cubes))]
-    if check:
-        check_invariants(dec)
+    cubes = np.concatenate(blocks) if blocks else np.empty(0, dtype=CUBE_DTYPE)
+    dec = WhitneyDecomposition(domain, window, max_depth, cubes, frontier)
+    check_invariants(dec)
     return dec
 
 
 def check_invariants(dec: WhitneyDecomposition):
-    """Disjointness, size-vs-distance bracket, bounded neighbor ratio, cover."""
-    w = dec.window.size
-    tol = 1e-9 * w
+    """Exact cover by disjoint leaves, size-vs-distance bracket, bounded
+    neighbor ratio."""
+    c = dec.cubes
 
-    # exact cover accounting in finest-cell units
-    total = sum(4 ** (dec.max_depth - c.level) for c in dec.cubes)
-    total += len(dec.frontier)
-    if total != 4 ** dec.max_depth:
+    # sorted leaf key ranges must tile [0, 4**depth) end to end
+    one = np.ones(len(dec.leaf_keys), dtype=dec.leaf_keys.dtype)
+    ends = dec.leaf_keys + (one << (2 * (dec.depth - dec.leaf_levels)).astype(one.dtype))
+    gaps = np.flatnonzero(dec.leaf_keys[1:] != ends[:-1])
+    if dec.leaf_keys[0] != 0 or ends[-1] != 4 ** dec.depth or gaps.size:
         raise WhitneyInvariantError(
-            f"families plus frontier cover {total} of {4 ** dec.max_depth} finest cells")
+            "families plus frontier do not tile the window: leaf key ranges "
+            f"overlap or leave a gap (first at leaf {int(gaps[0]) if gaps.size else 0})")
 
-    for idx, info in enumerate(dec.cubes):
-        side = dec.window.cell_size(info.level)
-        # disjoint interiors: no accepted ancestor
-        lvl, i, j = info.key()
-        while lvl > 0:
-            lvl, i, j = lvl - 1, i // 2, j // 2
-            kind, _ = dec.fate.get((lvl, i, j), (None, None))
-            if kind in (TAG_DOMAIN, TAG_COMPLEMENT):
-                raise WhitneyInvariantError(
-                    f"cube {info.key()} nested inside accepted {(lvl, i, j)}")
-        if info.dist_lo < WC2_LOW * side - tol:
+    side = np.ldexp(dec.window.size, -c["level"])
+    tol = 1e-9 * dec.window.size
+    for bad, bound in ((c["dist_lo"] < WC2_LOW * side - tol, "below side"),
+                       (c["dist_hi"] > WC2_HIGH * side + tol, f"above {WC2_HIGH:.3g} x side")):
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
             raise WhitneyInvariantError(
-                f"{info.tag} cube {info.key()}: clearance bracket "
-                f"[{info.dist_lo:.3g}, {info.dist_hi:.3g}] below side {side:.3g}")
-        if info.dist_hi > WC2_HIGH * side + tol:
-            raise WhitneyInvariantError(
-                f"{info.tag} cube {info.key()}: clearance bracket "
-                f"[{info.dist_lo:.3g}, {info.dist_hi:.3g}] above {WC2_HIGH:.3g} x side")
-        for nb in dec.adjacency[idx]:
-            if abs(dec.cubes[nb].level - info.level) > 2:
-                raise WhitneyInvariantError(
-                    f"adjacent cubes {info.key()} / {dec.cubes[nb].key()} "
-                    "have side ratio outside [1/4, 4]")
+                f"{c['tag'][k]} cube {dec.cube(k).sort_key()}: clearance bracket "
+                f"[{c['dist_lo'][k]:.3g}, {c['dist_hi'][k]:.3g}] {bound} {side[k]:.3g}")
+
+    rows = np.repeat(np.arange(len(c)), np.diff(dec.adj_indptr))
+    far = np.abs(c["level"][dec.adj_indices] - c["level"][rows]) > 2
+    if far.any():
+        k = int(np.flatnonzero(far)[0])
+        raise WhitneyInvariantError(
+            f"adjacent cubes {dec.cube(rows[k]).sort_key()} / "
+            f"{dec.cube(dec.adj_indices[k]).sort_key()} have side ratio outside [1/4, 4]")
 
 
 # ---------------------------------------------------------------------------
 # queries
 
-def _grouped_by_level(dec: WhitneyDecomposition, tag: str):
-    groups: dict[int, tuple[np.ndarray, np.ndarray]] = getattr(dec, "_groups_" + tag.replace("'", "p"), None)
-    if groups is None:
-        groups = {}
-        for idx, info in enumerate(dec.cubes):
-            if info.tag != tag:
-                continue
-            groups.setdefault(info.level, []).append((info.coords[0], info.coords[1], idx))
-        groups = {lvl: (np.array([(a, b) for a, b, _ in rows], dtype=np.int64),
-                        np.array([k for _, _, k in rows], dtype=np.int64))
-                  for lvl, rows in groups.items()}
-        setattr(dec, "_groups_" + tag.replace("'", "p"), groups)
-    return groups
-
-
-def _box_distances(window: Window, level: int, coords: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Distances from boxes (level, coords) to the closed box [lo, hi]."""
-    s = window.cell_size(level)
-    blo = np.asarray(window.origin) + coords * s
-    bhi = blo + s
-    gx = np.maximum(0.0, np.maximum(lo[0] - bhi[:, 0], blo[:, 0] - hi[0]))
-    gy = np.maximum(0.0, np.maximum(lo[1] - bhi[:, 1], blo[:, 1] - hi[1]))
-    return np.hypot(gx, gy)
+def _nearest_domain_cube(dec: WhitneyDecomposition, levels, lo, hi, accept):
+    """Domain cube nearest the closed box [lo, hi] among those at a distance
+    `accept` allows, scanning `levels` coarse to fine; ties go to the
+    coarser level, then to lexicographic coords. None when none qualifies."""
+    c = dec.cubes
+    best, best_d = None, math.inf
+    for lvl in levels:
+        start, stop = dec.block_starts[2 * lvl:2 * lvl + 2].tolist()
+        if start == stop:
+            continue
+        s = dec.window.cell_size(lvl)
+        coords = np.column_stack([c["i"][start:stop], c["j"][start:stop]])
+        blo = np.asarray(dec.window.origin) + coords * s
+        d = box_distance(blo, blo + s, lo, hi)
+        d = np.where(accept(d), d, math.inf)
+        k = int(np.argmin(d))     # a block runs in (i, j) order: first of equals
+        if d[k] < best_d:
+            best, best_d = start + k, d[k]
+    return None if best is None else dec.cube(best)
 
 
 def matching_cube(dec: WhitneyDecomposition, q: DyadicCube, epsilon: float,
@@ -306,35 +354,20 @@ def matching_cube(dec: WhitneyDecomposition, q: DyadicCube, epsilon: float,
     """
     if not (0 < epsilon <= 1) or delta <= 0:
         raise ValueError("need 0 < epsilon <= 1 and delta > 0")
-    key = (q.level, q.coords[0], q.coords[1])
-    kind, _ = dec.fate.get(key, (None, None))
-    if kind != TAG_COMPLEMENT:
-        raise KeyError(f"cube {key} is not a complement cube of this decomposition")
+    try:
+        is_complement = dec.cubes["tag"][dec.index_of(q)] == TAG_COMPLEMENT
+    except KeyError:
+        is_complement = False
+    if not is_complement:
+        raise KeyError(f"cube {q.sort_key()} is not a complement cube of this decomposition")
 
-    side = q.side
-    c_dist = matching_distance_constant(epsilon)
-    radius = c_dist * side + 1e-12 * dec.window.size
+    radius = matching_distance_constant(epsilon) * q.side + 1e-12 * dec.window.size
     lo = q.lower
-    hi = lo + side
-    groups = _grouped_by_level(dec, TAG_DOMAIN)
-
-    best = None
-    for lvl in range(max(0, q.level - 2), q.level + 1):
-        if lvl not in groups:
-            continue
-        coords, idxs = groups[lvl]
-        d = _box_distances(dec.window, lvl, coords, lo, hi)
-        ok = np.nonzero(d <= radius)[0]
-        if ok.size == 0:
-            continue
-        sub = ok[np.lexsort((coords[ok, 1], coords[ok, 0], d[ok]))[0]]
-        cand = (float(d[sub]), lvl, int(coords[sub, 0]), int(coords[sub, 1]),
-                int(idxs[sub]))
-        if best is None or cand[:4] < best[:4]:
-            best = cand
+    best = _nearest_domain_cube(dec, range(max(0, q.level - 2), q.level + 1),
+                                lo, lo + q.side, lambda d: d <= radius)
     if best is None:
-        raise MatchingError(key, radius)
-    return dec.cube(best[4])
+        raise MatchingError(q.sort_key(), radius)
+    return best
 
 
 def find_interior_point(domain: Domain, q: DyadicCube, epsilon: float,
@@ -372,48 +405,27 @@ def find_big_cube_near(dec: WhitneyDecomposition, x, epsilon: float, delta: floa
     x = np.asarray(x, dtype=float)
     min_side = epsilon * delta / (320.0 * N_DIM)
     reach = delta * (1.0 / epsilon + SQRT_N)
-    groups = _grouped_by_level(dec, TAG_DOMAIN)
-    best = None
-    for lvl, (coords, idxs) in sorted(groups.items()):
-        if dec.window.cell_size(lvl) < min_side:
-            continue
-        s = dec.window.cell_size(lvl)
-        blo = np.asarray(dec.window.origin) + coords * s
-        gx = np.maximum(0.0, np.maximum(blo[:, 0] - x[0], x[0] - (blo[:, 0] + s)))
-        gy = np.maximum(0.0, np.maximum(blo[:, 1] - x[1], x[1] - (blo[:, 1] + s)))
-        d = np.hypot(gx, gy)
-        ok = np.nonzero(d < reach)[0]
-        if ok.size == 0:
-            continue
-        sub = ok[np.lexsort((coords[ok, 1], coords[ok, 0], d[ok]))[0]]
-        cand = (float(d[sub]), lvl, int(coords[sub, 0]), int(coords[sub, 1]),
-                int(idxs[sub]))
-        if best is None or cand[:4] < best[:4]:
-            best = cand
-    return dec.cube(best[4]) if best is not None else None
+    levels = [lvl for lvl in range(dec.depth + 1) if dec.window.cell_size(lvl) >= min_side]
+    return _nearest_domain_cube(dec, levels, x, x, lambda d: d < reach)
 
 
 def whitney_chain(dec: WhitneyDecomposition, x, y) -> list[DyadicCube]:
     """Shortest hop sequence of adjacent domain cubes joining the cubes of
     x and y; length 1 means both points share a cube."""
-    kinds = []
+    ends = []
     for p in (x, y):
         kind, idx = dec.locate(p)
         if kind != TAG_DOMAIN:
             raise KeyError(f"point {tuple(np.asarray(p, float))} is not inside a "
                            f"domain cube (landed in {kind}); deepen max_depth")
-        kinds.append(idx)
-    src, dst = kinds
-    if src == dst:
-        return [dec.cube(src)]
+        ends.append(idx)
+    src, dst = ends
     prev = {src: None}
     queue = deque([src])
-    while queue:
+    while queue and dst not in prev:
         cur = queue.popleft()
-        if cur == dst:
-            break
-        for nb in dec.adjacency[cur]:
-            if dec.cubes[nb].tag == TAG_DOMAIN and nb not in prev:
+        for nb in dec.adjacent(cur).tolist():
+            if nb not in prev:
                 prev[nb] = cur
                 queue.append(nb)
     if dst not in prev:
@@ -423,18 +435,3 @@ def whitney_chain(dec: WhitneyDecomposition, x, y) -> list[DyadicCube]:
     while prev[chain[-1]] is not None:
         chain.append(prev[chain[-1]])
     return [dec.cube(k) for k in chain[::-1]]
-
-
-def cubes_covering_curve(dec: WhitneyDecomposition, pts: np.ndarray) -> list[int]:
-    """Indices of domain cubes met by a densely sampled curve."""
-    seen = []
-    have = set()
-    for p in np.atleast_2d(pts):
-        try:
-            kind, idx = dec.locate(p)
-        except (KeyError, ValueError):
-            continue
-        if kind == TAG_DOMAIN and idx not in have:
-            have.add(idx)
-            seen.append(idx)
-    return seen

@@ -16,7 +16,7 @@ from bmoext.bmo import (adjacent_average_gap, bmo_homogeneous_norm,
                         bmo_lambda_norm, cube_average, log_growth_ratio,
                         qh_distance_field, sample_grid_function, _field_graph)
 from bmoext.cigar import classify, estimate_epsilon_delta, uniformity_fit
-from bmoext.dyadic import DyadicCube, SQRT_N, box_gap
+from bmoext.dyadic import DyadicCube, SQRT_N
 from bmoext.errors import MatchingError
 from bmoext.extension import (counterexample_experiment, make_suite,
                               max_extension_scale, max_suite_ratio,
@@ -25,7 +25,8 @@ from bmoext.whitney import (TAG_COMPLEMENT, build_whitney,
                             matching_cube, matching_size_bound,
                             matching_distance_constant)
 from tests.conftest import DISK_WINDOW, IL_WINDOW
-from tests.test_whitney import exhaustive_whitney
+from tests.test_whitney import (built_families, cube_gap, exhaustive_whitney,
+                                frontier_cells)
 from tests.test_bmo import oracle_average
 
 DELTA = 0.5
@@ -64,14 +65,14 @@ def test_criterion_01_whitney_invariants():
     for dom, window in cases:
         window = window or dom.default_window
         t0 = time.time()
-        dec = build_whitney(dom, window, 10, check=True)  # asserts WC1-WC3
+        dec = build_whitney(dom, window, 10)  # asserts WC1-WC3
         tol = 1e-9 * window.size
-        for idx, info in enumerate(dec.cubes):
-            side = window.cell_size(info.level)
-            ok &= info.dist_lo >= side - tol
-            ok &= info.dist_hi <= 4.0 * SQRT_N * side + tol
-            ok &= all(abs(dec.cubes[n].level - info.level) <= 2
-                      for n in dec.adjacency[idx])
+        level = dec.cubes["level"]
+        for idx, (_, lvl, _, _, lo, hi) in enumerate(dec.cubes.tolist()):
+            side = window.cell_size(lvl)
+            ok &= lo >= side - tol
+            ok &= hi <= 4.0 * SQRT_N * side + tol
+            ok &= bool((np.abs(level[dec.adjacent(idx)] - lvl) <= 2).all())
         elapsed = time.time() - t0
         ok &= elapsed < 10.0
         details.append(f"{dom.label}: {len(dec.cubes)} cubes in {elapsed:.1f}s")
@@ -100,7 +101,7 @@ def test_criterion_03_matching_cubes(disk10):
     c = matching_distance_constant(eps)
     assert c == pytest.approx(5.0 * math.sqrt(2.0) + 16.0 / eps ** 2, rel=1e-12)
     qual = [k for k in disk10.indices(TAG_COMPLEMENT)
-            if disk10.window.cell_size(disk10.cubes[k].level) <= bound]
+            if disk10.cube(k).side <= bound]
     unmatched = 0
     bad = 0
     for k in qual:
@@ -112,7 +113,7 @@ def test_criterion_03_matching_cubes(disk10):
             continue
         ratio = qs.side / q.side
         if not (1.0 <= ratio <= 4.0
-                and box_gap(qs, q) <= c * q.side + 1e-9 * disk10.window.size):
+                and cube_gap(qs, q) <= c * q.side + 1e-9 * disk10.window.size):
             bad += 1
     ok = len(qual) > 0 and unmatched == 0 and bad == 0
     report(3, ok, f"{len(qual)} complement cubes at or below eps*delta/(16n)="
@@ -225,8 +226,8 @@ def test_criterion_10_oracle_equivalences(disk1):
     t0 = time.time()
     dec = build_whitney(disk1, DISK_WINDOW, 7)
     oracle, oracle_frontier = exhaustive_whitney(disk1, DISK_WINDOW, 7)
-    built = {info.key(): info.tag for info in dec.cubes}
-    cubes_match = built == oracle and sorted(dec.frontier) == sorted(oracle_frontier)
+    cubes_match = (built_families(dec) == oracle
+                   and frontier_cells(dec) == sorted(oracle_frontier))
 
     f = sample_grid_function(disk1, DISK_WINDOW, 7,
                              lambda p: np.sin(5 * p[:, 0]) - p[:, 1] ** 3)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from bmoext import Window, disk
-from bmoext.bmo import (MASK_INSIDE, adjacent_average_gap,
+from bmoext.bmo import (MASK_INSIDE, _cube_means_lookup, adjacent_average_gap,
                         bmo_homogeneous_norm, bmo_lambda_norm, cube_average,
                         cube_oscillation, dipole_field, dyadic_abc_norm,
                         log_growth_ratio, qh_distance_field,
-                        sample_grid_function, whitney_cellwise_field,
+                        log_plus, sample_grid_function, whitney_cellwise_field,
                         _field_graph)
 from bmoext.dyadic import DyadicCube
 from bmoext.qhyper import qh_distance
-from bmoext.whitney import build_whitney, cubes_covering_curve
+from bmoext.whitney import TAG_DOMAIN, build_whitney
 from tests.conftest import DISK_WINDOW
 
 LAM = 0.25
@@ -217,7 +217,6 @@ def test_qh_field_halfplane_analytic(hp):
 def test_qh_field_oscillation_on_whitney_cubes(disk1, disk_dec, field_graph):
     # clearance-comparable cubes see bounded metric oscillation
     f = qh_distance_field(disk1, (0.3, 0.0), 1 / 256, DISK_WINDOW, field_graph)
-    from bmoext.whitney import TAG_DOMAIN
     worst = 0.0
     for k in disk_dec.indices(TAG_DOMAIN):
         q = disk_dec.cube(k)
@@ -257,6 +256,37 @@ def test_dipole_support(disk1, field_graph):
 
 # -- growth and gap checks -------------------------------------------------
 
+@pytest.mark.parametrize("grid_level", [7, 9])
+def test_cellwise_field_matches_cube_loop(disk_dec, grid_level):
+    # reference: one draw per domain cube no finer than the grid, in build
+    # order, painted over the cube's cells
+    got = whitney_cellwise_field(disk_dec, grid_level, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    ref = np.full(got.values.shape, np.nan)
+    for k in disk_dec.indices(TAG_DOMAIN):
+        q = disk_dec.cube(k)
+        if q.level <= grid_level:
+            ref[got.block(q)] = float(rng.uniform(-0.5, 0.5))
+    painted = np.isfinite(ref)
+    assert painted.any()
+    assert np.array_equal(got.values[painted], ref[painted])
+
+
+def test_log_growth_matches_cube_loop(disk_dec, corpus):
+    for name, f in corpus:
+        lookup = _cube_means_lookup(f, range(f.level + 1))
+        best = 0.0
+        for k in disk_dec.indices(TAG_DOMAIN):
+            q = disk_dec.cube(k)
+            if q.level > f.level:
+                continue
+            means, counts = lookup[q.level]
+            if counts[q.coords] > 0:
+                best = max(best, abs(float(means[q.coords]))
+                           / (1.0 + log_plus(LAM / q.side)))
+        assert log_growth_ratio(f, disk_dec, LAM) == best, name
+
+
 def test_log_growth_zero_and_const(disk1, disk_dec):
     z = sample_grid_function(disk1, DISK_WINDOW, 8, lambda p: np.zeros(len(p)))
     assert log_growth_ratio(z, disk_dec, LAM) == 0.0
@@ -277,17 +307,15 @@ def test_log_growth_plateaus_while_max_grows(disk1, disk_dec, field_graph):
     # deep dipole: raw averages grow toward the source, the ratio does not
     f = dipole_field(disk1, (0.0, -0.93), (0.5, 0.5), 3.0, 1.0, 1 / 256,
                      DISK_WINDOW, field_graph)
-    from bmoext.whitney import TAG_DOMAIN
-    from bmoext.bmo import _cube_means_lookup
     idxs = [k for k in disk_dec.indices(TAG_DOMAIN)]
-    lookup = _cube_means_lookup(f, [disk_dec.cubes[k].level for k in idxs])
+    lookup = _cube_means_lookup(f, [disk_dec.cubes["level"][k] for k in idxs])
     raw = {}
     for k in idxs:
-        info = disk_dec.cubes[k]
-        means, counts = lookup[info.level]
-        if counts[info.coords] > 0:
-            raw.setdefault(info.level, 0.0)
-            raw[info.level] = max(raw[info.level], abs(float(means[info.coords])))
+        q = disk_dec.cube(k)
+        means, counts = lookup[q.level]
+        if counts[q.coords] > 0:
+            raw.setdefault(q.level, 0.0)
+            raw[q.level] = max(raw[q.level], abs(float(means[q.coords])))
     assert max(raw) >= 6 and raw[max(raw)] > raw[min(raw)]  # raw max grows with depth
     bl = bmo_lambda_norm(f, disk1, LAM).value
     assert log_growth_ratio(f, disk_dec, LAM) <= 2.0 * bl
@@ -309,13 +337,13 @@ def test_adjacent_gap_linear_halfplane(hp):
     f = sample_grid_function(hp, w, 8, lambda p: p[:, 1])
     got = adjacent_average_gap(f, dec)
     # brute-force pair sweep oracle
-    from bmoext.whitney import TAG_DOMAIN
     best = 0.0
+    level, tag = dec.cubes["level"], dec.cubes["tag"]
     for k in dec.indices(TAG_DOMAIN):
-        if dec.cubes[k].level > 8:
+        if level[k] > 8:
             continue
-        for nb in dec.adjacency[k]:
-            if dec.cubes[nb].tag != TAG_DOMAIN or dec.cubes[nb].level > 8:
+        for nb in dec.adjacent(k):
+            if tag[nb] != TAG_DOMAIN or level[nb] > 8:
                 continue
             a = cube_average(f, dec.cube(k))
             b = cube_average(f, dec.cube(nb))
@@ -337,6 +365,19 @@ def test_bounded_on_interior_controls_lambda_norm(disk1, disk_dec, corpus):
         if rhs == 0:
             continue
         assert bmo_lambda_norm(f, disk1, LAM).value <= 2.0 * rhs, name
+
+
+def cubes_covering_curve(dec, pts: np.ndarray) -> list[int]:
+    """Indices of domain cubes met by a densely sampled curve."""
+    seen = []
+    for p in np.atleast_2d(pts):
+        try:
+            kind, idx = dec.locate(p)
+        except (KeyError, ValueError):
+            continue
+        if kind == TAG_DOMAIN and idx not in seen:
+            seen.append(idx)
+    return seen
 
 
 def test_chain_cover_count_vs_integral(disk1, disk_dec, rng):

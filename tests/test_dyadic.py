@@ -1,10 +1,15 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bmoext import DyadicCube, Window, cube_geometry, cubes_adjacent
-from bmoext.dyadic import box_gap, point_box_gap
+from bmoext import DyadicCube, Window, cubes_adjacent
+from bmoext.bmo import qh_distance_field
+from bmoext.dyadic import box_distance, resolution_level
+from bmoext.extension import make_suite
+from bmoext.qhyper import build_metric_graph
+from tests.conftest import DISK_WINDOW
 
 UNIT = Window((0.0, 0.0), 1.0)
 
@@ -21,16 +26,24 @@ def exact_boxes_intersect(q1, q2):
     return all(a0 <= b1_ and b0 <= a1 for (a0, a1), (b0, b1_) in zip(b1, b2))
 
 
+def contains_cube(q, other):
+    """True iff `other` is q or one of its descendants."""
+    if other.level < q.level:
+        return False
+    f = 1 << (other.level - q.level)
+    return (other.coords[0] // f, other.coords[1] // f) == q.coords
+
+
 def test_unit_window_geometry():
-    c, side, corners = cube_geometry(DyadicCube(0, (0, 0), UNIT))
-    assert tuple(c) == (0.5, 0.5) and side == 1.0
-    c, side, _ = cube_geometry(DyadicCube(1, (1, 0), UNIT))
-    assert tuple(c) == (0.75, 0.25) and side == 0.5
+    q = DyadicCube(0, (0, 0), UNIT)
+    assert tuple(q.center) == (0.5, 0.5) and q.side == 1.0
+    q = DyadicCube(1, (1, 0), UNIT)
+    assert tuple(q.center) == (0.75, 0.25) and q.side == 0.5
 
 
 def test_corner_center_identity_level3():
     q = DyadicCube(3, (5, 2), UNIT)
-    c, side, corners = cube_geometry(q)
+    c, side, corners = q.center, q.side, q.corners
     rebuilt = np.array([c + [dx * side / 2, dy * side / 2]
                         for dx in (-1, 1) for dy in (-1, 1)])
     assert np.abs(np.sort(rebuilt, axis=0) - np.sort(corners, axis=0)).max() < 1e-15
@@ -71,7 +84,8 @@ def test_children_tile_exactly():
     assert sum(k.measure for k in kids) == pytest.approx(q.measure, rel=1e-15)
     for k in kids:
         assert k.parent() == q
-        assert q.contains_cube(k)
+        assert contains_cube(q, k)
+        assert not contains_cube(k, q)
     boxes = [k.int_box(3) for k in kids]
     for a in range(4):
         for b in range(a + 1, 4):
@@ -85,9 +99,20 @@ def test_box_gaps():
     w = Window((0.0, 0.0), 4.0)
     q1 = DyadicCube(2, (0, 0), w)
     q2 = DyadicCube(2, (2, 0), w)
-    assert box_gap(q1, q2) == pytest.approx(1.0, abs=1e-15)
-    assert box_gap(q1, DyadicCube(2, (1, 0), w)) == 0.0
-    assert point_box_gap(q1, (3.0, 0.5)) == pytest.approx(2.0, abs=1e-15)
+    q3 = DyadicCube(2, (1, 0), w)
+
+    def box(q):
+        return q.lower, q.lower + q.side
+
+    assert box_distance(*box(q1), *box(q2)) == pytest.approx(1.0, abs=1e-15)
+    assert box_distance(*box(q1), *box(q3)) == 0.0
+    p = np.array([3.0, 0.5])
+    assert box_distance(*box(q1), p, p) == pytest.approx(2.0, abs=1e-15)
+    # broadcast: one point against several boxes, diagonal gap
+    lows = np.array([q1.lower, q2.lower, q3.lower])
+    d = box_distance(lows, lows + 1.0, np.array([-3.0, -4.0]), np.array([-3.0, -4.0]))
+    assert d.tolist() == pytest.approx([5.0, math.hypot(5.0, 4.0), 4.0 * math.sqrt(2.0)],
+                                       rel=1e-15)
 
 
 def test_invalid_cubes_rejected():
@@ -95,3 +120,24 @@ def test_invalid_cubes_rejected():
         DyadicCube(1, (2, 0), UNIT)
     with pytest.raises(ValueError):
         DyadicCube(0, (0, 0), UNIT).parent()
+
+
+def test_resolution_level():
+    assert [resolution_level(r) for r in (1.0, 0.5, 1 / 256, 2.0 ** -40)] == [0, 1, 8, 40]
+    for bad in (0.3, 0.0, -0.25, 2.0, 1 / 255, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="1/2\\^k"):
+            resolution_level(bad)
+
+
+NON_DYADIC_CALLS = {
+    "qh_distance_field": lambda dom, dec: qh_distance_field(dom, (0.0, 0.0), 0.3,
+                                                            DISK_WINDOW),
+    "make_suite": lambda dom, dec: make_suite(dom, DISK_WINDOW, 0.3, dec, seed=0),
+    "build_metric_graph": lambda dom, dec: build_metric_graph(dom, DISK_WINDOW, 0.3),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(NON_DYADIC_CALLS))
+def test_non_dyadic_resolution_rejected(caller, disk1, disk_dec):
+    with pytest.raises(ValueError, match="1/2\\^k"):
+        NON_DYADIC_CALLS[caller](disk1, disk_dec)

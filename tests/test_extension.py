@@ -64,18 +64,16 @@ def test_per_cube_constancy_and_zero_region(disk1, disk_dec, suite):
     name, f = suite[1]
     res = quiet_extend(f, disk1, disk_dec, 0.1, 0.3, 0.5)
     for idx in disk_dec.indices(TAG_COMPLEMENT):
-        info = disk_dec.cubes[idx]
-        if info.level > f.level:
-            continue
         q = disk_dec.cube(idx)
+        if q.level > f.level:
+            continue
         si, sj = f.block(q)
         blk = res.extended.values[si, sj]
         assert np.nanmax(blk) == np.nanmin(blk)       # one value per cube
-        if info.key() in res.zero_region:
+        if q.sort_key() in res.zero_region:
             assert np.nanmax(np.abs(blk)) == 0.0
-        lam_side = disk_dec.window.cell_size(info.level)
-        if lam_side > 0.1:
-            assert info.key() in res.zero_region
+        if q.side > 0.1:
+            assert q.sort_key() in res.zero_region
 
 
 def test_linearity_cellwise(disk1, disk_dec):
@@ -112,18 +110,16 @@ def test_extension_average_growth_bound(disk1, disk_dec, suite):
         if res.input_norm <= 0:
             continue
         tf = res.extended
-        idxs = [k for k in range(len(disk_dec.cubes))
-                if disk_dec.cubes[k].level <= tf.level]
-        lookup = _cube_means_lookup(tf, [disk_dec.cubes[k].level for k in idxs])
+        cubes = [disk_dec.cube(k) for k in range(len(disk_dec.cubes))]
+        cubes = [q for q in cubes if q.level <= tf.level]
+        lookup = _cube_means_lookup(tf, [q.level for q in cubes])
         worst = 0.0
-        for k in idxs:
-            info = disk_dec.cubes[k]
-            means, counts = lookup[info.level]
-            if counts[info.coords] == 0:
+        for q in cubes:
+            means, counts = lookup[q.level]
+            if counts[q.coords] == 0:
                 continue
-            side = disk_dec.window.cell_size(info.level)
-            worst = max(worst, abs(float(means[info.coords]))
-                        / (1.0 + log_plus(lam / side)))
+            worst = max(worst, abs(float(means[q.coords]))
+                        / (1.0 + log_plus(lam / q.side)))
         assert worst <= 2.0 * res.input_norm, name    # measured envelope
 
 

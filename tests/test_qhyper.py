@@ -28,6 +28,15 @@ def test_qh_length_disk_chord(disk1):
     assert v == pytest.approx(2 * math.log(2), rel=2e-6)
 
 
+def test_qh_length_leaves_polyline_unchanged(hp):
+    pl = Polyline(np.array([[0.0, 1.0], [0.0, 4.0]]))
+    pts = pl.points.copy()
+    v, _ = qh_length(hp, pl, tol=1e-6)
+    assert v == pytest.approx(math.log(4.0), rel=1e-5)
+    assert pl.qh_value is None and pl.qh_error is None
+    assert np.array_equal(pl.points, pts)
+
+
 def test_qh_length_boundary_contact_fails(hp):
     with pytest.raises(QuadratureError):
         qh_length(hp, [(0, 1), (0, -1)])
@@ -206,9 +215,15 @@ def test_chain_length_comparable_to_distance(disk1, disk_dec, disk_graph, rng):
     assert max(ratios_km) < 4.0
 
 
-def test_geodesic_polyline_stays_inside(disk1, disk_graph):
-    from bmoext.qhyper import polyline_in_domain
+def polyline_in_domain(domain, pts) -> bool:
+    """Vertices and segment midpoints all strictly inside."""
+    pts = np.atleast_2d(pts)
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    probe = np.vstack([pts, mids])
+    return bool((domain.signed_distance(probe) > 0.0).all())
 
+
+def test_geodesic_polyline_stays_inside(disk1, disk_graph):
     _, pl = qh_distance(disk1, (-0.8, 0.1), (0.7, -0.2), 1 / 256,
                         graph=disk_graph)
     assert polyline_in_domain(disk1, pl.points)

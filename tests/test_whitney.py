@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from bmoext import Window, cusp, disk, half_plane, slit_disk
-from bmoext.dyadic import DyadicCube, SQRT_N, box_gap
+from bmoext.dyadic import DyadicCube, SQRT_N, box_distance
 from bmoext.errors import WhitneyInvariantError
 from bmoext.whitney import (ACCEPT_FACTOR, TAG_COMPLEMENT, TAG_DOMAIN,
                             build_whitney, find_big_cube_near,
@@ -13,6 +14,21 @@ from bmoext.whitney import (ACCEPT_FACTOR, TAG_COMPLEMENT, TAG_DOMAIN,
                             matching_distance_constant, matching_size_bound,
                             whitney_chain)
 from tests.conftest import DISK_WINDOW
+
+
+def cube_gap(q1, q2):
+    """Distance between the closed boxes of two cubes."""
+    return float(box_distance(q1.lower, q1.lower + q1.side,
+                              q2.lower, q2.lower + q2.side))
+
+
+def built_families(dec):
+    """{(level, i, j): tag} over the cubes of a decomposition."""
+    return {(lvl, i, j): tag for tag, lvl, i, j, _, _ in dec.cubes.tolist()}
+
+
+def frontier_cells(dec):
+    return sorted(map(tuple, dec.frontier.tolist()))
 
 
 # -- exhaustive level-sweep oracle -------------------------------------------
@@ -58,18 +74,17 @@ def exhaustive_whitney(domain, window, max_depth):
 def test_build_matches_exhaustive_oracle(dom, window, depth):
     dec = build_whitney(dom, window, depth)
     oracle, oracle_frontier = exhaustive_whitney(dom, window, depth)
-    built = {info.key(): info.tag for info in dec.cubes}
-    assert built == oracle
-    assert sorted(dec.frontier) == sorted(oracle_frontier)
+    assert built_families(dec) == oracle
+    assert frontier_cells(dec) == sorted(oracle_frontier)
 
 
 def test_halfplane_wc2_exact():
     hp = half_plane()
     dec = build_whitney(hp, Window((0.0, 0.0), 1.0), 6)
-    for info in dec.cubes:
-        side = dec.window.cell_size(info.level)
+    for _, level, _, j, _, _ in dec.cubes.tolist():
+        side = dec.window.cell_size(level)
         # distance to the line y = 0 is exact for axis-parallel boxes
-        j_lo = info.coords[1] * side
+        j_lo = j * side
         assert 1.0 <= j_lo / side <= 4.0 * SQRT_N + 1e-12
 
 
@@ -81,37 +96,77 @@ def test_invariants_fail_loudly_for_lying_oracle():
         build_whitney(lying, DISK_WINDOW, 5)
 
 
+def test_decomposition_is_read_only(disk_dec):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        disk_dec.cubes = disk_dec.cubes.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        disk_dec.max_depth = 3
+    columns = (disk_dec.cubes, disk_dec.frontier, disk_dec.block_starts,
+               disk_dec.leaf_keys, disk_dec.leaf_levels, disk_dec.leaf_ids,
+               disk_dec.adj_indptr, disk_dec.adj_indices)
+    for col in columns:
+        with pytest.raises(ValueError):
+            col[0] = col[-1]
+    with pytest.raises(ValueError):
+        disk_dec.cubes["level"][0] = 3
+
+
+def test_deep_build_beyond_int64_keys():
+    # the window's corner touches the unit circle where the tangent is
+    # diagonal, so only a few cells per level stay undecided and the build
+    # reaches depth 40, past the 31 levels an int64 Morton key can hold
+    a = math.sqrt(0.5)
+    w = Window((a, a), 0.5)
+    dec = build_whitney(disk(1.0), w, 40)
+    assert dec.depth == 40 and dec.leaf_keys.dtype == object
+    shallow = build_whitney(disk(1.0), w, 31)
+    assert shallow.leaf_keys.dtype == np.int64
+    deep_cubes = built_families(dec)
+    assert built_families(shallow).items() <= deep_cubes.items()
+    assert max(key[0] for key in deep_cubes) > 31
+    for k in range(len(dec.cubes)):
+        assert dec.index_of(dec.cube(k)) == k
+    p = (a + 1e-11, a + 2e-11)
+    kind, idx = dec.locate(p)
+    assert kind == TAG_COMPLEMENT and dec.cube(idx).level > 31
+    assert dec.cube(idx).contains_point(p)
+    for p in a + 0.5 * np.random.default_rng(3).uniform(size=(20, 2)):
+        kind, idx = dec.locate(p)
+        assert kind == TAG_COMPLEMENT and dec.cube(idx).contains_point(p)
+
+
 def test_neighbors_interior_cube(disk_dec):
     # a uniform-level region away from the boundary has the 8 grid neighbors
+    level = disk_dec.cubes["level"]
     hits = 0
-    for idx, info in enumerate(disk_dec.cubes):
-        nbs = disk_dec.adjacency[idx]
-        if len(nbs) == 8 and all(disk_dec.cubes[k].level == info.level for k in nbs):
+    for idx in range(len(disk_dec.cubes)):
+        nbs = disk_dec.adjacent(idx)
+        if len(nbs) == 8 and (level[nbs] == level[idx]).all():
             hits += 1
     assert hits > 0
 
 
 def test_neighbor_sidelength_ratio(disk_dec):
-    for idx, info in enumerate(disk_dec.cubes):
-        for k in disk_dec.adjacency[idx]:
-            assert abs(disk_dec.cubes[k].level - info.level) <= 2
+    level = disk_dec.cubes["level"]
+    for idx in range(len(disk_dec.cubes)):
+        assert (np.abs(level[disk_dec.adjacent(idx)] - level[idx]) <= 2).all()
 
 
 def test_neighbor_count_bounded(disk_dec):
-    worst = max(len(nbs) for nbs in disk_dec.adjacency)
+    worst = np.diff(disk_dec.adj_indptr).max()
     assert worst <= 24  # measured envelope for the planar dimension constant
 
 
 def test_neighbors_match_brute_force(disk_dec, rng):
     idxs = rng.choice(len(disk_dec.cubes), size=30, replace=False)
     cubes = [disk_dec.cube(k) for k in range(len(disk_dec.cubes))]
+    tag = disk_dec.cubes["tag"]
     for idx in idxs:
-        info = disk_dec.cubes[idx]
         q = cubes[idx]
         brute = sorted(k for k, other in enumerate(cubes)
-                       if k != idx and disk_dec.cubes[k].tag == info.tag
-                       and box_gap(q, other) == 0.0)
-        assert brute == disk_dec.adjacency[idx]
+                       if k != idx and tag[k] == tag[idx]
+                       and cube_gap(q, other) == 0.0)
+        assert brute == disk_dec.adjacent(idx).tolist()
 
 
 def test_matching_constant_value():
@@ -129,21 +184,19 @@ def test_matching_halfplane_mirror():
     c = matching_distance_constant(eps)
     checked = 0
     for idx in dec.indices(TAG_COMPLEMENT):
-        info = dec.cubes[idx]
-        side = w.cell_size(info.level)
+        q = dec.cube(idx)
+        side = q.side
         if side > bound:
             continue
-        q = dec.cube(idx)
         q_star = matching_cube(dec, q, eps, delta)
         assert 1.0 <= q_star.side / side <= 4.0
-        d = box_gap(q_star, q)
+        d = cube_gap(q_star, q)
         assert d <= c * side + 1e-12 * w.size
         # the mirrored cube across y = 0 is itself a valid candidate
-        n = 1 << info.level
-        mirror = DyadicCube(info.level, (info.coords[0], n - 1 - info.coords[1]), w)
-        assert dec.fate.get((mirror.level, mirror.coords[0], mirror.coords[1]),
-                            (None, None))[0] == TAG_DOMAIN
-        assert d <= box_gap(mirror, q) + 1e-12 * w.size
+        n = 1 << q.level
+        mirror = DyadicCube(q.level, (q.coords[0], n - 1 - q.coords[1]), w)
+        assert dec.cubes["tag"][dec.index_of(mirror)] == TAG_DOMAIN
+        assert d <= cube_gap(mirror, q) + 1e-12 * w.size
         checked += 1
     assert checked > 50
 
@@ -152,21 +205,22 @@ def test_matching_disk_exhaustive_scan(disk_dec):
     eps, delta = 0.7, 0.5
     bound = matching_size_bound(eps, delta)
     c = matching_distance_constant(eps)
-    e_idx = disk_dec.indices(TAG_DOMAIN)
+    e_cubes = [disk_dec.cube(e) for e in disk_dec.indices(TAG_DOMAIN)]
+    e_lo = np.array([qe.lower for qe in e_cubes])
+    e_side = np.array([qe.side for qe in e_cubes])
     qual = [k for k in disk_dec.indices(TAG_COMPLEMENT)
-            if disk_dec.window.cell_size(disk_dec.cubes[k].level) <= bound]
+            if disk_dec.cube(k).side <= bound]
     assert qual, "depth too shallow for the matching regime"
     for k in qual[::3]:
         q = disk_dec.cube(k)
         got = matching_cube(disk_dec, q, eps, delta)
-        cands = []
-        for e in e_idx:
-            qe = disk_dec.cube(e)
-            ratio = qe.side / q.side
-            if 1.0 <= ratio <= 4.0:
-                d = box_gap(qe, q)
-                if d <= c * q.side + 1e-12 * disk_dec.window.size:
-                    cands.append((d, qe.level, qe.coords[0], qe.coords[1]))
+        # every domain cube, each with its own box distance to q
+        ratio = e_side / q.side
+        d = box_distance(e_lo, e_lo + e_side[:, None], q.lower, q.lower + q.side)
+        near = d <= c * q.side + 1e-12 * disk_dec.window.size
+        cands = [(d[n], qe.level, qe.coords[0], qe.coords[1])
+                 for n, qe in enumerate(e_cubes)
+                 if 1.0 <= ratio[n] <= 4.0 and near[n]]
         assert cands, "oracle found no candidate but matching_cube succeeded"
         best = min(cands)
         assert (got.level, got.coords[0], got.coords[1]) == best[1:]
@@ -240,7 +294,7 @@ def test_find_big_cube_near_cusp_fails():
 
 def test_whitney_chain_basics(disk_dec):
     idx = next(k for k in disk_dec.indices(TAG_DOMAIN)
-               if disk_dec.cubes[k].level == 4)
+               if disk_dec.cubes["level"][k] == 4)
     q = disk_dec.cube(idx)
     c = q.center
     assert len(whitney_chain(disk_dec, c, c + 1e-4)) == 1
@@ -262,8 +316,8 @@ def test_whitney_chain_vs_dijkstra(disk_dec):
             break
         if d > dist.get(u, 1 << 30):
             continue
-        for v in disk_dec.adjacency[u]:
-            if disk_dec.cubes[v].tag != TAG_DOMAIN:
+        for v in disk_dec.adjacent(u).tolist():
+            if disk_dec.cubes["tag"][v] != TAG_DOMAIN:
                 continue
             if d + 1 < dist.get(v, 1 << 30):
                 dist[v] = d + 1
@@ -277,37 +331,28 @@ def test_containment_relation_with_accepted_family(disk_dec):
     bound = eps / (160.0 * SQRT_N)
     level = 6
     n = 1 << level
+    shift = disk_dec.depth - level
+    tags = np.concatenate([disk_dec.cubes["tag"], np.full(len(disk_dec.frontier), "F")])
     for i in range(n):
         for j in range(n):
             cell = DyadicCube(level, (i, j), DISK_WINDOW)
-            kind, _ = disk_dec.fate.get((level, i, j), (None, None))
-            if kind in (TAG_DOMAIN, TAG_COMPLEMENT):
-                continue  # the cell itself is a cube
-            if kind is None:
-                # inside an accepted ancestor, which is then the big partner
-                lvl, a, b = level, i, j
-                while lvl > 0 and (lvl, a, b) not in disk_dec.fate:
-                    lvl, a, b = lvl - 1, a // 2, b // 2
-                k2, _ = disk_dec.fate.get((lvl, a, b), (None, None))
-                assert k2 in (TAG_DOMAIN, TAG_COMPLEMENT)
+            # the leaves holding the first and the last finest cell of the
+            # window cell bound the run of leaves that meet it
+            first, last = disk_dec.leaf_containing(
+                [disk_dec.depth] * 2, [i << shift, ((i + 1) << shift) - 1],
+                [j << shift, ((j + 1) << shift) - 1])
+            leaf_level = int(disk_dec.leaf_levels[first])
+            if leaf_level <= level:
+                # the cell is a cube, or lies inside an accepted ancestor,
+                # which is then the big partner
+                assert first == last
+                assert tags[disk_dec.leaf_ids[first]] in (TAG_DOMAIN, TAG_COMPLEMENT)
                 continue
             # split cell: a descendant cube (or undecided frontier cell,
             # witnessing the truncation) of comparable size must exist
-            found = []
-
-            def collect(key):
-                k2, idx = disk_dec.fate.get(key, (None, None))
-                if k2 in (TAG_DOMAIN, TAG_COMPLEMENT, "frontier"):
-                    found.append(key[0])
-                elif k2 == "split":
-                    l2, a2, b2 = key
-                    for da in (0, 1):
-                        for db in (0, 1):
-                            collect((l2 + 1, 2 * a2 + da, 2 * b2 + db))
-
-            collect((level, i, j))
-            assert found
-            best_side = DISK_WINDOW.cell_size(min(found))
+            found = disk_dec.leaf_levels[first:last + 1]
+            assert found.size and (found > level).all()
+            best_side = DISK_WINDOW.cell_size(int(found.min()))
             assert best_side >= bound * cell.side - 1e-15
 
 
