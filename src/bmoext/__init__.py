@@ -17,9 +17,10 @@ from .domains import (Domain, DomainSpec, cusp, disk, distance_to_boundary,
                       parse_domain_arg, parse_domain_file, polygon, slit_disk,
                       square)
 from .dyadic import DyadicCube, Window, cubes_adjacent
-from .extension import (ExtensionResult, counterexample_experiment, extend,
-                        make_suite, max_extension_scale,
-                        operator_norm_experiment)
+from .extension import (ExtensionPlan, ExtensionResult,
+                        counterexample_experiment, extend, make_suite,
+                        max_extension_scale, operator_norm_experiment,
+                        plan_extension)
 from .qhyper import (MetricGraph, Polyline, build_metric_graph, eta_lambda,
                      j_distance, qh_distance, qh_distance_to_interior,
                      qh_length)
@@ -37,8 +38,9 @@ __all__ = [
     "half_plane", "intro_lipschitz", "l_shape", "make_domain",
     "parse_domain_arg", "parse_domain_file", "polygon", "slit_disk", "square",
     "DyadicCube", "Window", "cubes_adjacent",
-    "ExtensionResult", "counterexample_experiment", "extend", "make_suite",
-    "max_extension_scale", "operator_norm_experiment", "MetricGraph",
+    "ExtensionPlan", "ExtensionResult", "counterexample_experiment", "extend",
+    "make_suite", "max_extension_scale", "operator_norm_experiment",
+    "plan_extension", "MetricGraph",
     "Polyline", "build_metric_graph", "eta_lambda", "j_distance",
     "qh_distance", "qh_distance_to_interior", "qh_length",
     "WhitneyDecomposition", "build_whitney", "find_big_cube_near",

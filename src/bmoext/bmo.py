@@ -55,11 +55,12 @@ class GridFunction:
     def straddling_fraction(self) -> float:
         return float((self.mask == MASK_STRADDLING).mean())
 
-    def counted(self, cells: str) -> np.ndarray:
+    def counted(self, cells: str, block=np.s_[:, :]) -> np.ndarray:
+        """Cells of the block (the whole grid by default) that integrals count."""
         if cells == "inside":
-            return self.mask == MASK_INSIDE
+            return self.mask[block] == MASK_INSIDE
         if cells == "defined":
-            return self.mask != MASK_STRADDLING
+            return self.mask[block] != MASK_STRADDLING
         raise ValueError("cells must be 'inside' or 'defined'")
 
     def copy_with(self, values: np.ndarray) -> "GridFunction":
@@ -105,26 +106,26 @@ def sample_grid_function(domain: Domain, window: Window, level: int, fn,
 # ---------------------------------------------------------------------------
 # cube averages
 
+def _counted_values(f: GridFunction, q: DyadicCube, cells: str) -> np.ndarray:
+    """Values of the counted cells of the cube, in row-major order."""
+    block = f.block(q)
+    vals = f.values[block][f.counted(cells, block)]
+    if vals.size == 0:
+        raise ValueError(f"cube ({q.level}, {q.coords}) has no counted cells")
+    return vals
+
+
 def cube_average(f: GridFunction, q: DyadicCube, cells: str = "inside") -> float:
     """Mean over the counted cells of the cube, exactly-rounded summation."""
-    si, sj = f.block(q)
-    m = f.counted(cells)[si, sj]
-    cnt = int(m.sum())
-    if cnt == 0:
-        raise ValueError(f"cube ({q.level}, {q.coords}) has no counted cells")
-    return math.fsum(f.values[si, sj][m].tolist()) / cnt
+    vals = _counted_values(f, q, cells)
+    return math.fsum(vals.tolist()) / vals.size
 
 
 def cube_oscillation(f: GridFunction, q: DyadicCube, cells: str = "inside") -> float:
     """Mean absolute deviation from the cube average."""
-    si, sj = f.block(q)
-    m = f.counted(cells)[si, sj]
-    cnt = int(m.sum())
-    if cnt == 0:
-        raise ValueError(f"cube ({q.level}, {q.coords}) has no counted cells")
-    vals = f.values[si, sj][m]
-    avg = math.fsum(vals.tolist()) / cnt
-    return math.fsum(np.abs(vals - avg).tolist()) / cnt
+    vals = _counted_values(f, q, cells)
+    avg = math.fsum(vals.tolist()) / vals.size
+    return math.fsum(np.abs(vals - avg).tolist()) / vals.size
 
 
 def _level_stats(f: GridFunction, level: int, cells: str):
@@ -378,32 +379,21 @@ def whitney_cellwise_field(dec, grid_level: int, rng,
     # grid cell inside such a cube takes its value
     c = dec.cubes
     drawn = np.flatnonzero((c["tag"] == TAG_DOMAIN) & (c["level"] <= grid_level))
-    leaf_vals = np.full(len(c) + len(dec.frontier), np.nan)
-    leaf_vals[drawn] = rng.uniform(-amplitude, amplitude, size=drawn.size)
-    ii, jj = np.indices((n, n)).reshape(2, -1)
-    pos = dec.leaf_containing(grid_level, ii, jj)
-    vals = np.where(dec.leaf_levels[pos] <= grid_level,
-                    leaf_vals[dec.leaf_ids[pos]], np.nan).reshape(n, n)
-    # flood unfilled inside cells from filled neighbors, deterministic order
+    cube_vals = np.full(len(c) + 1, np.nan)     # the last entry serves row -1
+    cube_vals[drawn] = rng.uniform(-amplitude, amplitude, size=drawn.size)
+    vals = cube_vals[dec.cell_rows(grid_level)]
+    # flood unfilled inside cells from cells filled before each sweep,
+    # deterministic order
     need = (mask == MASK_INSIDE) & ~np.isfinite(vals)
-    guard = 0
-    while need.any() and guard < 4 * n:
-        guard += 1
-        filled = np.isfinite(vals)
+    for _ in range(4 * n):
+        if not need.any():
+            break
+        pad = np.pad(vals, 1, constant_values=np.nan)
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            src = np.roll(vals, (di, dj), axis=(0, 1))
-            src_ok = np.roll(filled, (di, dj), axis=(0, 1))
-            if di == 1:
-                src_ok[0, :] = False
-            if di == -1:
-                src_ok[-1, :] = False
-            if dj == 1:
-                src_ok[:, 0] = False
-            if dj == -1:
-                src_ok[:, -1] = False
-            take = need & src_ok
+            src = pad[1 - di:1 - di + n, 1 - dj:1 - dj + n]     # vals[i - di, j - dj]
+            take = need & np.isfinite(src)
             vals[take] = src[take]
-            need = need & ~take
+            need &= ~take
     vals = np.where(mask == MASK_INSIDE, vals, np.nan)
     return GridFunction(window, grid_level, vals, mask)
 

@@ -100,9 +100,10 @@ def read_grid(path) -> bmo.GridFunction:
                 continue
             if block is not None:
                 block.append(line.split(","))
-    if window is None or n is None or len(values) != n or len(masks) != n:
+    if (window is None or n is None or n < 1 or n & (n - 1) or len(values) != n
+            or len(masks) != n or any(len(row) != n for row in values + masks)):
         raise ValueError(f"malformed grid file {path}")
-    level = round(math.log2(n))
+    level = resolution_level(1.0 / n)
     vals = np.array([[float(v) for v in row] for row in values])
     mask = np.array([[int(v) for v in row] for row in masks], dtype=np.int8)
     return bmo.GridFunction(window, level, vals, mask)
@@ -285,12 +286,13 @@ def cmd_extend(args, out: Path):
     f = _make_function(args.function, domain, window, args.resolution, args.seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = extension.extend(f, domain, dec, args.lam, args.epsilon,
-                               args.delta, best_effort=args.best_effort)
+        plan = extension.plan_extension(dec, f.mask, args.lam, args.epsilon,
+                                        args.delta, best_effort=args.best_effort)
+    res = extension.extend(f, plan)
     write_grid(out / "extend_grid.csv", res.extended)
     write_csv(out / "assignment.csv", "extend-assignment",
               ["level", "i", "j", "star_level", "star_i", "star_j"],
-              [k + v for k, v in sorted(res.assignment.items())])
+              sorted(map(tuple, res.assignment.tolist())))
     write_csv(out / "extend_summary.csv", "extend-summary",
               ["lam", "epsilon", "delta", "resolution", "input_norm",
                "output_norm", "ratio", "assigned", "zeroed", "failed",

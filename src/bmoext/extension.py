@@ -5,6 +5,11 @@ of comparable size; complement cubes above the scale cutoff are zeroed, so
 the extension vanishes far from the boundary. The admissible scale for a
 given cigar geometry is eps^2 delta / (320 n (1 + sqrt(n) eps)); larger
 cutoffs are allowed (the scale-mismatch experiment needs them) but warn.
+
+The operator is linear and fixed by the geometry: `plan_extension` decides
+once per grid where each cell takes its value (matching, zero region and
+frontier fill), and `extend` applies a plan to any function on that grid
+as a gather of one average per matched domain cube.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .errors import ExtensionError, MatchingError
 from .whitney import (TAG_COMPLEMENT, WhitneyDecomposition, build_whitney,
                       matching_cube)
 
+_FILL_BUDGET = 1 << 20        # cell-cube distances held at once by the frontier fill
+
 
 def max_extension_scale(epsilon: float, delta: float, n: int = N_DIM) -> float:
     """Largest cutoff with a bounded extension guarantee for the geometry."""
@@ -37,15 +44,39 @@ def max_extension_scale(epsilon: float, delta: float, n: int = N_DIM) -> float:
     return epsilon ** 2 * delta / (320.0 * n * (1.0 + math.sqrt(n) * epsilon))
 
 
+@dataclass(frozen=True, eq=False)
+class ExtensionPlan:
+    """Every geometric decision of the extension on one grid; read-only.
+    Key arrays list complement cubes as rows (level, i, j) in build order."""
+
+    domain: Domain
+    window: Window
+    level: int
+    mask: np.ndarray                    # the grid's cell classification
+    lam: float
+    # per cell: -1 keeps f on inside cells (NaN elsewhere), 0 paints zero,
+    # k >= 1 paints the mean of f over sources[k - 1]
+    source: np.ndarray
+    sources: tuple                      # distinct matched domain cubes
+    assignment: np.ndarray              # (A, 6): complement key, matched key
+    zero_region: np.ndarray             # complement keys painted zero
+    subcell: np.ndarray                 # complement keys finer than the grid
+    failed: np.ndarray                  # keys with no match (best-effort only)
+    frontier_filled: int
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
 @dataclass
 class ExtensionResult:
     extended: GridFunction
-    assignment: dict                    # complement key -> matched domain key
-    zero_region: list                   # complement keys painted zero
-    subcell: list                       # complement keys finer than the grid
-    failed: list                        # keys with no match (best-effort only)
+    assignment: np.ndarray              # the plan's arrays, not copies
+    zero_region: np.ndarray
+    failed: np.ndarray
     frontier_filled: int
-    lam: float
     input_report: NormReport | None = None
     output_report: NormReport | None = None
 
@@ -66,18 +97,21 @@ class ExtensionResult:
         return self.output_norm / self.input_norm
 
 
-def extend(f: GridFunction, domain: Domain, dec: WhitneyDecomposition,
-           lam: float, epsilon: float, delta: float,
-           best_effort: bool = False, compute_norms: bool = True) -> ExtensionResult:
-    """Extend f beyond the domain: keep it inside, copy matched-cube
-    averages onto complement cubes up to side lam, zero the rest.
+def plan_extension(dec: WhitneyDecomposition, mask, lam: float, epsilon: float,
+                   delta: float, best_effort: bool = False) -> ExtensionPlan:
+    """Plan the extension onto the grid of the given cell mask.
 
-    Complement cubes touching the window edge are zeroed regardless of
-    size (the window truncates them). Cells of undecided frontier regions
-    outside the domain inherit the nearest assigned cube value.
+    Complement cubes no finer than the grid up to side lam take the mean
+    over their matching domain cube; larger ones, and those touching the
+    window edge (the window truncates them), are zeroed. A failed match
+    raises ExtensionError, or is zeroed with best_effort. Outside cells
+    left unpainted take the value of the nearest painted cube, the first
+    in build order on ties.
     """
-    if f.window != dec.window:
-        raise ValueError("grid and decomposition windows differ")
+    mask = np.array(mask)
+    if mask.shape != (len(mask), len(mask)):
+        raise ValueError("mask must be a square grid of cells")
+    level = resolution_level(1.0 / len(mask))
     if lam <= 0:
         raise ValueError("lam must be positive")
     scale_cap = max_extension_scale(epsilon, delta)
@@ -86,73 +120,75 @@ def extend(f: GridFunction, domain: Domain, dec: WhitneyDecomposition,
                       f"{scale_cap:g} for epsilon={epsilon:g}, delta={delta:g}",
                       stacklevel=2)
 
-    vals = np.array(f.values, dtype=float)
-    vals[f.mask != MASK_INSIDE] = np.nan
-    assignment: dict = {}
-    zero_region: list = []
-    subcell: list = []
-    failed: list = []
-    painted = []            # (key, value) per painted complement cube
+    window = dec.window
+    comp = np.flatnonzero(dec.cubes["tag"] == TAG_COMPLEMENT)
+    keys = np.column_stack([dec.cubes[name][comp] for name in ("level", "i", "j")])
+    lvl, i, j = keys.T
+    subcell = lvl > level
+    last = np.left_shift(1, lvl) - 1
+    sides = np.ldexp(window.size, -lvl)
+    zero = ~subcell & ((sides > lam + 1e-12 * window.size)
+                       | (i == 0) | (j == 0) | (i == last) | (j == last))
 
-    tol = 1e-12 * dec.window.size
-    comp = dec.cubes[dec.cubes["tag"] == TAG_COMPLEMENT]
-    for key in comp[["level", "i", "j"]].tolist():
-        level, i, j = key
-        if level > f.level:
-            subcell.append(key)
-            continue
-        q = DyadicCube(level, (i, j), dec.window)
-        blk = f.block(q)
-        last = (1 << level) - 1
-        if q.side > lam + tol or 0 in (i, j) or last in (i, j):
-            vals[blk] = 0.0
-            zero_region.append(key)
-            painted.append((key, 0.0))
-            continue
+    # per complement cube: -1 unpainted, else its value in the source map
+    paint = np.where(zero, 0, -1)
+    sources, assignment, failed = {}, [], []
+    for r in np.flatnonzero(~subcell & ~zero).tolist():
+        key = keys[r].tolist()
         try:
-            q_star = matching_cube(dec, q, epsilon, delta)
+            q_star = matching_cube(dec, DyadicCube(key[0], tuple(key[1:]), window),
+                                   epsilon, delta)
         except MatchingError:
-            failed.append(key)
-            if best_effort:
-                vals[blk] = 0.0
-                painted.append((key, 0.0))
+            failed.append(r)
             continue
-        v = cube_average(f, q_star, cells="inside")
-        vals[blk] = v
-        assignment[key] = q_star.sort_key()
-        painted.append((key, v))
-
+        paint[r] = sources.setdefault(q_star, len(sources) + 1)
+        assignment.append(key + list(q_star.sort_key()))
     if failed and not best_effort:
-        raise ExtensionError(failed)
+        raise ExtensionError([tuple(k) for k in keys[failed].tolist()])
+    paint[failed] = 0
 
-    # frontier leftovers: outside-classified cells never painted take the
-    # value of the nearest painted cube (first in build order on ties)
-    need = (f.mask == MASK_OUTSIDE) & ~np.isfinite(vals)
-    frontier_filled = int(need.sum())
-    if frontier_filled:
-        if painted:
-            keys = np.array([k for k, _ in painted])
-            cube_vals = np.array([v for _, v in painted])
-            sides = np.ldexp(dec.window.size, -keys[:, 0])
-            lows = np.asarray(dec.window.origin) + keys[:, 1:] * sides[:, None]
-            highs = lows + sides[:, None]
-            cells = np.argwhere(need)
-            centers = np.asarray(dec.window.origin) + (cells + 0.5) * f.h
-            for lo in range(0, len(cells), 4096):
-                c = centers[lo:lo + 4096, None, :]
-                nearest = np.argmin(box_distance(lows, highs, c, c), axis=1)
-                sel = cells[lo:lo + 4096]
-                vals[sel[:, 0], sel[:, 1]] = cube_vals[nearest]
-        else:
-            vals[need] = 0.0
+    cube_paint = np.full(len(dec.cubes) + 1, -1)    # the last entry serves row -1
+    cube_paint[comp] = paint
+    source = cube_paint[dec.cell_rows(level)]
+
+    # outside cells never painted take the source of the nearest painted cube
+    need = (mask == MASK_OUTSIDE) & (source < 0)
+    painted = np.flatnonzero(paint >= 0)
+    if need.any() and painted.size:
+        lows = np.asarray(window.origin) + keys[painted, 1:] * sides[painted, None]
+        highs = lows + sides[painted, None]
+        cells = np.argwhere(need)
+        centers = np.asarray(window.origin) + (cells + 0.5) * window.cell_size(level)
+        step = max(1, _FILL_BUDGET // painted.size)      # cells per distance block
+        for lo in range(0, len(cells), step):
+            c = centers[lo:lo + step, None, :]
+            nearest = np.argmin(box_distance(lows, highs, c, c), axis=1)
+            sel = cells[lo:lo + step]
+            source[sel[:, 0], sel[:, 1]] = paint[painted[nearest]]
+    else:
+        source[need] = 0
+
+    return ExtensionPlan(dec.domain, window, level, mask, lam, source, tuple(sources),
+                         np.array(assignment, dtype=np.int64).reshape(-1, 6),
+                         keys[zero], keys[subcell], keys[failed], int(need.sum()))
+
+
+def extend(f: GridFunction, plan: ExtensionPlan,
+           compute_norms: bool = True) -> ExtensionResult:
+    """Apply the plan to f: keep f on inside cells and give every planned
+    cell zero or the mean of f over its matched domain cube."""
+    if (f.window != plan.window or f.level != plan.level
+            or not np.array_equal(f.mask, plan.mask)):
+        raise ValueError("grid function and plan differ in window, level or mask")
+    table = np.array([0.0] + [cube_average(f, q) for q in plan.sources])
+    own = np.where(f.mask == MASK_INSIDE, f.values, np.nan)
+    vals = np.where(plan.source < 0, own, table[plan.source])
 
     out = GridFunction(f.window, f.level, vals, f.mask.copy())
-    result = ExtensionResult(out, assignment, zero_region, subcell, failed,
-                             frontier_filled, lam)
-    if compute_norms:
-        result.input_report = bmo_lambda_norm(f, domain, lam)
-        result.output_report = bmo_lambda_norm(out, None, lam)
-    return result
+    reports = ((bmo_lambda_norm(f, plan.domain, plan.lam),
+                bmo_lambda_norm(out, None, plan.lam)) if compute_norms else ())
+    return ExtensionResult(out, plan.assignment, plan.zero_region, plan.failed,
+                           plan.frontier_filled, *reports)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +246,20 @@ def operator_norm_experiment(domain: Domain, epsilon: float, delta: float,
     if dec is None:
         dec = build_whitney(domain, window, level)
     rows = []
+    if not suite:
+        return rows
     for lam in lambda_list:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plan = plan_extension(dec, suite[0][1].mask, lam, epsilon, delta)
         for name, f in suite:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = extend(f, domain, dec, lam, epsilon, delta,
-                             best_effort=False, compute_norms=True)
+            res = extend(f, plan)
             rows.append({
                 "lam": lam, "function": name, "resolution": resolution,
                 "input_norm": res.input_norm, "output_norm": res.output_norm,
                 "ratio": res.ratio,
                 "assigned": len(res.assignment), "zeroed": len(res.zero_region),
-                "subcell": len(res.subcell),
+                "subcell": len(plan.subcell),
                 "input_degenerate": res.input_report.degenerate,
                 "excluded_fraction": res.extended.straddling_fraction,
             })
@@ -252,17 +290,14 @@ def counterexample_experiment(window_sizes, lam: float, cell_size: float = 0.062
     rows = []
     for r_size in window_sizes:
         side = 2.0 * float(r_size)
-        level = round(math.log2(side / cell_size))
-        if abs(side / 2.0 ** level - cell_size) > 1e-9 * cell_size:
-            raise ValueError(f"window {r_size} not a power-of-two multiple "
-                             f"of cell size {cell_size}")
+        level = resolution_level(cell_size / side)
         window = Window((-float(r_size), -float(r_size)), side)
         dec = build_whitney(domain, window, level)
         f = sample_grid_function(domain, window, level, field, everywhere=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = extend(f, domain, dec, lam, epsilon, delta,
-                         best_effort=True, compute_norms=True)
+            plan = plan_extension(dec, f.mask, lam, epsilon, delta, best_effort=True)
+        res = extend(f, plan)
         rows.append({
             "window": float(r_size), "lam": lam, "resolution": cell_size / side,
             "input_norm": res.input_norm, "output_norm": res.output_norm,

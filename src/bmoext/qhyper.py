@@ -441,10 +441,10 @@ def grid_path(graph: MetricGraph, x, y) -> np.ndarray:
 class InteriorDistance:
     """Distance from a point to the thick interior {dist >= lam}."""
 
-    value: float
+    value: float            # quadrature length of `path`, its qh_value
     attaining: np.ndarray
     path: Polyline
-    raw_value: float        # restricted-Dijkstra value before curve shortening
+    raw_value: float        # restricted-Dijkstra grid sum, another curve's estimate
     search_radius: float
 
 
@@ -455,8 +455,9 @@ def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
     """Shortest quasi-hyperbolic access to {dist >= lam}.
 
     A first pass to an arbitrary interior node bounds the search ball
-    B_R(x) with R = max(lam * k(x, y0), |x - y0|); the reported distance
-    comes from the Dijkstra run restricted to that ball.
+    B_R(x) with R = max(lam * k(x, y0), |x - y0|); the Dijkstra run
+    restricted to that ball picks the curve, and the reported distance is
+    that curve's measured length.
     """
     x = np.asarray(x, float)
     if domain.sd(x) <= 0:
@@ -510,10 +511,7 @@ def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
     t_star = tgt_in_ball[korder[0]]
     raw = float(tvals[korder[0]] + leg_val[0])
 
-    chain = [t_star]
-    while spred[remap[chain[-1]]] >= 0:
-        chain.append(int(sub_ids[spred[remap[chain[-1]]]]))
-    chain = chain[::-1]
+    chain = sub_ids[graph.path_nodes(spred, int(remap[t_star]))]
     pts = np.vstack([x[None, :], graph.node_pos[chain]])
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.hypot(*(pts[1:] - pts[:-1]).T) > 1e-15
@@ -523,7 +521,6 @@ def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
     if refine and len(pts) > 2:
         pts = _refine_path(domain, pts, graph.h)
     value, err = qh_length(domain, pts, tol=2e-3)
-    value = min(value, raw)
     return InteriorDistance(value, graph.node_pos[t_star].copy(),
                             Polyline(pts, qh_value=value, qh_error=err),
                             raw, radius)

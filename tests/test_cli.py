@@ -117,6 +117,19 @@ def test_bad_config_exit_codes(tmp_path, capsys):
                 "--outdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("cells, width", [(6, 6), (8, 7)])
+def test_read_grid_rejects_malformed_size(tmp_path, cells, width):
+    # 6 cells per side is no dyadic grid; 7 entries in rows of an 8-cell grid
+    values = [",".join(["0.0"] * width)] * cells
+    masks = [",".join(["1"] * width)] * cells
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["# bmoext-grid v1", "# window: 0.0 0.0 1.0",
+                               f"# cells: {cells}", "# block: values", *values,
+                               "# block: mask", *masks]) + "\n")
+    with pytest.raises(ValueError, match="malformed grid file"):
+        read_grid(path)
+
+
 def test_grid_roundtrip_with_polygon_window(tmp_path):
     # polygon windows are built from numpy reductions; the header must still
     # round-trip through plain floats

@@ -1,16 +1,18 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from bmoext import Window, disk, intro_lipschitz
-from bmoext.bmo import (MASK_INSIDE, dyadic_abc_norm, log_plus,
+from bmoext import DyadicCube, Window, disk, intro_lipschitz
+from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, dyadic_abc_norm, log_plus,
                         sample_grid_function, _cube_means_lookup)
+from bmoext.dyadic import box_distance
 from bmoext.errors import ExtensionError
 from bmoext.extension import (counterexample_experiment, extend, make_suite,
                               max_extension_scale, max_suite_ratio,
-                              operator_norm_experiment)
+                              operator_norm_experiment, plan_extension)
 from bmoext.whitney import TAG_COMPLEMENT, build_whitney
 from tests.conftest import DISK_WINDOW
 
@@ -21,10 +23,16 @@ def suite(disk1, disk_dec):
                       n_const=1, n_qh=2, n_dipole=1, n_random=2)
 
 
-def quiet_extend(*args, **kwargs):
+def quiet_plan(*args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return extend(*args, **kwargs)
+        return plan_extension(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def plan(disk_dec, suite):
+    # every suite function shares the grid's mask, so one plan serves them all
+    return quiet_plan(disk_dec, suite[0][1].mask, 0.1, 0.3, 0.5)
 
 
 def test_max_extension_scale_values():
@@ -50,19 +58,20 @@ def test_max_extension_scale_monotone():
 def test_scale_warning_above_guarantee(disk1, disk_dec):
     f = sample_grid_function(disk1, DISK_WINDOW, 8, lambda p: np.full(len(p), 1.0))
     with pytest.warns(UserWarning):
-        extend(f, disk1, disk_dec, 0.1, 0.3, 0.5)
+        plan_extension(disk_dec, f.mask, 0.1, 0.3, 0.5)
 
 
-def test_restriction_identity_exact(disk1, disk_dec, suite):
+def test_restriction_identity_exact(suite, plan):
     for name, f in suite:
-        res = quiet_extend(f, disk1, disk_dec, 0.1, 0.3, 0.5)
+        res = extend(f, plan)
         ins = f.mask == MASK_INSIDE
         assert np.array_equal(res.extended.values[ins], f.values[ins]), name
 
 
-def test_per_cube_constancy_and_zero_region(disk1, disk_dec, suite):
+def test_per_cube_constancy_and_zero_region(disk_dec, suite, plan):
     name, f = suite[1]
-    res = quiet_extend(f, disk1, disk_dec, 0.1, 0.3, 0.5)
+    res = extend(f, plan)
+    zero_region = set(map(tuple, res.zero_region.tolist()))
     for idx in disk_dec.indices(TAG_COMPLEMENT):
         q = disk_dec.cube(idx)
         if q.level > f.level:
@@ -70,10 +79,10 @@ def test_per_cube_constancy_and_zero_region(disk1, disk_dec, suite):
         si, sj = f.block(q)
         blk = res.extended.values[si, sj]
         assert np.nanmax(blk) == np.nanmin(blk)       # one value per cube
-        if q.sort_key() in res.zero_region:
+        if q.sort_key() in zero_region:
             assert np.nanmax(np.abs(blk)) == 0.0
         if q.side > 0.1:
-            assert q.sort_key() in res.zero_region
+            assert q.sort_key() in zero_region
 
 
 def test_linearity_cellwise(disk1, disk_dec):
@@ -82,9 +91,10 @@ def test_linearity_cellwise(disk1, disk_dec):
     g = sample_grid_function(disk1, DISK_WINDOW, 8,
                              lambda p: np.cos(3 * p[:, 1]))
     h = f.copy_with(f.values + g.values)
-    rf = quiet_extend(f, disk1, disk_dec, 0.1, 0.3, 0.5, compute_norms=False)
-    rg = quiet_extend(g, disk1, disk_dec, 0.1, 0.3, 0.5, compute_norms=False)
-    rh = quiet_extend(h, disk1, disk_dec, 0.1, 0.3, 0.5, compute_norms=False)
+    plan = quiet_plan(disk_dec, f.mask, 0.1, 0.3, 0.5)
+    rf = extend(f, plan, compute_norms=False)
+    rg = extend(g, plan, compute_norms=False)
+    rh = extend(h, plan, compute_norms=False)
     ok = np.isfinite(rh.extended.values)
     lhs = rh.extended.values[ok]
     rhs = rf.extended.values[ok] + rg.extended.values[ok]
@@ -98,15 +108,41 @@ def test_matching_failure_lists_cubes():
     f = sample_grid_function(dom, window, 7,
                              lambda p: np.maximum(p[:, 0], 0.0), everywhere=True)
     with pytest.raises(ExtensionError) as err:
-        quiet_extend(f, dom, dec, 2.0, 0.3, 0.5)
+        quiet_plan(dec, f.mask, 2.0, 0.3, 0.5)
     assert len(err.value.failed_cubes) > 0
+    # best effort lists the same cubes and paints them zero
+    plan = quiet_plan(dec, f.mask, 2.0, 0.3, 0.5, best_effort=True)
+    assert list(map(tuple, plan.failed.tolist())) == err.value.failed_cubes
+    res = extend(f, plan, compute_norms=False)
+    for level, i, j in err.value.failed_cubes:
+        blk = res.extended.values[f.block(DyadicCube(level, (i, j), window))]
+        assert (blk == 0.0).all()
+    # painted, so only outside cells outside every cube are frontier-filled
+    assert plan.frontier_filled == ((f.mask == MASK_OUTSIDE) & (dec.cell_rows(7) < 0)).sum()
 
 
-def test_extension_average_growth_bound(disk1, disk_dec, suite):
+def test_frontier_fill_takes_nearest_painted_cube(disk_dec, plan):
+    # reference: box distance from the cell center to every complement cube
+    # painted on the grid; the first nearest in build order gives the source
+    cubes = [disk_dec.cube(k) for k in disk_dec.indices(TAG_COMPLEMENT)]
+    cubes = [q for q in cubes if q.level <= plan.level]
+    lows = np.array([q.lower for q in cubes])
+    sides = np.array([q.side for q in cubes])[:, None]
+    corner = [q.int_box(plan.level)[::2] for q in cubes]
+    filled = np.argwhere((plan.mask == MASK_OUTSIDE) & (disk_dec.cell_rows(plan.level) < 0))
+    assert len(filled) == plan.frontier_filled > 0
+    h = DISK_WINDOW.cell_size(plan.level)
+    for i, j in filled.tolist():
+        c = np.asarray(DISK_WINDOW.origin) + (np.array([i, j]) + 0.5) * h
+        k = int(np.argmin(box_distance(lows, lows + sides, c, c)))
+        assert plan.source[i, j] == plan.source[corner[k]]
+
+
+def test_extension_average_growth_bound(disk_dec, suite, plan):
     # averages over decomposition cubes obey the logarithmic envelope
-    lam = 0.1
+    lam = plan.lam
     for name, f in suite:
-        res = quiet_extend(f, disk1, disk_dec, lam, 0.3, 0.5)
+        res = extend(f, plan)
         if res.input_norm <= 0:
             continue
         tf = res.extended
@@ -123,10 +159,10 @@ def test_extension_average_growth_bound(disk1, disk_dec, suite):
         assert worst <= 2.0 * res.input_norm, name    # measured envelope
 
 
-def test_extension_dyadic_data_bounded(disk1, disk_dec, suite):
-    lam = 0.1
+def test_extension_dyadic_data_bounded(suite, plan):
+    lam = plan.lam
     for name, f in suite:
-        res = quiet_extend(f, disk1, disk_dec, lam, 0.3, 0.5)
+        res = extend(f, plan)
         if res.input_norm <= 0:
             continue
         rep = dyadic_abc_norm(res.extended, lam)
@@ -155,3 +191,42 @@ def test_counterexample_zero_control():
     rows = counterexample_experiment([4], 2.0,
                                      field=lambda p: np.zeros(len(p)))
     assert rows[0]["ratio"] is None        # NA, not a failure
+
+
+def test_counterexample_rejects_non_dyadic_window():
+    with pytest.raises(ValueError):
+        counterexample_experiment([3], 2.0)       # side 6 is not 2^k cells
+
+
+def test_extend_rejects_grid_of_another_plan(disk1, suite, plan):
+    f = suite[0][1]
+    other_window = sample_grid_function(disk1, Window((-1.5, -1.5), 3.0), 8,
+                                        lambda p: p[:, 0])
+    coarser = sample_grid_function(disk1, DISK_WINDOW, 7, lambda p: p[:, 0])
+    other_mask = f.copy_with(f.values)
+    other_mask.mask[0, 0] = MASK_INSIDE
+    other_mask.values[0, 0] = 0.0           # keep the function defined
+    for g in (other_window, coarser, other_mask):
+        with pytest.raises(ValueError, match="differ in window, level or mask"):
+            extend(g, plan, compute_norms=False)
+
+
+def test_shared_plan_matches_fresh_plans(disk_dec, suite, plan):
+    for name, f in suite:
+        fresh = quiet_plan(disk_dec, f.mask, 0.1, 0.3, 0.5)
+        a = extend(f, plan, compute_norms=False).extended.values
+        b = extend(f, fresh, compute_norms=False).extended.values
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_plan_is_read_only(plan):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.lam = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.source = plan.source.copy()
+    arrays = (plan.mask, plan.source, plan.assignment, plan.zero_region,
+              plan.subcell, plan.failed)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    assert isinstance(plan.sources, tuple) and len(plan.sources) > 0

@@ -155,6 +155,15 @@ def test_interior_distance_restricted_matches_unrestricted(disk1, disk_graph):
     assert r.raw_value == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("refine", [False, True])
+def test_interior_distance_is_length_of_returned_path(disk1, disk_graph, refine):
+    x = np.array([0.05, -0.93])
+    r = qh_distance_to_interior(disk1, x, 0.5, 1 / 256, graph=disk_graph,
+                                refine=refine)
+    assert r.value == r.path.qh_value
+    assert r.path.qh_value == qh_length(disk1, r.path, tol=2e-3)[0]
+
+
 def test_interior_empty_raises(disk1, disk_graph):
     with pytest.raises(EmptyInteriorError):
         qh_distance_to_interior(disk1, (0.0, 0.9), 3.0, 1 / 256, graph=disk_graph)
