@@ -97,85 +97,168 @@ def square(s: float = 2.0) -> Domain:
                   default_window=Window((-m, -m), 2 * m))
 
 
-def _segment_distances(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray,
-                       chunk: int = 1 << 16) -> np.ndarray:
-    """Min distance from each point to a set of segments; chunked over points."""
+# The oracle's kernels work in blocks of at most this many (point, edge) or
+# (edge, edge) pairs, so their temporaries stay cache-sized whatever the
+# number of points.
+_BLOCK_PAIRS = 1 << 14
+
+
+def _segment_distances(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
+    """Min distance from each point to a set of segments."""
     out = np.empty(len(pts))
-    ab = seg_b - seg_a                       # (M, 2)
-    den = np.maximum(np.einsum("md,md->m", ab, ab), 1e-300)
-    for lo in range(0, len(pts), chunk):
-        p = pts[lo:lo + chunk]               # (P, 2)
-        ap = p[:, None, :] - seg_a[None, :, :]        # (P, M, 2)
-        t = np.clip(np.einsum("pmd,md->pm", ap, ab) / den, 0.0, 1.0)
-        close = seg_a[None, :, :] + t[:, :, None] * ab[None, :, :]
-        d = np.hypot(p[:, None, 0] - close[:, :, 0], p[:, None, 1] - close[:, :, 1])
-        out[lo:lo + chunk] = d.min(axis=1)
+    ax, ay = seg_a[:, 0], seg_a[:, 1]
+    abx, aby = seg_b[:, 0] - ax, seg_b[:, 1] - ay
+    den = np.maximum(abx * abx + aby * aby, 1e-300)
+    step = max(1, _BLOCK_PAIRS // len(seg_a))
+    for lo in range(0, len(pts), step):
+        px, py = pts[lo:lo + step, 0:1], pts[lo:lo + step, 1:2]
+        apx, apy = px - ax, py - ay
+        t = np.clip((apx * abx + apy * aby) / den, 0.0, 1.0)
+        d = np.hypot(px - (ax + t * abx), py - (ay + t * aby))
+        out[lo:lo + step] = d.min(axis=1)
     return out
 
 
-def _crossings_parity(pts: np.ndarray, loops: list[np.ndarray],
-                      chunk: int = 1 << 16) -> np.ndarray:
-    """Even-odd point-in-polygon over all loops (holes flip parity)."""
-    inside = np.zeros(len(pts), dtype=bool)
-    for lo in range(0, len(pts), chunk):
-        p = pts[lo:lo + chunk]
-        cnt = np.zeros(len(p), dtype=np.int64)
-        for loop in loops:
-            a = loop
-            b = np.roll(loop, -1, axis=0)
-            ya, yb = a[None, :, 1], b[None, :, 1]
-            py = p[:, 1:2]
-            cond = (ya <= py) != (yb <= py)
-            # x of edge at height py, guarded where cond is false
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xs = a[None, :, 0] + (py - ya) * (b[None, :, 0] - a[None, :, 0]) / (yb - ya)
-            cnt += np.sum(cond & (xs > p[:, 0:1]), axis=1)
-        inside[lo:lo + chunk] = (cnt % 2) == 1
+@dataclass(frozen=True)
+class _SlabIndex:
+    """Edges of a set of loops grouped by the horizontal slabs between
+    consecutive distinct vertex heights: row s of `edges` lists the edges
+    that span slab s, padded with the last edge, a degenerate one that no
+    point crosses."""
+
+    heights: np.ndarray   # (K,) sorted distinct vertex heights
+    edges: np.ndarray     # (K + 1, W) edge numbers per slab
+    a: np.ndarray         # (E + 1, 2) edge starts, padding edge last
+    b: np.ndarray         # (E + 1, 2) edge ends
+
+
+def _slab_index(loops: list[np.ndarray]) -> _SlabIndex:
+    a = np.concatenate(loops + [np.zeros((1, 2))])
+    b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops] + [np.zeros((1, 2))])
+    heights = np.unique(a[:-1, 1])
+    # slab s holds the heights y with exactly s vertex heights <= y, so an
+    # edge with (ya <= y) != (yb <= y) spans slabs lo <= s < hi
+    lo = np.searchsorted(heights, np.minimum(a[:-1, 1], b[:-1, 1]), side="right")
+    hi = np.searchsorted(heights, np.maximum(a[:-1, 1], b[:-1, 1]), side="right")
+    # one (slab, edge) pair per slab an edge spans, then sorted by slab
+    span = hi - lo
+    edge = np.repeat(np.arange(len(span)), span)
+    slab = np.repeat(lo - (np.cumsum(span) - span), span) + np.arange(len(edge))
+    order = np.argsort(slab, kind="stable")
+    slab, edge = slab[order], edge[order]
+    width = np.bincount(slab, minlength=len(heights) + 1)
+    table = np.full((len(heights) + 1, max(1, width.max())), len(span))
+    table[slab, np.arange(len(slab)) - (np.cumsum(width) - width)[slab]] = edge
+    for arr in (heights, table, a, b):
+        arr.flags.writeable = False
+    return _SlabIndex(heights, table, a, b)
+
+
+def _crossings_parity(pts: np.ndarray, index: _SlabIndex) -> np.ndarray:
+    """Even-odd point-in-polygon over all loops of the index (holes flip
+    parity); a point tests only the edges spanning its slab."""
+    inside = np.empty(len(pts), dtype=bool)
+    step = max(1, _BLOCK_PAIRS // index.edges.shape[1])
+    for lo in range(0, len(pts), step):
+        p = pts[lo:lo + step]
+        py = p[:, 1:2]
+        e = index.edges[np.searchsorted(index.heights, p[:, 1], side="right")]
+        a, b = index.a[e], index.b[e]
+        ya, yb = a[..., 1], b[..., 1]
+        cond = (ya <= py) != (yb <= py)
+        # x of edge at height py, guarded where cond is false
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs = a[..., 0] + (py - ya) * (b[..., 0] - a[..., 0]) / (yb - ya)
+        inside[lo:lo + step] = np.sum(cond & (xs > p[:, 0:1]), axis=1) % 2 == 1
     return inside
 
 
-def _segments_properly_intersect(a1, a2, b1, b2) -> bool:
-    def orient(p, q, r):
-        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        return 0 if abs(v) < 1e-15 else (1 if v > 0 else -1)
+def _orient(p, q, r) -> np.ndarray:
+    v = ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+         - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+    return np.where(np.abs(v) < 1e-15, 0, np.where(v > 0, 1, -1))
 
-    o1, o2 = orient(a1, a2, b1), orient(a1, a2, b2)
-    o3, o4 = orient(b1, b2, a1), orient(b1, b2, a2)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+
+def _first_crossing(loops: list[np.ndarray]):
+    """First edge pair (i, j), i < j in row-major order, numbering the edges
+    of all loops in turn, whose segments cross at a point interior to both.
+    Returns None when no pair crosses. Consecutive edges of a loop never
+    count: the orientation of their shared endpoint is exactly 0, since
+    x * y - y * x is."""
+    a = np.concatenate(loops)
+    b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+    n = len(a)
+    j = np.arange(n)
+    step = max(1, _BLOCK_PAIRS // n)
+    for lo in range(0, n, step):
+        i = np.arange(lo, min(lo + step, n))[:, None]
+        o1, o2 = _orient(a[i], b[i], a[None]), _orient(a[i], b[i], b[None])
+        o3, o4 = _orient(a[None], b[None], a[i]), _orient(a[None], b[None], b[i])
+        hit = ((o1 != o2) & (o3 != o4) & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
+               & (j > i))
+        if hit.any():
+            r, c = np.unravel_index(np.argmax(hit), hit.shape)
+            return int(i[r, 0]), int(c)
+    return None
 
 
 def _validate_loop(loop: np.ndarray, name: str):
     m = len(loop)
     if m < 3:
         raise PolygonError(f"{name}: needs at least 3 vertices, got {m}")
-    segs = [(loop[i], loop[(i + 1) % m]) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j == i + 1 or (i == 0 and j == m - 1):
-                continue  # consecutive edges share an endpoint
-            if _segments_properly_intersect(*segs[i], *segs[j]):
-                raise PolygonError(
-                    f"{name}: edges {i} and {j} intersect (self-intersecting loop)")
+    pair = _first_crossing([loop])
+    if pair is not None:
+        raise PolygonError(
+            f"{name}: edges {pair[0]} and {pair[1]} intersect (self-intersecting loop)")
+
+
+def _validate_holes(loops: list[np.ndarray]):
+    """Reject edges of different loops that cross, and a hole with a vertex
+    inside or on another hole; each loop is already known to be simple.
+    Without crossings, two holes that share no point pass, and two that
+    overlap or touch have a vertex of one inside or on the other."""
+    names = ["outer loop"] + [f"hole {k}" for k in range(len(loops) - 1)]
+    sizes = [len(lp) for lp in loops]
+    owner = np.repeat(np.arange(len(loops)), sizes)
+    start = np.cumsum([0] + sizes)
+    pair = _first_crossing(loops)
+    if pair is not None:
+        (i, j), (li, lj) = pair, owner[list(pair)]
+        raise PolygonError(f"{names[li]} edge {i - start[li]} and "
+                           f"{names[lj]} edge {j - start[lj]} intersect")
+    hole_verts, hole_of = np.concatenate(loops[1:]), owner[sizes[0]:]
+    for h in range(1, len(loops)):
+        hole = loops[h]
+        on = _segment_distances(hole_verts, hole, np.roll(hole, -1, axis=0)) == 0.0
+        hit = (_crossings_parity(hole_verts, _slab_index([hole])) | on) & (hole_of != h)
+        if hit.any():
+            raise PolygonError(
+                f"{names[hole_of[np.argmax(hit)]]} has a vertex inside or on {names[h]}")
 
 
 def polygon(outer, holes=(), label: str = "polygon") -> Domain:
     """Simple polygon with optional holes; exact distance to the boundary
-    polyline, signed by even-odd parity."""
+    polyline, signed by even-odd parity. No two edges may cross, every hole
+    lies inside the outer loop, and no two holes overlap or touch."""
     loops = [np.asarray(outer, dtype=float)]
     _validate_loop(loops[0], "outer loop")
+    outer_index = _slab_index(loops)
     for k, h in enumerate(holes):
         hv = np.asarray(h, dtype=float)
         _validate_loop(hv, f"hole {k}")
-        if not _crossings_parity(hv, [loops[0]]).all():
+        if not _crossings_parity(hv, outer_index).all():
             raise PolygonError(f"hole {k} is not inside the outer loop")
         loops.append(hv)
+    if holes:
+        _validate_holes(loops)
 
-    seg_a = np.concatenate([lp for lp in loops])
+    seg_a = np.concatenate(loops)
     seg_b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+    index = _slab_index(loops)
 
     def sd(pts):
         d = _segment_distances(pts, seg_a, seg_b)
-        sign = np.where(_crossings_parity(pts, loops), 1.0, -1.0)
+        sign = np.where(_crossings_parity(pts, index), 1.0, -1.0)
         return sign * d
 
     allv = np.concatenate(loops)

@@ -52,34 +52,33 @@ class SvgCanvas:
                 f'<rect width="100%" height="100%" fill="white"/>\n{body}\n</svg>\n')
 
 
+# corner offsets of a cell in the order its edges are walked: edge k runs
+# from corner k to corner k + 1
+_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
+
+
 def boundary_segments(domain: Domain, window: Window, n: int = 256):
-    """Zero-contour segments of the signed distance on an n x n sampling."""
+    """Zero-contour segments of the signed distance on an n x n sampling.
+
+    Cells are taken in (i, j) order and a cell's edges in corner order; a
+    cell with two sign changes gives one segment, a saddle with four gives
+    two, joining its crossings in that order."""
     xs = np.linspace(window.origin[0], window.origin[0] + window.size, n + 1)
     ys = np.linspace(window.origin[1], window.origin[1] + window.size, n + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     sd = domain.signed_distance(np.column_stack([gx.ravel(), gy.ravel()]))
     sd = sd.reshape(n + 1, n + 1)
-    segs = []
-
-    def interp(pa, va, pb, vb):
-        t = va / (va - vb) if va != vb else 0.5
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-    for i in range(n):
-        for j in range(n):
-            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
-                       (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-            vals = [sd[i, j], sd[i + 1, j], sd[i + 1, j + 1], sd[i, j + 1]]
-            pts = []
-            for k in range(4):
-                va, vb = vals[k], vals[(k + 1) % 4]
-                if (va > 0) != (vb > 0):
-                    pts.append(interp(corners[k], va, corners[(k + 1) % 4], vb))
-            if len(pts) >= 2:
-                segs.append((pts[0], pts[1]))
-            if len(pts) == 4:
-                segs.append((pts[2], pts[3]))
-    return segs
+    pos = sd > 0
+    corner = [pos[di:n + di, dj:n + dj] for di, dj in _CORNERS]
+    i, j, k = np.nonzero(np.stack([corner[e] != corner[e + 1] for e in range(4)], axis=-1))
+    ia, ja = i + _CORNERS[k, 0], j + _CORNERS[k, 1]
+    ib, jb = i + _CORNERS[k + 1, 0], j + _CORNERS[k + 1, 1]
+    va, vb = sd[ia, ja], sd[ib, jb]
+    t = va / (va - vb)          # a sign change implies va != vb
+    x = xs[ia] + t * (xs[ib] - xs[ia])
+    y = ys[ja] + t * (ys[jb] - ys[ja])
+    return [((x0, y0), (x1, y1)) for x0, y0, x1, y1
+            in np.column_stack([x, y]).reshape(-1, 4).tolist()]
 
 
 def draw_boundary(canvas: SvgCanvas, domain: Domain, n: int = 256,

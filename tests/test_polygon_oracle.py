@@ -1,0 +1,226 @@
+"""The polygon oracle against the brute-force kernels it replaced.
+
+`reference_distances` and `reference_parity` are the point-by-edge kernels
+that the polygon oracle used before it worked in blocks and read parity from
+a slab index. The oracle must agree with them bit for bit, and must still
+reject every loop layout that makes its sign meaningless.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bmoext import cusp, l_shape, polygon
+from bmoext.errors import PolygonError
+
+SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
+SQUARE_HOLE = [(1, 1), (3, 1), (3, 3), (1, 3)]
+L_LOOP = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+
+
+def reference_distances(pts, seg_a, seg_b, chunk=4096):
+    """Min distance from each point to a set of segments; chunked over points."""
+    out = np.empty(len(pts))
+    ab = seg_b - seg_a                       # (M, 2)
+    den = np.maximum(np.einsum("md,md->m", ab, ab), 1e-300)
+    for lo in range(0, len(pts), chunk):
+        p = pts[lo:lo + chunk]               # (P, 2)
+        ap = p[:, None, :] - seg_a[None, :, :]        # (P, M, 2)
+        t = np.clip(np.einsum("pmd,md->pm", ap, ab) / den, 0.0, 1.0)
+        close = seg_a[None, :, :] + t[:, :, None] * ab[None, :, :]
+        d = np.hypot(p[:, None, 0] - close[:, :, 0], p[:, None, 1] - close[:, :, 1])
+        out[lo:lo + chunk] = d.min(axis=1)
+    return out
+
+
+def reference_parity(pts, loops, chunk=4096):
+    """Even-odd point-in-polygon over all loops (holes flip parity)."""
+    inside = np.zeros(len(pts), dtype=bool)
+    for lo in range(0, len(pts), chunk):
+        p = pts[lo:lo + chunk]
+        cnt = np.zeros(len(p), dtype=np.int64)
+        for loop in loops:
+            a = loop
+            b = np.roll(loop, -1, axis=0)
+            ya, yb = a[None, :, 1], b[None, :, 1]
+            py = p[:, 1:2]
+            cond = (ya <= py) != (yb <= py)
+            # x of edge at height py, guarded where cond is false
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xs = a[None, :, 0] + (py - ya) * (b[None, :, 0] - a[None, :, 0]) / (yb - ya)
+            cnt += np.sum(cond & (xs > p[:, 0:1]), axis=1)
+        inside[lo:lo + chunk] = (cnt % 2) == 1
+    return inside
+
+
+def reference_sd(loops, pts):
+    loops = [np.asarray(lp, dtype=float) for lp in loops]
+    seg_a = np.concatenate(loops)
+    seg_b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+    with np.errstate(over="ignore"):   # far probes overflow xs on edges they never cross
+        inside = reference_parity(pts, loops)
+    return np.where(inside, 1.0, -1.0) * reference_distances(pts, seg_a, seg_b)
+
+
+def reference_first_crossing(loop):
+    """The first pair (i, j) of a loop's edges, in (i, j) order, that cross
+    at a point interior to both, found by one orientation test per pair."""
+    def orient(p, q, r):
+        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        return 0 if abs(v) < 1e-15 else (1 if v > 0 else -1)
+
+    m = len(loop)
+    segs = [(loop[i], loop[(i + 1) % m]) for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if j == i + 1 or (i == 0 and j == m - 1):
+                continue
+            (a1, a2), (b1, b2) = segs[i], segs[j]
+            o1, o2 = orient(a1, a2, b1), orient(a1, a2, b2)
+            o3, o4 = orient(b1, b2, a1), orient(b1, b2, a2)
+            if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+                return i, j
+    return None
+
+
+def cusp_loop(p=4.0, n_side=160):
+    xs = np.geomspace(1e-3, 1.0, n_side)
+    return [(0.0, 0.0)] + [(x, -x ** p) for x in xs] + [(x, x ** p) for x in xs[::-1]]
+
+
+def probe_points(loops, window, rng, n_random):
+    """Random points of the window and a margin around it, every vertex,
+    every edge midpoint, random points at exactly a vertex height (the slab
+    boundaries) and points far outside the bounding box."""
+    verts = np.concatenate([np.asarray(lp, dtype=float) for lp in loops])
+    mids = np.concatenate([0.5 * (np.asarray(lp, float) + np.roll(np.asarray(lp, float), -1, axis=0))
+                           for lp in loops])
+    o, s = np.asarray(window.origin), window.size
+    random = o + rng.uniform(-0.25, 1.25, size=(n_random, 2)) * s
+    heights = np.column_stack([o[0] + rng.uniform(-0.25, 1.25, len(verts)) * s, verts[:, 1]])
+    far = np.array([[1e6, 0.0], [-1e6, 0.5], [0.5, 1e6], [0.25, -1e6], [1e9, -1e9],
+                    [-1e300, 1e300], [3e8, verts[0, 1]]])
+    return np.concatenate([random, verts, mids, heights, far])
+
+
+CASES = {
+    "cusp(4)": ([cusp_loop()], cusp(4.0)),
+    "l_shape": ([L_LOOP], l_shape()),
+    "square_with_hole": ([SQUARE, SQUARE_HOLE], polygon(SQUARE, holes=[SQUARE_HOLE])),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_oracle_bitwise_equals_reference(name, rng):
+    loops, dom = CASES[name]
+    pts = probe_points(loops, dom.default_window, rng, 20_000)
+    assert np.array_equal(dom.signed_distance(pts), reference_sd(loops, pts))
+
+
+def test_oracle_handles_horizontal_edges_at_point_height():
+    # every edge of a staircase is horizontal or vertical, and the probes sit
+    # on the stair heights, on the treads and on the risers
+    stair = [(0, 0), (3, 0), (3, 1), (2, 1), (2, 2), (1, 2), (1, 3), (0, 3)]
+    dom = polygon(stair)
+    g = np.linspace(-0.5, 3.5, 33)
+    pts = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    assert np.array_equal(dom.signed_distance(pts), reference_sd([stair], pts))
+
+
+@st.composite
+def star_polygons(draw):
+    """A star-shaped loop around a random centre: sorted angles with gaps
+    below pi/2 and radii in [r_min, 1], so it is simple and contains the disk
+    of radius r_min / sqrt(2); with a hole, a smaller star inside that disk."""
+    def star(n, r_lo, r_hi, jitter):
+        u = draw(st.lists(st.floats(0.0, jitter), min_size=n, max_size=n))
+        r = draw(st.lists(st.floats(r_lo, r_hi), min_size=n, max_size=n))
+        th = 2 * np.pi * (np.arange(n) + np.asarray(u)) / n
+        return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+    centre = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
+    r_min = draw(st.floats(0.2, 0.9))
+    loops = [centre + star(draw(st.integers(6, 40)), r_min, 1.0, 0.5)]
+    if draw(st.booleans()):
+        loops.append(centre + star(draw(st.integers(3, 12)), 0.1 * r_min, 0.6 * r_min, 0.4))
+    return [[tuple(v) for v in lp.tolist()] for lp in loops], draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
+def test_star_polygons_match_reference_and_are_lipschitz(case):
+    loops, seed = case
+    dom = polygon(loops[0], holes=loops[1:])
+    rng = np.random.default_rng(seed)
+    pts = probe_points(loops, dom.default_window, rng, 2_000)
+    assert np.array_equal(dom.signed_distance(pts), reference_sd(loops, pts))
+    w = dom.default_window
+    x = np.asarray(w.origin) + rng.uniform(-0.25, 1.25, size=(4_000, 2)) * w.size
+    y = x + rng.normal(scale=0.3, size=x.shape)
+    gap = np.hypot(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1])
+    assert (np.abs(dom.signed_distance(x) - dom.signed_distance(y)) <= gap + 1e-12).all()
+
+
+def test_oracle_memory_is_bounded():
+    dom = cusp(4.0)
+    pts = np.random.default_rng(5).uniform(-0.25, 1.0, size=(200_000, 2))
+    tracemalloc.start()
+    try:
+        dom.signed_distance(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+def test_first_crossing_matches_pairwise_loop():
+    rng = np.random.default_rng(11)
+    simple = 0
+    for _ in range(200):
+        # random loops on a coarse lattice: most cross themselves, some only touch
+        loop = rng.integers(0, 6, size=(int(rng.integers(4, 12)), 2)).astype(float)
+        want = reference_first_crossing(loop)
+        if want is None:
+            polygon(loop)
+            simple += 1
+            continue
+        with pytest.raises(PolygonError) as err:
+            polygon(loop)
+        assert str(err.value) == (f"outer loop: edges {want[0]} and {want[1]} "
+                                  "intersect (self-intersecting loop)")
+    assert 0 < simple < 200
+
+
+def test_hole_crossing_a_reflex_outer_loop_is_rejected():
+    # every vertex of the hole lies inside the L, but its edge from
+    # (1.5, 0.7) to (0.7, 1.5) cuts through the missing quadrant
+    with pytest.raises(PolygonError, match="outer loop edge 2 and hole 0 edge 1 intersect"):
+        polygon(L_LOOP, holes=[[(0.5, 0.5), (1.5, 0.7), (0.7, 1.5)]])
+
+
+def test_overlapping_holes_are_rejected():
+    with pytest.raises(PolygonError, match="hole 0 edge 1 and hole 1 edge 0 intersect"):
+        polygon(SQUARE, holes=[SQUARE_HOLE, [(2, 2), (3.5, 2), (3.5, 3.5), (2, 3.5)]])
+
+
+@pytest.mark.parametrize("holes, inner, outer", [
+    ([SQUARE_HOLE, [(1.5, 1.5), (2.5, 1.5), (2.5, 2.5)]], 1, 0),      # nested
+    ([[(1.5, 1.5), (2.5, 1.5), (2.5, 2.5)], SQUARE_HOLE], 0, 1),      # nested, listed first
+    ([SQUARE_HOLE, SQUARE_HOLE], 1, 0),                                 # the same hole twice
+    ([SQUARE_HOLE, [(2, 1), (3.5, 1), (3.5, 3), (2, 3)]], 1, 0),        # overlap along edges only
+    ([SQUARE_HOLE, [(3, 1), (3.5, 1), (3.5, 3), (3, 3)]], 1, 0),        # sharing an edge
+    ([SQUARE_HOLE, [(3, 2), (3.5, 1.5), (3.5, 2.5)]], 1, 0),            # touching at a vertex
+])
+def test_overlapping_or_touching_holes_are_rejected(holes, inner, outer):
+    # none of these has a pair of edges that cross at interior points
+    with pytest.raises(PolygonError, match=f"hole {inner} has a vertex inside or on hole {outer}"):
+        polygon(SQUARE, holes=holes)
+
+
+def test_disjoint_holes_are_accepted():
+    dom = polygon(SQUARE, holes=[[(0.5, 0.5), (1.5, 0.5), (1.5, 1.5)],
+                                 [(2, 2), (3, 2), (3, 3), (2, 3)]])
+    assert dom.sd((2.5, 2.5)) == pytest.approx(-0.5, abs=1e-15)
+    assert dom.sd((3.5, 0.5)) == pytest.approx(0.5, abs=1e-15)
