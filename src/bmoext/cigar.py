@@ -21,10 +21,26 @@ from .errors import GeometryError, QuadratureError
 from .qhyper import (MetricGraph, Polyline, _refine_path, build_metric_graph,
                      grid_path, j_distance, qh_length, segment_qh_batch)
 
-ENDPOINT_EXCLUSION = 1e-3
-SQRT2 = math.sqrt(2.0)      # arclength fraction dropped around each endpoint
+ENDPOINT_EXCLUSION = 1e-3  # arclength fraction dropped around each endpoint
+SQRT2 = math.sqrt(2.0)
 CURVE_SAMPLES = 1000
 C_GRID = [2.0 ** k / 8.0 for k in range(11)]   # envelope slopes scanned
+CAP_SLACK = 1.05            # factor on the sampled bisector maximum
+MIRROR_SCALES = 10          # adversarial separations delta/8 * 2^-k
+MIRROR_PER_SCALE = 48       # adversarial pairs kept per scale and round
+ZOOM_ROUNDS = 2             # sweeps re-seeded around the pairs found
+CURVE_SCALES = (0, 1, 2)    # adversarial scales the grid resolves
+CURVES_PER_SCALE = 12       # adversarial pairs given curves per scale
+KEEP_WORST = 10             # pairs listed in a report
+
+
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
+    """The endpoints as arrays and their separation, which must be positive."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    sep = float(np.hypot(*(x - y)))
+    if sep <= 0:
+        raise ValueError("pair must have distinct endpoints")
+    return x, y, sep
 
 
 def _resample_curve(gamma) -> tuple[np.ndarray, np.ndarray, float]:
@@ -42,11 +58,7 @@ def curve_epsilon(domain: Domain, x, y, gamma) -> float:
     the curve, sampled at arclength steps s/1000 with the endpoint fractions
     excluded; clamped to 1.
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    sep = float(np.hypot(*(x - y)))
-    if sep <= 0:
-        raise ValueError("pair must have distinct endpoints")
+    x, y, sep = _pair(x, y)
     pts, t, s = _resample_curve(gamma)
     if np.hypot(*(pts[0] - x)) > 1e-9 * max(1.0, sep) or \
        np.hypot(*(pts[-1] - y)) > 1e-9 * max(1.0, sep):
@@ -64,11 +76,7 @@ def curve_epsilon(domain: Domain, x, y, gamma) -> float:
 def curve_length_cigar(domain: Domain, x, y, gamma) -> tuple[float, float]:
     """Length-cigar constants of one curve: a = s/|x-y| and b = the worst
     ratio of the shorter arclength to the clearance."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    sep = float(np.hypot(*(x - y)))
-    if sep <= 0:
-        raise ValueError("pair must have distinct endpoints")
+    x, y, sep = _pair(x, y)
     pts, t, s = _resample_curve(gamma)
     sd = domain.signed_distance(pts)
     if (sd <= 0.0).any():
@@ -89,18 +97,14 @@ def epsilon_from_ab(a: float, b: float) -> float:
     return min(1.0, 1.0 / a, 1.0 / (a * b))
 
 
-def epsilon_upper_bound(domain: Domain, x, y, slack: float = 1.05) -> float:
+def epsilon_upper_bound(domain: Domain, x, y) -> float:
     """Certified upper bound on the pair's cigar epsilon.
 
     Samples the perpendicular bisector (which every joining curve must
     cross inside the domain), refines around the maximum, and adds a
     Lipschitz tail bound beyond the sampled reach.
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    sep = float(np.hypot(*(x - y)))
-    if sep <= 0:
-        raise ValueError("pair must have distinct endpoints")
+    x, y, sep = _pair(x, y)
     dx = max(domain.sd(x), 0.0)
     mid = 0.5 * (x + y)
     u = np.array([-(y - x)[1], (y - x)[0]]) / sep
@@ -131,7 +135,7 @@ def epsilon_upper_bound(domain: Domain, x, y, slack: float = 1.05) -> float:
         q = np.concatenate([q_new, [best]])
     s_r = math.hypot(0.5 * sep, reach)
     tail = (dx + s_r) * sep / s_r ** 2
-    return min(1.0, max(float(q.max()) * slack, tail))
+    return min(1.0, max(float(q.max()) * CAP_SLACK, tail))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +185,7 @@ class ClassificationReport:
 def _uniform_pairs(domain: Domain, window: Window, delta: float, n_pairs: int,
                    rng, margin: float) -> list[PairSample]:
     """Seeded pairs with separation under delta and endpoint clearance above
-    `margin`; independent of any grid so runs at different resolutions see
-    identical pairs."""
+    `margin`."""
     out = []
     tries = 0
     o = np.asarray(window.origin)
@@ -244,9 +247,7 @@ def _segment_exits(domain: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (sd <= 0.0).any(axis=1)
 
 
-def mirror_pairs(domain: Domain, window: Window, delta: float,
-                 n_scales: int = 10, per_scale: int = 48,
-                 zoom_rounds: int = 2) -> list[PairSample]:
+def mirror_pairs(domain: Domain, window: Window, delta: float) -> list[PairSample]:
     """Adversarial close pairs facing each other across a thin boundary
     piece, produced by reflecting near-boundary points; scales shrink
     geometrically and later rounds zoom onto the regions that produced
@@ -258,11 +259,11 @@ def mirror_pairs(domain: Domain, window: Window, delta: float,
     pairs: list[PairSample] = []
     hot: list[np.ndarray] = []
 
-    for rnd in range(zoom_rounds + 1):
+    for rnd in range(ZOOM_ROUNDS + 1):
         cloud, normals = _boundary_cloud(domain, seeds, spacing)
         if len(cloud) == 0:
             break
-        for k in range(n_scales):
+        for k in range(MIRROR_SCALES):
             sigma = delta / 8.0 * 2.0 ** (-k)
             u = cloud + sigma * normals
             sd_u = domain.signed_distance(u)
@@ -283,13 +284,13 @@ def mirror_pairs(domain: Domain, window: Window, delta: float,
             uu, vv, sep = uu[exits], vv[exits], sep[exits]
             if len(uu) == 0:
                 continue
-            stride = max(1, len(uu) // per_scale)
+            stride = max(1, len(uu) // MIRROR_PER_SCALE)
             for idx in range(0, len(uu), stride):
                 pairs.append(PairSample(uu[idx].copy(), vv[idx].copy(),
                                         float(sep[idx]), "adversarial",
                                         scale_index=k))
                 hot.append(0.5 * (uu[idx] + vv[idx]))
-        if rnd < zoom_rounds and hot:
+        if rnd < ZOOM_ROUNDS and hot:
             centers = np.asarray(hot)
             order = np.lexsort((centers[:, 1], centers[:, 0]))
             # keep the extremes: the ends of a thin feature are where the
@@ -328,8 +329,9 @@ def _curve_menu(domain: Domain, graph: MetricGraph, p: PairSample):
     return curves
 
 
-def evaluate_pair(domain: Domain, graph: MetricGraph, p: PairSample,
-                  want_cap: bool = True):
+def evaluate_pair(domain: Domain, graph: MetricGraph, p: PairSample):
+    """Curve evidence on this graph: the menu curve with the best epsilon
+    sets eps_curve, a, b, curve and k_xy; with none the pair is flagged."""
     best = None
     for curve in _curve_menu(domain, graph, p):
         try:
@@ -349,12 +351,6 @@ def evaluate_pair(domain: Domain, graph: MetricGraph, p: PairSample,
                 p.k_xy = None
     else:
         p.flagged = True
-    if want_cap:
-        p.eps_cap = epsilon_upper_bound(domain, p.x, p.y)
-    try:
-        p.j_xy = j_distance(domain, p.x, p.y)
-    except ValueError:
-        p.j_xy = None
     return p
 
 
@@ -369,25 +365,37 @@ def _monotone_divergence(seq: list[tuple[int, float]],
     return mono and vals[-1] <= floor and vals[-1] * factor <= vals[0]
 
 
-def _evaluate_all(domain: Domain, graph: MetricGraph, pairs: list[PairSample],
-                  curve_scales=(0, 1, 2), per_scale_curves: int = 12):
-    """Uniform pairs get the full curve menu plus a certified cap;
-    adversarial pairs always get caps, and geodesics only at the coarse
-    grid-resolvable scales (enough for the envelope offsets)."""
-    counts: dict[int, int] = {}
+def _sample_pairs(domain: Domain, window: Window, delta: float, n_pairs: int,
+                  resolution: float, seed: int) -> list[PairSample]:
+    """Seeded uniform pairs plus the adversarial sweep, each with its
+    certified cap and j-distance: everything about a pair that no grid
+    changes."""
+    rng = np.random.default_rng(seed)
+    pairs = _uniform_pairs(domain, window, delta, n_pairs, rng,
+                           SQRT2 * window.size * resolution)
+    pairs += mirror_pairs(domain, window, delta)
     for p in pairs:
-        if p.kind == "uniform":
-            evaluate_pair(domain, graph, p, want_cap=True)
-            continue
         p.eps_cap = epsilon_upper_bound(domain, p.x, p.y)
         try:
             p.j_xy = j_distance(domain, p.x, p.y)
         except ValueError:
             p.j_xy = None
+    return pairs
+
+
+def _evaluate_all(domain: Domain, graph: MetricGraph, pairs: list[PairSample]):
+    """Curve evidence on this graph: every uniform pair gets the curve menu,
+    adversarial pairs only at the coarse grid-resolvable scales (enough for
+    the envelope offsets)."""
+    counts: dict[int, int] = {}
+    for p in pairs:
+        if p.kind == "uniform":
+            evaluate_pair(domain, graph, p)
+            continue
         k = p.scale_index
-        if k in curve_scales and counts.get(k, 0) < per_scale_curves:
+        if k in CURVE_SCALES and counts.get(k, 0) < CURVES_PER_SCALE:
             counts[k] = counts.get(k, 0) + 1
-            evaluate_pair(domain, graph, p, want_cap=False)
+            evaluate_pair(domain, graph, p)
             p.flagged = False   # adversarial pairs never gate the verdict
 
 
@@ -395,20 +403,22 @@ def estimate_epsilon_delta(domain: Domain, delta: float, n_pairs: int,
                            resolution: float, seed: int,
                            window: Window | None = None,
                            graph: MetricGraph | None = None,
-                           n_scales: int = 10, keep_worst: int = 10,
-                           pair_margin: float | None = None) -> ClassificationReport:
+                           pairs: list[PairSample] | None = None) -> ClassificationReport:
     """Sampled lower estimate of the best cigar epsilon at reach delta,
-    plus certified caps from the adversarial sweep."""
+    plus certified caps from the adversarial sweep. Given the `pairs` of an
+    earlier report (same domain, window and delta), it copies them with
+    their caps and j-distances and measures only their curve evidence on
+    this graph; n_pairs and seed then go unused."""
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     window = window or domain.default_window
     if graph is None:
         graph = build_metric_graph(domain, window, resolution)
-    rng = np.random.default_rng(seed)
-
-    margin = pair_margin if pair_margin is not None else SQRT2 * window.size * resolution
-    pairs = _uniform_pairs(domain, window, delta, n_pairs, rng, margin)
-    pairs += mirror_pairs(domain, window, delta, n_scales=n_scales)
+    if pairs is None:
+        pairs = _sample_pairs(domain, window, delta, n_pairs, resolution, seed)
+    else:
+        pairs = [PairSample(p.x, p.y, p.sep, p.kind, p.scale_index,
+                            eps_cap=p.eps_cap, j_xy=p.j_xy) for p in pairs]
     _evaluate_all(domain, graph, pairs)
 
     found = [p.eps_curve for p in pairs if p.eps_curve is not None]
@@ -435,7 +445,7 @@ def estimate_epsilon_delta(domain: Domain, delta: float, n_pairs: int,
                     key=lambda p: p.eps)
     return ClassificationReport(
         domain.label, delta, eps_hat, (a_hat, b_hat), (math.nan, math.nan),
-        len(pairs), ranked[:keep_worst], verdict,
+        len(pairs), ranked[:KEEP_WORST], verdict,
         cap_scale_minima=cap_minima, flagged_pairs=flagged,
         resolution=resolution, seed=seed, pairs=pairs)
 
@@ -489,16 +499,11 @@ def uniformity_fit(domain: Domain, delta: float, n_pairs: int,
                    pairs: list[PairSample] | None = None):
     """Fit (c, d) dominating k <= c j + d over geodesic sub-pairs; also
     reports the per-scale envelope offsets of adversarial pairs, whose
-    growth is the divergence signature of a pinched geometry."""
-    window = window or domain.default_window
-    if graph is None:
-        graph = build_metric_graph(domain, window, resolution)
+    growth is the divergence signature of a pinched geometry. Without
+    `pairs` it measures those of a fresh `estimate_epsilon_delta`."""
     if pairs is None:
-        rng = np.random.default_rng(seed)
-        margin = SQRT2 * window.size * resolution
-        pairs = _uniform_pairs(domain, window, delta, n_pairs, rng, margin)
-        pairs += mirror_pairs(domain, window, delta)
-        _evaluate_all(domain, graph, pairs)
+        pairs = estimate_epsilon_delta(domain, delta, n_pairs, resolution, seed,
+                                       window=window, graph=graph).pairs
 
     points = []
     for p in pairs:
@@ -541,7 +546,9 @@ def classify(domain: Domain, delta: float, budget: int, resolution: float,
     evidence-against requires a monotone divergence sequence (certified
     caps shrinking scale by scale, or adversarial envelope offsets growing);
     consistent-with requires every estimator stable within 20% across the
-    two resolutions with no flagged pairs; otherwise inconclusive.
+    two resolutions with no flagged pairs; otherwise inconclusive. Both
+    runs share the pairs, caps and j-distances of the coarse run; only the
+    curve evidence is measured again on the fine grid.
     """
     window = window or domain.default_window
     runs = []
@@ -549,7 +556,7 @@ def classify(domain: Domain, delta: float, budget: int, resolution: float,
         graph = build_metric_graph(domain, window, res)
         rep = estimate_epsilon_delta(domain, delta, budget, res, seed,
                                      window=window, graph=graph,
-                                     pair_margin=SQRT2 * window.size * resolution)
+                                     pairs=runs[0].pairs if runs else None)
         c_hat, d_hat, extra = uniformity_fit(domain, delta, budget, res, seed,
                                              window=window, graph=graph,
                                              pairs=rep.pairs)
@@ -560,7 +567,6 @@ def classify(domain: Domain, delta: float, budget: int, resolution: float,
 
     fine = runs[1]
     divergent = (_monotone_divergence(fine.cap_scale_minima)
-                 or _monotone_divergence(runs[0].cap_scale_minima)
                  or _offset_growth(fine.fit_offsets))
     jmed = np.median([p.j_xy for p in fine.pairs
                       if p.j_xy is not None]) if fine.pairs else 1.0

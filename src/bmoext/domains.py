@@ -212,6 +212,12 @@ def _validate_loop(loop: np.ndarray, name: str):
             f"{name}: edges {pair[0]} and {pair[1]} intersect (self-intersecting loop)")
 
 
+def _touching(p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether a vertex of either loop lies exactly on an edge of the other."""
+    return bool((_segment_distances(p, q, np.roll(q, -1, axis=0)) == 0.0).any()
+                or (_segment_distances(q, p, np.roll(p, -1, axis=0)) == 0.0).any())
+
+
 def _validate_holes(loops: list[np.ndarray]):
     """Reject edges of different loops that cross, and a hole with a vertex
     inside or on another hole; each loop is already known to be simple.
@@ -239,13 +245,18 @@ def _validate_holes(loops: list[np.ndarray]):
 def polygon(outer, holes=(), label: str = "polygon") -> Domain:
     """Simple polygon with optional holes; exact distance to the boundary
     polyline, signed by even-odd parity. No two edges may cross, every hole
-    lies inside the outer loop, and no two holes overlap or touch."""
+    lies inside the outer loop without touching it, and no two holes
+    overlap or touch."""
     loops = [np.asarray(outer, dtype=float)]
     _validate_loop(loops[0], "outer loop")
     outer_index = _slab_index(loops)
     for k, h in enumerate(holes):
         hv = np.asarray(h, dtype=float)
         _validate_loop(hv, f"hole {k}")
+        # parity is half-open, so a vertex on the outer loop would count as
+        # inside on some sides and outside on others
+        if _touching(hv, loops[0]):
+            raise PolygonError(f"hole {k} touches the outer loop")
         if not _crossings_parity(hv, outer_index).all():
             raise PolygonError(f"hole {k} is not inside the outer loop")
         loops.append(hv)

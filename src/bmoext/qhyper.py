@@ -22,18 +22,20 @@ from .dyadic import Window, resolution_level
 from .errors import DisconnectedGraphError, EmptyInteriorError, QuadratureError
 
 _SD_FLOOR_FRAC = 1e-12  # of the window side: below this the integrand is unbounded
+EVAL_BUDGET = 1 << 20   # oracle points per call of segment_qh_batch
+MAX_DOUBLINGS = 22      # a segment gets at most 2^22 panels
 
 
 def segment_qh_batch(domain: Domain, a, b, rtol: float = 1e-3,
-                     max_doublings: int = 22, floor: float = 0.0,
-                     eval_budget: int = 1 << 25):
+                     floor: float = 0.0):
     """Integrate ds/dist over straight segments a[i] -> b[i].
 
     Midpoint refinement; the Lipschitz bracket per panel (clearance m,
     panel length L, m > L/2) gives a rigorous error bound, so segments are
-    doubled until err <= rtol * value. Returns (values, errors, valid).
-    Segments that touch or cross the boundary come back with valid=False
-    and value=inf; callers decide whether that is an error.
+    doubled until err <= rtol * value, up to 2^MAX_DOUBLINGS panels. Each
+    oracle call takes at most EVAL_BUDGET points. Returns (values, errors,
+    valid). Segments that touch or cross the boundary come back with
+    valid=False and value=inf; callers decide whether that is an error.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -45,15 +47,18 @@ def segment_qh_batch(domain: Domain, a, b, rtol: float = 1e-3,
 
     active = np.nonzero(seg_len > 0.0)[0]
     panels = 1
-    while active.size and panels <= (1 << max_doublings):
-        chunk = max(1, eval_budget // panels)
+    while active.size and panels <= (1 << MAX_DOUBLINGS):
+        chunk = max(1, EVAL_BUDGET // panels)
+        t = (np.arange(panels) + 0.5) / panels
         next_active = []
         for lo in range(0, active.size, chunk):
             act = active[lo:lo + chunk]
-            t = (np.arange(panels) + 0.5) / panels
             seg = b[act] - a[act]
-            pts = a[act, None, :] + t[None, :, None] * seg[:, None, :]
-            sd = domain.signed_distance(pts.reshape(-1, 2)).reshape(act.size, panels)
+            # a chunk holds one segment once its panels outgrow the budget
+            sd = np.concatenate([domain.signed_distance(
+                (a[act, None, :] + t[None, tl:tl + EVAL_BUDGET, None] * seg[:, None, :])
+                .reshape(-1, 2)).reshape(act.size, -1)
+                for tl in range(0, panels, EVAL_BUDGET)], axis=1)
             lp = seg_len[act] / panels
 
             dead = (sd <= floor).any(axis=1)
@@ -202,35 +207,12 @@ class MetricGraph:
         if not self.window.contains_point(p):
             raise ValueError(f"point {tuple(p)} lies outside the graph window "
                              f"{self.window.origin} + {self.window.size}")
-        n = 1 << self.level
-        i0, j0 = self.window.cell_of_point(p, self.level)
-        best = None
-        ring = 0
-        while ring < 2 * n:
-            ilo, ihi = max(i0 - ring, 0), min(i0 + ring, n - 1)
-            jlo, jhi = max(j0 - ring, 0), min(j0 + ring, n - 1)
-            cells = []
-            for i in range(ilo, ihi + 1):
-                for j in (jlo, jhi) if ring else (j0,):
-                    cells.append((i, j))
-            if ring:
-                for j in range(jlo + 1, jhi):
-                    for i in (ilo, ihi):
-                        cells.append((i, j))
-            for i, j in cells:
-                idx = self.node_grid[i, j]
-                if idx >= 0:
-                    d2 = float(((self.node_pos[idx] - p) ** 2).sum())
-                    cand = (d2, i, j, idx)
-                    if best is None or cand < best:
-                        best = cand
-            if best is not None and ring > best[0] ** 0.5 / self.h + 1:
-                break
-            ring += 1
-        if best is None:
+        if not self.n_nodes:
             raise DisconnectedGraphError("no graph node in the window; "
                                          "resolution too coarse for this domain")
-        return best[3]
+        # nodes are numbered in (i, j) cell order, so the first minimum
+        # breaks ties by cell index
+        return int(np.argmin(((self.node_pos - p) ** 2).sum(axis=1)))
 
     def shortest_paths(self, src: int):
         """(distances, predecessors) from one node to all nodes."""

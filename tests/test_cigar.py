@@ -1,9 +1,11 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bmoext import Polyline, disk, l_shape, slit_disk
+from bmoext import Polyline, cigar, disk, l_shape, slit_disk
 from bmoext.cigar import (classify, curve_epsilon, curve_length_cigar,
                           envelope_fit, epsilon_from_ab, epsilon_upper_bound,
                           estimate_epsilon_delta, mirror_pairs, uniformity_fit,
@@ -153,10 +155,10 @@ def test_estimate_halfplane_strong_epsilon(hp, hp_graph):
 
 
 def test_estimate_disk_two_resolutions(disk1):
-    reps = [estimate_epsilon_delta(disk1, 0.5, 200, res, seed=11,
-                                   window=DISK_WINDOW,
-                                   pair_margin=math.sqrt(2) * DISK_WINDOW.size / 128)
-            for res in (1 / 128, 1 / 256)]
+    reps = [estimate_epsilon_delta(disk1, 0.5, 200, 1 / 128, seed=11,
+                                   window=DISK_WINDOW)]
+    reps.append(estimate_epsilon_delta(disk1, 0.5, 200, 1 / 256, seed=11,
+                                       window=DISK_WINDOW, pairs=reps[0].pairs))
     for rep in reps:
         assert rep.epsilon_hat > 0.1
     assert abs(reps[0].epsilon_hat - reps[1].epsilon_hat) <= \
@@ -215,10 +217,11 @@ def test_classify_deterministic(disk1):
 def test_prop_like_ratio_stable_on_disk(disk1):
     # a single constant dominates k/(j+1) over pairs, stable in resolution
     cs = []
+    rep = None
     for res in (1 / 128, 1 / 256):
         rep = estimate_epsilon_delta(disk1, 0.5, 24, res, seed=3,
                                      window=DISK_WINDOW,
-                                     pair_margin=math.sqrt(2) * DISK_WINDOW.size / 128)
+                                     pairs=rep.pairs if rep else None)
         vals = [p.k_xy / (p.j_xy + 1.0) for p in rep.pairs
                 if p.k_xy is not None and p.j_xy is not None]
         cs.append(max(vals))
@@ -242,3 +245,54 @@ def test_report_field_invariants(disk1):
     assert rep.ab_hat[0] >= 1.0 - 1e-9 and rep.ab_hat[1] > 0.0
     assert rep.cd_hat[0] >= 0.0 and rep.cd_hat[1] >= 0.0
     assert rep.pair_count == len(rep.pairs)
+
+
+def _same_field(u, v) -> bool:
+    if isinstance(u, Polyline):
+        return (isinstance(v, Polyline) and np.array_equal(u.points, v.points)
+                and u.qh_value == v.qh_value and u.qh_error == v.qh_error)
+    if isinstance(u, np.ndarray):
+        return np.array_equal(u, v)
+    return u == v or (u != u and v != v)
+
+
+def test_reused_pairs_keep_caps_and_leave_earlier_report_unchanged():
+    slit = slit_disk(1.0, 0.5)
+    first = estimate_epsilon_delta(slit, 0.5, 6, 1 / 64, seed=7, window=DISK_WINDOW)
+    snapshot = copy.deepcopy(first.pairs)
+    second = estimate_epsilon_delta(slit, 0.5, 6, 1 / 128, seed=7,
+                                    window=DISK_WINDOW, pairs=first.pairs)
+    assert any(p.kind == "adversarial" for p in first.pairs)
+    for p, old in zip(first.pairs, snapshot, strict=True):
+        for f in dataclasses.fields(p):
+            assert _same_field(getattr(p, f.name), getattr(old, f.name)), f.name
+    assert len(second.pairs) == len(first.pairs)
+    for p, q in zip(first.pairs, second.pairs):
+        assert q is not p
+        assert np.array_equal(q.x, p.x) and np.array_equal(q.y, p.y)
+        assert (q.kind, q.scale_index, q.sep) == (p.kind, p.scale_index, p.sep)
+        assert q.eps_cap == p.eps_cap and q.j_xy == p.j_xy
+    assert second.cap_scale_minima == first.cap_scale_minima
+    # the curve evidence is measured afresh on the finer graph
+    assert any(q.curve is not None and not _same_field(q.curve, p.curve)
+               for p, q in zip(first.pairs, second.pairs))
+
+
+def test_classify_samples_and_caps_each_pair_once(monkeypatch):
+    calls = {"mirror": 0, "cap": 0}
+    mirror, cap = cigar.mirror_pairs, cigar.epsilon_upper_bound
+
+    def counted_mirror(*args, **kwargs):
+        calls["mirror"] += 1
+        return mirror(*args, **kwargs)
+
+    def counted_cap(*args, **kwargs):
+        calls["cap"] += 1
+        return cap(*args, **kwargs)
+
+    monkeypatch.setattr(cigar, "mirror_pairs", counted_mirror)
+    monkeypatch.setattr(cigar, "epsilon_upper_bound", counted_cap)
+    rep = classify(slit_disk(1.0, 0.5), 0.5, 6, 1 / 64, seed=7, window=DISK_WINDOW)
+    assert any(p.kind == "adversarial" for p in rep.pairs)
+    assert calls["mirror"] == 1
+    assert calls["cap"] == rep.pair_count

@@ -219,6 +219,21 @@ def test_overlapping_or_touching_holes_are_rejected(holes, inner, outer):
         polygon(SQUARE, holes=holes)
 
 
+@pytest.mark.parametrize("outer, hole", [
+    (SQUARE, [(0, 2), (1, 1), (1, 3)]),                      # vertex on the left edge
+    (SQUARE, [(2, 0), (3, 1), (1, 1)]),                      # on the bottom edge
+    (SQUARE, [(4, 2), (3, 3), (3, 1)]),                      # on the right edge
+    (SQUARE, [(2, 4), (1, 3), (3, 3)]),                      # on the top edge
+    ([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)],               # reflex outer vertex (2, 1)
+     [(1, 1), (3, 1), (2, 0.5)]),                            # on the hole's top edge
+])
+def test_hole_touching_the_outer_loop_is_rejected(outer, hole):
+    # even-odd parity alone is half-open: it counts a vertex on the left or
+    # bottom edge as inside and one on the right or top edge as outside
+    with pytest.raises(PolygonError, match="^hole 0 touches the outer loop$"):
+        polygon(outer, holes=[hole])
+
+
 def test_disjoint_holes_are_accepted():
     dom = polygon(SQUARE, holes=[[(0.5, 0.5), (1.5, 0.5), (1.5, 1.5)],
                                  [(2, 2), (3, 2), (3, 3), (2, 3)]])

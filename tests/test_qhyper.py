@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bmoext import Polyline, Window, polygon, qh_distance, qh_length
+from bmoext import Polyline, Window, polygon, qh_distance, qh_length, qhyper
 from bmoext.errors import (DisconnectedGraphError, EmptyInteriorError,
                            QuadratureError)
 from bmoext.qhyper import (build_metric_graph, eta_lambda, j_distance,
@@ -236,3 +237,52 @@ def test_geodesic_polyline_stays_inside(disk1, disk_graph):
     _, pl = qh_distance(disk1, (-0.8, 0.1), (0.7, -0.2), 1 / 256,
                         graph=disk_graph)
     assert polyline_in_domain(disk1, pl.points)
+
+
+def test_snap_ties_go_to_the_lower_cell(disk_graph):
+    g = disk_graph
+    k = g.node_grid[g.node_grid.shape[0] // 2, g.node_grid.shape[1] // 2]
+    i, j = (int(v[0]) for v in np.nonzero(g.node_grid == k))
+    h = g.h
+    # a cell-edge midpoint is as far from two nodes, a grid vertex from four
+    assert g.snap(g.node_pos[k] + (h / 2, 0.0)) == k
+    assert g.snap(g.node_pos[k] + (0.0, h / 2)) == k
+    assert g.snap(g.node_pos[k] + (h / 2, h / 2)) == k
+    assert g.snap(g.node_pos[k] - (h / 2, 0.0)) == g.node_grid[i - 1, j]
+    assert g.snap(g.node_pos[k] - (h / 2, h / 2)) == g.node_grid[i - 1, j - 1]
+    # brute force over every node with the (d^2, i, j) rule
+    ii, jj = np.nonzero(g.node_grid >= 0)
+    cells = sorted(zip(ii, jj), key=lambda c: g.node_grid[c])
+    rng = np.random.default_rng(2)
+    for p in rng.uniform(-1.25, 1.25, size=(50, 2)):
+        d2 = ((g.node_pos - p) ** 2).sum(axis=1)
+        want = min(range(g.n_nodes), key=lambda n: (d2[n], *cells[n]))
+        assert g.snap(p) == want
+
+
+def test_snap_without_nodes_is_disconnected(disk1):
+    g = build_metric_graph(disk1, Window((3.0, 3.0), 1.0), 1 / 2)   # outside the disk
+    assert g.n_nodes == 0
+    with pytest.raises(DisconnectedGraphError):
+        g.snap((3.5, 3.5))
+
+
+def test_segment_values_do_not_depend_on_the_budget(disk1, monkeypatch):
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-0.6, 0.6, size=(40, 2))
+    b = rng.uniform(-0.6, 0.6, size=(40, 2))
+    # ends near the circle need up to 2^20 panels, so at a budget of 1024
+    # points one segment spans many oracle calls
+    b[:8] = 0.9995 * b[:8] / np.hypot(b[:8, 0], b[:8, 1])[:, None]
+    want = segment_qh_batch(disk1, a, b)
+    sizes = []
+
+    def sd_func(pts):
+        sizes.append(len(pts))
+        return disk1.sd_func(pts)
+
+    monkeypatch.setattr(qhyper, "EVAL_BUDGET", 1024)
+    got = segment_qh_batch(dataclasses.replace(disk1, sd_func=sd_func), a, b)
+    assert max(sizes) == 1024
+    for w, v in zip(want, got):
+        assert np.array_equal(w, v)
