@@ -9,13 +9,11 @@ from .bmo import (GridFunction, NormReport, adjacent_average_gap,
                   cube_oscillation, dipole_field, dyadic_abc_norm,
                   log_growth_ratio, qh_distance_field, sample_grid_function,
                   whitney_cellwise_field)
-from .cigar import (ClassificationReport, classify, curve_epsilon,
-                    curve_length_cigar, epsilon_from_ab, epsilon_upper_bound,
-                    estimate_epsilon_delta, uniformity_fit)
-from .domains import (Domain, DomainSpec, cusp, disk, distance_to_boundary,
-                      half_plane, intro_lipschitz, l_shape, make_domain,
-                      parse_domain_arg, parse_domain_file, polygon, slit_disk,
-                      square)
+from .cigar import (ClassificationReport, classify, curve_constants,
+                    epsilon_from_ab, epsilon_upper_bound, estimate_epsilon_delta)
+from .domains import (Domain, DomainSpec, cusp, disk, half_plane,
+                      intro_lipschitz, l_shape, make_domain, parse_domain_arg,
+                      parse_domain_file, polygon, slit_disk, square)
 from .dyadic import DyadicCube, Window, cubes_adjacent
 from .extension import (ExtensionPlan, ExtensionResult,
                         counterexample_experiment, extend, make_suite,
@@ -32,9 +30,9 @@ __all__ = [
     "bmo_lambda_norm", "bmo_local_norm", "cube_average", "cube_oscillation", "dipole_field",
     "dyadic_abc_norm", "log_growth_ratio", "qh_distance_field",
     "sample_grid_function", "whitney_cellwise_field", "ClassificationReport",
-    "classify", "curve_epsilon", "curve_length_cigar", "epsilon_from_ab",
-    "epsilon_upper_bound", "estimate_epsilon_delta", "uniformity_fit",
-    "Domain", "DomainSpec", "cusp", "disk", "distance_to_boundary",
+    "classify", "curve_constants", "epsilon_from_ab",
+    "epsilon_upper_bound", "estimate_epsilon_delta",
+    "Domain", "DomainSpec", "cusp", "disk",
     "half_plane", "intro_lipschitz", "l_shape", "make_domain",
     "parse_domain_arg", "parse_domain_file", "polygon", "slit_disk", "square",
     "DyadicCube", "Window", "cubes_adjacent",

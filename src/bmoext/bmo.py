@@ -23,6 +23,7 @@ MASK_INSIDE = 1
 MASK_STRADDLING = 2
 
 SWEEP_BUDGET = 1 << 26
+CELLWISE_AMPLITUDE = 0.5    # half-width of the cube values of a cellwise field
 
 
 def log_plus(x: float) -> float:
@@ -106,24 +107,24 @@ def sample_grid_function(domain: Domain, window: Window, level: int, fn,
 # ---------------------------------------------------------------------------
 # cube averages
 
-def _counted_values(f: GridFunction, q: DyadicCube, cells: str) -> np.ndarray:
-    """Values of the counted cells of the cube, in row-major order."""
+def _inside_values(f: GridFunction, q: DyadicCube) -> np.ndarray:
+    """Values of the inside cells of the cube, in row-major order."""
     block = f.block(q)
-    vals = f.values[block][f.counted(cells, block)]
+    vals = f.values[block][f.counted("inside", block)]
     if vals.size == 0:
         raise ValueError(f"cube ({q.level}, {q.coords}) has no counted cells")
     return vals
 
 
-def cube_average(f: GridFunction, q: DyadicCube, cells: str = "inside") -> float:
-    """Mean over the counted cells of the cube, exactly-rounded summation."""
-    vals = _counted_values(f, q, cells)
+def cube_average(f: GridFunction, q: DyadicCube) -> float:
+    """Mean over the inside cells of the cube, exactly-rounded summation."""
+    vals = _inside_values(f, q)
     return math.fsum(vals.tolist()) / vals.size
 
 
-def cube_oscillation(f: GridFunction, q: DyadicCube, cells: str = "inside") -> float:
+def cube_oscillation(f: GridFunction, q: DyadicCube) -> float:
     """Mean absolute deviation from the cube average."""
-    vals = _counted_values(f, q, cells)
+    vals = _inside_values(f, q)
     avg = math.fsum(vals.tolist()) / vals.size
     return math.fsum(np.abs(vals - avg).tolist()) / vals.size
 
@@ -229,15 +230,13 @@ def _sweep(f: GridFunction, domain: Domain | None, lam: float | None,
             subsampled)
 
 
-def bmo_lambda_norm(f: GridFunction, domain: Domain | None, lam: float,
-                    cells: str | None = None) -> NormReport:
+def bmo_lambda_norm(f: GridFunction, domain: Domain | None, lam: float) -> NormReport:
     """Scale-lambda norm: oscillation below the scale, absolute averages at
     and above it, both over dyadic cubes inside the domain (all window cubes
     when domain is None). Degenerate when no counted cube reaches the scale."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    if cells is None:
-        cells = "inside" if domain is not None else "defined"
+    cells = "inside" if domain is not None else "defined"
     require_defined(f, cells)
     small, s_at, large, l_at, any_large, any_cube, subs = _sweep(f, domain, lam, cells)
     degenerate = not any_large
@@ -249,11 +248,9 @@ def bmo_lambda_norm(f: GridFunction, domain: Domain | None, lam: float,
                       subsampled=subs)
 
 
-def bmo_homogeneous_norm(f: GridFunction, domain: Domain | None,
-                         cells: str | None = None) -> NormReport:
+def bmo_homogeneous_norm(f: GridFunction, domain: Domain | None) -> NormReport:
     """Oscillation supremum over every dyadic cube inside the domain."""
-    if cells is None:
-        cells = "inside" if domain is not None else "defined"
+    cells = "inside" if domain is not None else "defined"
     require_defined(f, cells)
     small, s_at, _, _, _, _, subs = _sweep(f, domain, None, cells)
     return NormReport(small, small, 0.0, None, s_at, s_at, None,
@@ -261,14 +258,13 @@ def bmo_homogeneous_norm(f: GridFunction, domain: Domain | None,
                       subsampled=subs)
 
 
-def bmo_local_norm(f: GridFunction, domain: Domain,
-                   cells: str = "inside") -> NormReport:
+def bmo_local_norm(f: GridFunction, domain: Domain) -> NormReport:
     """Oscillation supremum over dyadic cubes whose concentric double stays
     inside the domain: the cube surrogate of the ball-based local seminorm
     (doubles in place of doubled balls; constants differ only by dimensional
     factors). Reports carry surrogate=True."""
-    require_defined(f, cells)
-    small, s_at, _, _, _, _, subs = _sweep(f, domain, None, cells,
+    require_defined(f, "inside")
+    small, s_at, _, _, _, _, subs = _sweep(f, domain, None, "inside",
                                            margin_factor=SQRT_N)
     return NormReport(small, small, 0.0, None, s_at, s_at, None,
                       excluded_volume_fraction=f.straddling_fraction,
@@ -303,7 +299,7 @@ def dyadic_abc_norm(f: GridFunction, lam: float) -> NormReport:
             both = ok[lo_i:hi_i, lo_j:hi_j] & ok[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
             if both.any():
                 b_val = max(b_val, float(np.max(np.where(both, np.abs(m1 - m2), -math.inf))))
-    direct = bmo_lambda_norm(f, None, lam, cells=cells)
+    direct = bmo_lambda_norm(f, None, lam)
     direct.abc = (a_val, b_val, c_val)
     return direct
 
@@ -365,11 +361,10 @@ def dipole_field(domain: Domain, z1, z2, r1: float, r2: float,
     return GridFunction(window, level, vals, f1.mask.copy())
 
 
-def whitney_cellwise_field(dec, grid_level: int, rng,
-                           amplitude: float = 0.5) -> GridFunction:
+def whitney_cellwise_field(dec, grid_level: int, rng) -> GridFunction:
     """Random function constant on each domain Whitney cube, so adjacent
-    averages differ by at most 2*amplitude; inside cells not covered by a
-    cube inherit the nearest filled neighbor."""
+    averages differ by at most 2 * CELLWISE_AMPLITUDE; inside cells not
+    covered by a cube inherit the nearest filled neighbor."""
     from .whitney import TAG_DOMAIN
 
     window = dec.window
@@ -380,7 +375,8 @@ def whitney_cellwise_field(dec, grid_level: int, rng,
     c = dec.cubes
     drawn = np.flatnonzero((c["tag"] == TAG_DOMAIN) & (c["level"] <= grid_level))
     cube_vals = np.full(len(c) + 1, np.nan)     # the last entry serves row -1
-    cube_vals[drawn] = rng.uniform(-amplitude, amplitude, size=drawn.size)
+    cube_vals[drawn] = rng.uniform(-CELLWISE_AMPLITUDE, CELLWISE_AMPLITUDE,
+                                  size=drawn.size)
     vals = cube_vals[dec.cell_rows(grid_level)]
     # flood unfilled inside cells from cells filled before each sweep,
     # deterministic order

@@ -18,8 +18,9 @@ import numpy as np
 from .domains import Domain
 from .dyadic import Window
 from .errors import GeometryError, QuadratureError
-from .qhyper import (MetricGraph, Polyline, _refine_path, build_metric_graph,
-                     grid_path, j_distance, qh_length, segment_qh_batch)
+from .qhyper import (QUAD_TOL, MetricGraph, Polyline, _refine_path,
+                     build_metric_graph, grid_path, j_distance, qh_length,
+                     segment_qh_batch)
 
 ENDPOINT_EXCLUSION = 1e-3  # arclength fraction dropped around each endpoint
 SQRT2 = math.sqrt(2.0)
@@ -32,6 +33,11 @@ ZOOM_ROUNDS = 2             # sweeps re-seeded around the pairs found
 CURVE_SCALES = (0, 1, 2)    # adversarial scales the grid resolves
 CURVES_PER_SCALE = 12       # adversarial pairs given curves per scale
 KEEP_WORST = 10             # pairs listed in a report
+DIVERGENCE_FLOOR = 0.1      # cap minima must end at or below this
+DIVERGENCE_FACTOR = 4.0     # ... and shrink by at least this factor
+OFFSET_MIN_SCALES = 3       # envelope offsets need this many scales
+OFFSET_MIN_GROWTH = 2.0     # ... and must grow by at least this much
+SUBPAIR_SAMPLES = 8         # vertices along a curve that form sub-pairs
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
@@ -43,23 +49,20 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
     return x, y, sep
 
 
-def _resample_curve(gamma) -> tuple[np.ndarray, np.ndarray, float]:
+def curve_constants(domain: Domain, x, y, gamma) -> tuple[float, float, float]:
+    """Cigar constants (eps, a, b) one curve certifies for the pair (x, y),
+    from one oracle call at arclength steps s/1000.
+
+    eps is the min of the length factor |x-y|/s and the worst clearance
+    quotient along the curve, with the endpoint fractions excluded, clamped
+    to 1; a = s/|x-y| and b = the worst ratio of the shorter arclength to
+    the clearance are its length-cigar constants.
+    """
+    x, y, sep = _pair(x, y)
     pl = gamma if isinstance(gamma, Polyline) else Polyline(np.asarray(gamma, float))
     s = pl.euclidean_length
     pts = pl.resample(CURVE_SAMPLES + 1)
     t = np.linspace(0.0, 1.0, CURVE_SAMPLES + 1)
-    return pts, t, s
-
-
-def curve_epsilon(domain: Domain, x, y, gamma) -> float:
-    """Best cigar epsilon the given curve certifies for the pair (x, y).
-
-    min of the length factor |x-y|/s and the worst clearance quotient along
-    the curve, sampled at arclength steps s/1000 with the endpoint fractions
-    excluded; clamped to 1.
-    """
-    x, y, sep = _pair(x, y)
-    pts, t, s = _resample_curve(gamma)
     if np.hypot(*(pts[0] - x)) > 1e-9 * max(1.0, sep) or \
        np.hypot(*(pts[-1] - y)) > 1e-9 * max(1.0, sep):
         raise ValueError("curve does not join the given endpoints")
@@ -70,21 +73,10 @@ def curve_epsilon(domain: Domain, x, y, gamma) -> float:
     dz_x = np.hypot(pts[inner, 0] - x[0], pts[inner, 1] - x[1])
     dz_y = np.hypot(pts[inner, 0] - y[0], pts[inner, 1] - y[1])
     john = sd[inner] * sep / np.maximum(dz_x * dz_y, 1e-300)
-    return min(1.0, sep / s, float(john.min()))
-
-
-def curve_length_cigar(domain: Domain, x, y, gamma) -> tuple[float, float]:
-    """Length-cigar constants of one curve: a = s/|x-y| and b = the worst
-    ratio of the shorter arclength to the clearance."""
-    x, y, sep = _pair(x, y)
-    pts, t, s = _resample_curve(gamma)
-    sd = domain.signed_distance(pts)
-    if (sd <= 0.0).any():
-        raise QuadratureError("curve exits the domain")
     arc = t * s
     shorter = np.minimum(arc, s - arc)
     b = float(np.max(shorter / np.maximum(sd, 1e-300)))
-    return s / sep, b
+    return min(1.0, sep / s, float(john.min())), s / sep, b
 
 
 def epsilon_from_ab(a: float, b: float) -> float:
@@ -322,7 +314,7 @@ def _curve_menu(domain: Domain, graph: MetricGraph, p: PairSample):
     for refine in (False, True):
         try:
             pts = _refine_path(domain, raw, graph.h) if refine else raw
-            value, err = qh_length(domain, pts, tol=2e-3)
+            value, err = qh_length(domain, pts, tol=QUAD_TOL)
             curves.append(Polyline(pts, qh_value=value, qh_error=err))
         except (GeometryError, ValueError):
             pass
@@ -335,8 +327,7 @@ def evaluate_pair(domain: Domain, graph: MetricGraph, p: PairSample):
     best = None
     for curve in _curve_menu(domain, graph, p):
         try:
-            e = curve_epsilon(domain, p.x, p.y, curve)
-            a, b = curve_length_cigar(domain, p.x, p.y, curve)
+            e, a, b = curve_constants(domain, p.x, p.y, curve)
         except (GeometryError, ValueError):
             continue
         if best is None or e > best[0]:
@@ -346,7 +337,7 @@ def evaluate_pair(domain: Domain, graph: MetricGraph, p: PairSample):
         p.k_xy = best[3].qh_value
         if p.k_xy is None:
             try:
-                p.k_xy, _ = qh_length(domain, best[3], tol=2e-3)
+                p.k_xy, _ = qh_length(domain, best[3], tol=QUAD_TOL)
             except GeometryError:
                 p.k_xy = None
     else:
@@ -354,15 +345,15 @@ def evaluate_pair(domain: Domain, graph: MetricGraph, p: PairSample):
     return p
 
 
-def _monotone_divergence(seq: list[tuple[int, float]],
-                         floor: float = 0.1, factor: float = 4.0) -> bool:
+def _monotone_divergence(seq: list[tuple[int, float]]) -> bool:
     """True when per-scale minima decrease monotonically (10% slack) to a
     small final value over at least four scales."""
     vals = [v for _, v in sorted(seq)]
     if len(vals) < 4:
         return False
     mono = all(vals[i + 1] <= vals[i] * 1.10 for i in range(len(vals) - 1))
-    return mono and vals[-1] <= floor and vals[-1] * factor <= vals[0]
+    return (mono and vals[-1] <= DIVERGENCE_FLOOR
+            and vals[-1] * DIVERGENCE_FACTOR <= vals[0])
 
 
 def _sample_pairs(domain: Domain, window: Window, delta: float, n_pairs: int,
@@ -405,10 +396,12 @@ def estimate_epsilon_delta(domain: Domain, delta: float, n_pairs: int,
                            graph: MetricGraph | None = None,
                            pairs: list[PairSample] | None = None) -> ClassificationReport:
     """Sampled lower estimate of the best cigar epsilon at reach delta,
-    plus certified caps from the adversarial sweep. Given the `pairs` of an
-    earlier report (same domain, window and delta), it copies them with
-    their caps and j-distances and measures only their curve evidence on
-    this graph; n_pairs and seed then go unused."""
+    certified caps from the adversarial sweep, and the uniformity envelope
+    (c, d) with its per-scale offsets, fitted to the (j, k) points kept in
+    details["fit_points"]. Given the `pairs` of an earlier report (same
+    domain, window and delta), it copies them with their caps and
+    j-distances and measures only their curve evidence on this graph;
+    n_pairs and seed then go unused."""
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     window = window or domain.default_window
@@ -425,6 +418,7 @@ def estimate_epsilon_delta(domain: Domain, delta: float, n_pairs: int,
     eps_hat = min(found) if found else math.nan
     a_hat = max((p.a for p in pairs if p.a is not None), default=math.nan)
     b_hat = max((p.b for p in pairs if p.b is not None), default=math.nan)
+    cd_hat, fit_points, fit_offsets = _uniformity_envelope(domain, pairs)
 
     by_scale: dict[int, float] = {}
     for p in pairs:
@@ -444,13 +438,14 @@ def estimate_epsilon_delta(domain: Domain, delta: float, n_pairs: int,
     ranked = sorted((p for p in pairs if not math.isnan(p.eps)),
                     key=lambda p: p.eps)
     return ClassificationReport(
-        domain.label, delta, eps_hat, (a_hat, b_hat), (math.nan, math.nan),
+        domain.label, delta, eps_hat, (a_hat, b_hat), cd_hat,
         len(pairs), ranked[:KEEP_WORST], verdict,
-        cap_scale_minima=cap_minima, flagged_pairs=flagged,
-        resolution=resolution, seed=seed, pairs=pairs)
+        cap_scale_minima=cap_minima, fit_offsets=fit_offsets,
+        flagged_pairs=flagged, resolution=resolution, seed=seed, pairs=pairs,
+        details={"fit_points": fit_points})
 
 
-def _subpair_points(domain: Domain, pl: Polyline, max_samples: int = 8):
+def _subpair_points(domain: Domain, pl: Polyline):
     """(j, k) observations for sub-pairs along a geodesic, where k is the
     quadrature length of the sub-curve (geodesic sub-curves are geodesics)."""
     pts = pl.points
@@ -459,7 +454,7 @@ def _subpair_points(domain: Domain, pl: Polyline, max_samples: int = 8):
         return []
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
     n = len(pts)
-    idx = np.unique(np.linspace(0, n - 1, max_samples).astype(int))
+    idx = np.unique(np.linspace(0, n - 1, SUBPAIR_SAMPLES).astype(int))
     out = []
     for ai in range(len(idx)):
         for bi in range(ai + 1, len(idx)):
@@ -492,19 +487,11 @@ def envelope_fit(points: list[tuple[float, float]]):
     return best[1], best[2]
 
 
-def uniformity_fit(domain: Domain, delta: float, n_pairs: int,
-                   resolution: float, seed: int,
-                   window: Window | None = None,
-                   graph: MetricGraph | None = None,
-                   pairs: list[PairSample] | None = None):
-    """Fit (c, d) dominating k <= c j + d over geodesic sub-pairs; also
-    reports the per-scale envelope offsets of adversarial pairs, whose
-    growth is the divergence signature of a pinched geometry. Without
-    `pairs` it measures those of a fresh `estimate_epsilon_delta`."""
-    if pairs is None:
-        pairs = estimate_epsilon_delta(domain, delta, n_pairs, resolution, seed,
-                                       window=window, graph=graph).pairs
-
+def _uniformity_envelope(domain: Domain, pairs: list[PairSample]):
+    """(j, k) observations of the pairs and of sub-pairs along the uniform
+    pairs' curves, the (c, d) dominating k <= c j + d over them, and the
+    per-scale envelope offsets of adversarial pairs, whose growth is the
+    divergence signature of a pinched geometry."""
     points = []
     for p in pairs:
         if p.kind == "uniform" and p.curve is not None:
@@ -520,17 +507,15 @@ def uniformity_fit(domain: Domain, delta: float, n_pairs: int,
             need = p.k_xy - c_hat * p.j_xy
             k = p.scale_index
             offsets[k] = max(offsets.get(k, -math.inf), need)
-    fit_offsets = sorted(offsets.items())
-    return c_hat, d_hat, {"points": points, "fit_offsets": fit_offsets}
+    return (c_hat, d_hat), points, sorted(offsets.items())
 
 
-def _offset_growth(fit_offsets: list[tuple[int, float]], min_scales: int = 3,
-                   min_growth: float = 2.0) -> bool:
+def _offset_growth(fit_offsets: list[tuple[int, float]]) -> bool:
     vals = [v for _, v in sorted(fit_offsets) if math.isfinite(v)]
-    if len(vals) < min_scales:
+    if len(vals) < OFFSET_MIN_SCALES:
         return False
     mono = all(vals[i + 1] >= vals[i] - 0.2 for i in range(len(vals) - 1))
-    return mono and vals[-1] - vals[0] >= min_growth
+    return mono and vals[-1] - vals[0] >= OFFSET_MIN_GROWTH
 
 
 def _rel_change(u: float, v: float) -> float:
@@ -554,16 +539,9 @@ def classify(domain: Domain, delta: float, budget: int, resolution: float,
     runs = []
     for res in (resolution, resolution / 2.0):
         graph = build_metric_graph(domain, window, res)
-        rep = estimate_epsilon_delta(domain, delta, budget, res, seed,
-                                     window=window, graph=graph,
-                                     pairs=runs[0].pairs if runs else None)
-        c_hat, d_hat, extra = uniformity_fit(domain, delta, budget, res, seed,
-                                             window=window, graph=graph,
-                                             pairs=rep.pairs)
-        rep.cd_hat = (c_hat, d_hat)
-        rep.fit_offsets = extra["fit_offsets"]
-        rep.details["fit_points"] = len(extra["points"])
-        runs.append(rep)
+        runs.append(estimate_epsilon_delta(domain, delta, budget, res, seed,
+                                           window=window, graph=graph,
+                                           pairs=runs[0].pairs if runs else None))
 
     fine = runs[1]
     divergent = (_monotone_divergence(fine.cap_scale_minima)

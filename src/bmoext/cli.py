@@ -348,10 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "bmo-scale norms and boundary extensions on planar domains")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, domain=True):
-        if domain:
-            p.add_argument("--domain", required=True,
-                           help="builtin[:params] or a domain spec file")
+    def common(p):
+        p.add_argument("--domain", required=True,
+                       help="builtin[:params] or a domain spec file")
         p.add_argument("--window", type=_parse_window, default=None,
                        help="x0,y0,side (default: the domain's window)")
         p.add_argument("--resolution", type=_parse_resolution, default=1 / 256)

@@ -8,7 +8,7 @@ therefore 1-Lipschitz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class Domain:
     bounding_box: tuple[float, float, float, float]  # (x0, y0, x1, y1)
     label: str
     default_window: Window | None = None
-    features: dict = field(default_factory=dict)
 
     def signed_distance(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -33,18 +32,10 @@ class Domain:
     def sd(self, p) -> float:
         return float(self.signed_distance(np.asarray(p, dtype=float).reshape(1, 2))[0])
 
-    def inside(self, p) -> bool:
-        return self.sd(p) > 0.0
-
     def window_inside_bbox(self, window: Window) -> bool:
         x0, y0, x1, y1 = self.bounding_box
         wx, wy = window.origin
         return x0 <= wx and y0 <= wy and wx + window.size <= x1 and wy + window.size <= y1
-
-
-def distance_to_boundary(domain: Domain, p) -> float:
-    """Unsigned distance to the boundary, valid inside and outside."""
-    return abs(domain.sd(p))
 
 
 @dataclass(frozen=True)
@@ -288,10 +279,7 @@ def l_shape(w: float = 2.0, h: float = 2.0) -> Domain:
     if not (w > 0 and h > 0):
         raise ValueError("l_shape arm lengths must be positive")
     verts = [(0, 0), (w, 0), (w, h / 2), (w / 2, h / 2), (w / 2, h), (0, h)]
-    dom = polygon(verts, label=f"l_shape({w:g},{h:g})")
-    return Domain(dom.sd_func, dom.bounding_box, dom.label,
-                  default_window=dom.default_window,
-                  features={"reflex_corner": (w / 2, h / 2)})
+    return polygon(verts, label=f"l_shape({w:g},{h:g})")
 
 
 def slit_disk(r: float = 1.0, slit: float = 0.5) -> Domain:
@@ -308,22 +296,23 @@ def slit_disk(r: float = 1.0, slit: float = 0.5) -> Domain:
 
     m = 1.25 * r
     return Domain(sd, (-2 * r, -2 * r, 2 * r, 2 * r), f"slit_disk({r:g},{slit:g})",
-                  default_window=Window((-m, -m), 2 * m),
-                  features={"slit_tip": (tip, 0.0), "slit_end": (r, 0.0)})
+                  default_window=Window((-m, -m), 2 * m))
 
 
-def cusp(p: float = 2.0, n_side: int = 160) -> Domain:
+CUSP_WALL_VERTICES = 160   # samples of each cusp wall, geometric toward the tip
+
+
+def cusp(p: float = 2.0) -> Domain:
     """Outward power cusp {0 < x < 1, |y| < x^p}, realized as a polygon whose
     walls sample y = +-x^p geometrically toward the tip."""
     if not p > 1:
         raise ValueError("cusp exponent must be > 1")
-    xs = np.geomspace(1e-3, 1.0, n_side)
+    xs = np.geomspace(1e-3, 1.0, CUSP_WALL_VERTICES)
     lower = [(0.0, 0.0)] + [(x, -x ** p) for x in xs]
     upper = [(x, x ** p) for x in xs[::-1]]
     dom = polygon(lower + upper, label=f"cusp({p:g})")
     return Domain(dom.sd_func, dom.bounding_box, dom.label,
-                  default_window=Window((-0.25, -1.0), 2.0),
-                  features={"cusp_tip": (0.0, 0.0)})
+                  default_window=Window((-0.25, -1.0), 2.0))
 
 
 def intro_lipschitz() -> Domain:
@@ -343,8 +332,7 @@ def intro_lipschitz() -> Domain:
 
     big = 1024.0
     return Domain(sd, (-big, -big, big, big), "intro_lipschitz",
-                  default_window=Window((-4.0, -3.0), 8.0),
-                  features={"reflex_corner": (0.0, 1.0)})
+                  default_window=Window((-4.0, -3.0), 8.0))
 
 
 _BUILDERS = {

@@ -24,13 +24,17 @@ from .bmo import (GridFunction, MASK_INSIDE, MASK_OUTSIDE, NormReport,
                   bmo_lambda_norm, cube_average, dipole_field,
                   qh_distance_field, sample_grid_function,
                   whitney_cellwise_field, _field_graph)
-from .domains import Domain
+from .domains import Domain, intro_lipschitz
 from .dyadic import DyadicCube, N_DIM, Window, box_distance, resolution_level
 from .errors import ExtensionError, MatchingError
 from .whitney import (TAG_COMPLEMENT, WhitneyDecomposition, build_whitney,
                       matching_cube)
 
 _FILL_BUDGET = 1 << 20        # cell-cube distances held at once by the frontier fill
+# the window-growth experiment: cell side and geometry claimed for the plan
+GROWTH_CELL = 0.0625
+GROWTH_EPSILON = 0.3
+GROWTH_DELTA = 0.5
 
 
 def max_extension_scale(epsilon: float, delta: float, n: int = N_DIM) -> float:
@@ -197,10 +201,10 @@ def extend(f: GridFunction, plan: ExtensionPlan,
 def make_suite(domain: Domain, window: Window, resolution: float,
                dec: WhitneyDecomposition, seed: int,
                n_const: int = 3, n_qh: int = 4, n_dipole: int = 3,
-               n_random: int = 9, include_zero: bool = True):
-    """Named test functions: constants, distance fields from sources at
-    several boundary clearances, dipoles, and random cube-wise functions
-    with unit adjacent oscillation."""
+               n_random: int = 9):
+    """Named test functions: constants, the zero function, distance fields
+    from sources at several boundary clearances, dipoles, and random
+    cube-wise functions with unit adjacent oscillation."""
     rng = np.random.default_rng(seed)
     level = resolution_level(resolution)
     graph = _field_graph(domain, window, level)
@@ -209,9 +213,8 @@ def make_suite(domain: Domain, window: Window, resolution: float,
         c = (-2.0, 1.0, 0.5, 3.0)[k % 4]
         suite.append((f"const_{k}", sample_grid_function(
             domain, window, level, lambda p, c=c: np.full(len(p), c))))
-    if include_zero:
-        suite.append(("zero", sample_grid_function(
-            domain, window, level, lambda p: np.zeros(len(p)))))
+    suite.append(("zero", sample_grid_function(
+        domain, window, level, lambda p: np.zeros(len(p)))))
 
     pos = graph.node_pos
     sdv = graph.node_sd
@@ -272,34 +275,32 @@ def max_suite_ratio(rows, lam) -> float:
     return max(vals) if vals else math.nan
 
 
-def counterexample_experiment(window_sizes, lam: float, cell_size: float = 0.0625,
-                              epsilon: float = 0.3, delta: float = 0.5,
-                              domain: Domain | None = None, field=None):
+def counterexample_experiment(window_sizes, lam: float, field=None):
     """Window-growth sequence of extension-to-input norm ratios on the
-    strip-plus-wedge domain, by default for the linear ramp max(x, 0).
+    strip-plus-wedge domain with cells of side GROWTH_CELL, by default for
+    the linear ramp max(x, 0).
 
     Above the geometric scale (cutoff > 1) the input norm stays bounded
     while the extension norm grows with the window, so the ratio sequence
     increases; at a small cutoff both norms track each other.
     """
-    from .domains import intro_lipschitz
-
-    domain = domain or intro_lipschitz()
+    domain = intro_lipschitz()
     if field is None:
         field = lambda p: np.maximum(p[:, 0], 0.0)
     rows = []
     for r_size in window_sizes:
         side = 2.0 * float(r_size)
-        level = resolution_level(cell_size / side)
+        level = resolution_level(GROWTH_CELL / side)
         window = Window((-float(r_size), -float(r_size)), side)
         dec = build_whitney(domain, window, level)
         f = sample_grid_function(domain, window, level, field, everywhere=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            plan = plan_extension(dec, f.mask, lam, epsilon, delta, best_effort=True)
+            plan = plan_extension(dec, f.mask, lam, GROWTH_EPSILON, GROWTH_DELTA,
+                                  best_effort=True)
         res = extend(f, plan)
         rows.append({
-            "window": float(r_size), "lam": lam, "resolution": cell_size / side,
+            "window": float(r_size), "lam": lam, "resolution": GROWTH_CELL / side,
             "input_norm": res.input_norm, "output_norm": res.output_norm,
             "ratio": res.ratio, "failed_matches": len(res.failed),
             "frontier_filled": res.frontier_filled,

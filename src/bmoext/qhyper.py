@@ -24,6 +24,11 @@ from .errors import DisconnectedGraphError, EmptyInteriorError, QuadratureError
 _SD_FLOOR_FRAC = 1e-12  # of the window side: below this the integrand is unbounded
 EVAL_BUDGET = 1 << 20   # oracle points per call of segment_qh_batch
 MAX_DOUBLINGS = 22      # a segment gets at most 2^22 panels
+CANDIDATE_PANELS = 8    # fixed midpoint panels of a refinement candidate
+EDGE_RTOL = 2e-2        # relative quadrature error of a graph edge weight
+QUAD_TOL = 2e-3         # relative quadrature error of a returned curve length
+REFINE_RTOL = 1e-4      # refinement stops when a round gains less than this
+REFINE_ROUNDS = 60      # ... or after this many rounds
 
 
 def segment_qh_batch(domain: Domain, a, b, rtol: float = 1e-3,
@@ -91,7 +96,7 @@ def segment_qh_batch(domain: Domain, a, b, rtol: float = 1e-3,
     return vals, errs, valid
 
 
-def _panel_cost(domain: Domain, a, b, panels: int = 8, floor: float = 0.0):
+def _panel_cost(domain: Domain, a, b, floor: float = 0.0):
     """Cheap fixed-panel midpoint estimate used for candidate comparison.
 
     valid requires clearance > panel length / 2 at every panel midpoint,
@@ -100,10 +105,10 @@ def _panel_cost(domain: Domain, a, b, panels: int = 8, floor: float = 0.0):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     seg_len = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-    t = (np.arange(panels) + 0.5) / panels
+    t = (np.arange(CANDIDATE_PANELS) + 0.5) / CANDIDATE_PANELS
     pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-    sd = domain.signed_distance(pts.reshape(-1, 2)).reshape(len(a), panels)
-    lp = seg_len / panels
+    sd = domain.signed_distance(pts.reshape(-1, 2)).reshape(len(a), CANDIDATE_PANELS)
+    lp = seg_len / CANDIDATE_PANELS
     ok = (sd > np.maximum(0.5 * lp[:, None], floor)).all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         est = (lp[:, None] / sd).sum(axis=1)
@@ -232,8 +237,7 @@ class MetricGraph:
 
 
 def build_metric_graph(domain: Domain, window: Window, resolution: float,
-                       node_margin: float = math.sqrt(2.0),
-                       edge_rtol: float = 2e-2) -> MetricGraph:
+                       node_margin: float = math.sqrt(2.0)) -> MetricGraph:
     """Build the grid graph at cell size `resolution * window.size`.
 
     Nodes are cell centers with clearance above node_margin * cell size
@@ -273,7 +277,7 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
         if f.size == 0:
             continue
         w, _, valid = segment_qh_batch(domain, node_pos[f], node_pos[t],
-                                       rtol=edge_rtol, floor=floor)
+                                       rtol=EDGE_RTOL, floor=floor)
         f, t, w = f[valid], t[valid], w[valid]
         rows.append(f)
         cols.append(t)
@@ -293,13 +297,13 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
 # ---------------------------------------------------------------------------
 # geodesic refinement
 
-def _refine_path(domain: Domain, pts: np.ndarray, h: float,
-                 rel_tol: float = 1e-4, max_rounds: int = 60) -> np.ndarray:
+def _refine_path(domain: Domain, pts: np.ndarray, h: float) -> np.ndarray:
     """Iterative midpoint/normal perturbation decreasing the qh length.
 
     Interior vertices move to the best of a fixed candidate set; alternating
     parity keeps simultaneous updates independent. Stops when a full round
-    improves the total by less than rel_tol (relative).
+    improves the total by less than REFINE_RTOL (relative), or after
+    REFINE_ROUNDS rounds.
     """
     pts = np.array(pts, dtype=float)
     scale = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), h)
@@ -324,7 +328,7 @@ def _refine_path(domain: Domain, pts: np.ndarray, h: float,
 
     pts = split_long(pts, 2.0 * h)
     prev = total(pts)
-    for _ in range(max_rounds):
+    for _ in range(REFINE_ROUNDS):
         for parity in (1, 0):
             idx = np.arange(1, len(pts) - 1)
             idx = idx[idx % 2 == parity]
@@ -362,7 +366,7 @@ def _refine_path(domain: Domain, pts: np.ndarray, h: float,
         cur_total = total(pts)
         if not math.isfinite(cur_total) and not math.isfinite(prev):
             break
-        if prev - cur_total <= rel_tol * max(abs(cur_total), 1e-12):
+        if prev - cur_total <= REFINE_RTOL * max(abs(cur_total), 1e-12):
             break
         prev = cur_total
     return pts
@@ -370,7 +374,7 @@ def _refine_path(domain: Domain, pts: np.ndarray, h: float,
 
 def qh_distance(domain: Domain, x, y, resolution: float,
                 window: Window | None = None, graph: MetricGraph | None = None,
-                refine: bool = True, quad_tol: float = 2e-3):
+                refine: bool = True):
     """Quasi-hyperbolic distance estimate and witness geodesic.
 
     Dijkstra on the grid graph, then curve shortening; the estimate is the
@@ -391,8 +395,16 @@ def qh_distance(domain: Domain, x, y, resolution: float,
     pts = grid_path(graph, x, y)
     if refine:
         pts = _refine_path(domain, pts, graph.h)
-    value, err = qh_length(domain, pts, tol=quad_tol)
+    value, err = qh_length(domain, pts, tol=QUAD_TOL)
     return value, Polyline(pts, qh_value=value, qh_error=err)
+
+
+def _drop_repeats(pts: np.ndarray) -> np.ndarray:
+    """The path's vertices without consecutive repeats; only the first and
+    last point when all coincide."""
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.hypot(*(pts[1:] - pts[:-1]).T) > 1e-15
+    return pts[keep] if keep.sum() >= 2 else pts[[0, -1]]
 
 
 def grid_path(graph: MetricGraph, x, y) -> np.ndarray:
@@ -403,20 +415,14 @@ def grid_path(graph: MetricGraph, x, y) -> np.ndarray:
     src = graph.snap(x)
     dst = graph.snap(y)
     if src == dst:
-        pts = np.array([x, graph.node_pos[src], y])
-    else:
-        dist, pred = graph.shortest_paths(src)
-        if not np.isfinite(dist[dst]):
-            sizes, _ = graph.component_sizes()
-            raise DisconnectedGraphError(
-                f"endpoints in different grid components (sizes {sorted(sizes, reverse=True)[:4]}); "
-                "refine the resolution", component_sizes=list(sizes))
-        nodes = graph.path_nodes(pred, dst)
-        pts = np.vstack([x[None, :], graph.node_pos[nodes], y[None, :]])
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.hypot(*(pts[1:] - pts[:-1]).T) > 1e-15
-    pts = pts[keep]
-    return pts if len(pts) >= 2 else np.array([x, y])
+        return _drop_repeats(np.vstack([x, graph.node_pos[src], y]))
+    dist, pred = graph.shortest_paths(src)
+    if not np.isfinite(dist[dst]):
+        sizes, _ = graph.component_sizes()
+        raise DisconnectedGraphError(
+            f"endpoints in different grid components (sizes {sorted(sizes, reverse=True)[:4]}); "
+            "refine the resolution", component_sizes=list(sizes))
+    return _drop_repeats(np.vstack([x, graph.node_pos[graph.path_nodes(pred, dst)], y]))
 
 
 @dataclass
@@ -426,8 +432,7 @@ class InteriorDistance:
     value: float            # quadrature length of `path`, its qh_value
     attaining: np.ndarray
     path: Polyline
-    raw_value: float        # restricted-Dijkstra grid sum, another curve's estimate
-    search_radius: float
+    raw_value: float        # grid sum of the unrefined path plus the snap leg
 
 
 def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
@@ -436,17 +441,16 @@ def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
                             refine: bool = True) -> InteriorDistance:
     """Shortest quasi-hyperbolic access to {dist >= lam}.
 
-    A first pass to an arbitrary interior node bounds the search ball
-    B_R(x) with R = max(lam * k(x, y0), |x - y0|); the Dijkstra run
-    restricted to that ball picks the curve, and the reported distance is
-    that curve's measured length.
+    One Dijkstra solve from the snapped node of x reaches every node; the
+    nearest interior node, lowest index first among equals, ends the curve,
+    and the reported distance is that curve's measured length.
     """
     x = np.asarray(x, float)
     if domain.sd(x) <= 0:
         raise ValueError("x must lie inside the domain")
     if domain.sd(x) >= lam:
         pl = Polyline(np.array([x, x + 0.0]), qh_value=0.0, qh_error=0.0)
-        return InteriorDistance(0.0, x, pl, 0.0, 0.0)
+        return InteriorDistance(0.0, x, pl, 0.0)
     if graph is None:
         window = window or domain.default_window
         graph = build_metric_graph(domain, window, resolution)
@@ -458,54 +462,27 @@ def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
             "the scale-lambda norm equals the homogeneous norm here")
 
     src = graph.snap(x)
-    leg_val, leg_err, leg_ok = segment_qh_batch(
+    leg_val, _, leg_ok = segment_qh_batch(
         domain, x[None, :], graph.node_pos[src][None, :],
         floor=_SD_FLOOR_FRAC * graph.window.size)
     if not leg_ok[0]:
         raise QuadratureError("snap segment touches the boundary; refine resolution")
     dist, pred = graph.shortest_paths(src)
-
-    gap = np.hypot(graph.node_pos[targets, 0] - x[0], graph.node_pos[targets, 1] - x[1])
-    reach = np.isfinite(dist[targets])
-    if not reach.any():
+    # targets ascend, so the first minimum is the lowest-index nearest one
+    k = int(np.argmin(dist[targets]))
+    if not np.isfinite(dist[targets[k]]):
         sizes, _ = graph.component_sizes()
         raise DisconnectedGraphError("no interior node reachable at this resolution",
                                      component_sizes=list(sizes))
-    order = np.lexsort((targets[reach], gap[reach]))
-    y0 = targets[reach][order[0]]
-    k_xy0 = float(dist[y0] + leg_val[0])
-    radius = max(lam * k_xy0, float(gap[reach][order[0]]))
+    t_star = targets[k]
 
-    ball = np.hypot(graph.node_pos[:, 0] - x[0], graph.node_pos[:, 1] - x[1]) <= radius
-    ball[src] = True
-    sub_ids = np.nonzero(ball)[0]
-    remap = -np.ones(graph.n_nodes, dtype=np.int64)
-    remap[sub_ids] = np.arange(sub_ids.size)
-    sub = graph.adj[sub_ids][:, sub_ids]
-    sdist, spred = _sp_dijkstra(sub, directed=True, indices=remap[src],
-                                return_predecessors=True)
-
-    tgt_in_ball = targets[ball[targets]]
-    tvals = sdist[remap[tgt_in_ball]]
-    if not np.isfinite(tvals).any():
-        raise DisconnectedGraphError("interior unreachable inside the search ball")
-    korder = np.lexsort((tgt_in_ball, tvals))
-    t_star = tgt_in_ball[korder[0]]
-    raw = float(tvals[korder[0]] + leg_val[0])
-
-    chain = sub_ids[graph.path_nodes(spred, int(remap[t_star]))]
-    pts = np.vstack([x[None, :], graph.node_pos[chain]])
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.hypot(*(pts[1:] - pts[:-1]).T) > 1e-15
-    pts = pts[keep]
-    if len(pts) < 2:
-        pts = np.vstack([x[None, :], graph.node_pos[t_star][None, :]])
+    pts = _drop_repeats(np.vstack([x, graph.node_pos[graph.path_nodes(pred, t_star)]]))
     if refine and len(pts) > 2:
         pts = _refine_path(domain, pts, graph.h)
-    value, err = qh_length(domain, pts, tol=2e-3)
+    value, err = qh_length(domain, pts, tol=QUAD_TOL)
     return InteriorDistance(value, graph.node_pos[t_star].copy(),
                             Polyline(pts, qh_value=value, qh_error=err),
-                            raw, radius)
+                            float(dist[t_star] + leg_val[0]))
 
 
 def eta_lambda(domain: Domain, x, y, lam: float, resolution: float,

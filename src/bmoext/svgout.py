@@ -8,9 +8,16 @@ import numpy as np
 from .domains import Domain
 from .dyadic import Window
 
+FIGURE_PX = 800                 # side of a curve or heatmap figure
+DECOMPOSITION_PX = 900          # side of a cube-layout figure
+MARKER_PX = 3.0                 # radius of a curve endpoint marker
+BOUNDARY_SAMPLES = 256          # marching-squares cells per window side
+HEATMAP_BLOCKS = 256            # heatmap blocks per side at most
+CURVE_COLORS = ("#c02020", "#2020c0", "#20a020", "#c0a000")
+
 
 class SvgCanvas:
-    def __init__(self, window: Window, px: int = 800):
+    def __init__(self, window: Window, px: int = FIGURE_PX):
         self.window = window
         self.px = px
         self.parts: list[str] = []
@@ -35,9 +42,9 @@ class SvgCanvas:
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>')
 
-    def circle(self, p, r_px=3.0, fill="red"):
+    def circle(self, p, fill="red"):
         x, y = self._xy(p)
-        self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r_px}" fill="{fill}"/>')
+        self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{MARKER_PX}" fill="{fill}"/>')
 
     def save(self, path):
         body = "\n".join(self.parts)
@@ -57,12 +64,14 @@ class SvgCanvas:
 _CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
 
 
-def boundary_segments(domain: Domain, window: Window, n: int = 256):
-    """Zero-contour segments of the signed distance on an n x n sampling.
+def boundary_segments(domain: Domain, window: Window):
+    """Zero-contour segments of the signed distance on an n x n sampling,
+    n = BOUNDARY_SAMPLES.
 
     Cells are taken in (i, j) order and a cell's edges in corner order; a
     cell with two sign changes gives one segment, a saddle with four gives
     two, joining its crossings in that order."""
+    n = BOUNDARY_SAMPLES
     xs = np.linspace(window.origin[0], window.origin[0] + window.size, n + 1)
     ys = np.linspace(window.origin[1], window.origin[1] + window.size, n + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -81,17 +90,16 @@ def boundary_segments(domain: Domain, window: Window, n: int = 256):
             in np.column_stack([x, y]).reshape(-1, 4).tolist()]
 
 
-def draw_boundary(canvas: SvgCanvas, domain: Domain, n: int = 256,
-                  stroke="black", width=1.0):
-    for a, b in boundary_segments(domain, canvas.window, n):
-        canvas.polyline([a, b], stroke=stroke, width=width)
+def draw_boundary(canvas: SvgCanvas, domain: Domain):
+    for a, b in boundary_segments(domain, canvas.window):
+        canvas.polyline([a, b], stroke="black", width=1.0)
 
 
-def render_decomposition(dec, path, px: int = 900):
+def render_decomposition(dec, path):
     from .whitney import TAG_DOMAIN
 
     w = dec.window
-    canvas = SvgCanvas(w, px)
+    canvas = SvgCanvas(w, DECOMPOSITION_PX)
     for tag, level, i, j, _, _ in dec.cubes.tolist():
         side = w.cell_size(level)
         lower = (w.origin[0] + i * side, w.origin[1] + j * side)
@@ -106,24 +114,22 @@ def render_decomposition(dec, path, px: int = 900):
     canvas.save(path)
 
 
-def render_curves(domain: Domain, window: Window, curves, path, px: int = 800,
-                  colors=("#c02020", "#2020c0", "#20a020", "#c0a000")):
-    canvas = SvgCanvas(window, px)
+def render_curves(domain: Domain, window: Window, curves, path):
+    canvas = SvgCanvas(window)
     draw_boundary(canvas, domain)
     for k, pl in enumerate(curves):
         pts = pl.points if hasattr(pl, "points") else np.asarray(pl)
-        canvas.polyline(pts, stroke=colors[k % len(colors)], width=1.8)
+        canvas.polyline(pts, stroke=CURVE_COLORS[k % len(CURVE_COLORS)], width=1.8)
         canvas.circle(pts[0], fill="#202020")
         canvas.circle(pts[-1], fill="#202020")
     canvas.save(path)
 
 
-def render_grid(gf, domain: Domain | None, path, px: int = 800,
-                max_blocks: int = 256):
+def render_grid(gf, domain: Domain | None, path):
     """Grayscale heatmap of a grid function (downsampled for large grids)."""
-    canvas = SvgCanvas(gf.window, px)
+    canvas = SvgCanvas(gf.window)
     n = gf.n_cells
-    step = max(1, n // max_blocks)
+    step = max(1, n // HEATMAP_BLOCKS)
     vals = gf.values
     finite = np.isfinite(vals)
     if finite.any():

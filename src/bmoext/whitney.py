@@ -50,6 +50,7 @@ CUBE_DTYPE = np.dtype([("tag", "U2"), ("level", np.int64), ("i", np.int64),
 _RING = np.array([(a, b) for a in range(-1, 5) for b in range(-1, 5)
                   if not (0 <= a < 4 and 0 <= b < 4)], dtype=np.int64)
 _PROBE_CHUNK = 1 << 13                # cubes probed per vector pass
+INTERIOR_PROBES = 1024                # annulus points find_interior_point tries
 
 
 def matching_size_bound(epsilon: float, delta: float, n: int = N_DIM) -> float:
@@ -383,8 +384,7 @@ def matching_cube(dec: WhitneyDecomposition, q: DyadicCube, epsilon: float,
     return best
 
 
-def find_interior_point(domain: Domain, q: DyadicCube, epsilon: float,
-                        budget: int = 1024):
+def find_interior_point(domain: Domain, q: DyadicCube, epsilon: float):
     """A point of the open cube with clearance >= epsilon * side / 32.
 
     Checks the center, then samples the annulus side/8 < |z - c| < side/4.
@@ -395,8 +395,8 @@ def find_interior_point(domain: Domain, q: DyadicCube, epsilon: float,
     c = q.center
     if domain.sd(c) >= target:
         return c
-    n_r = max(4, int(math.sqrt(budget / 16)))
-    n_a = max(16, budget // n_r)
+    n_r = max(4, int(math.sqrt(INTERIOR_PROBES / 16)))
+    n_a = max(16, INTERIOR_PROBES // n_r)
     radii = q.side * (0.125 + 0.125 * (np.arange(n_r) + 0.5) / n_r)
     angles = 2.0 * np.pi * np.arange(n_a) / n_a
     pts = np.column_stack([

@@ -15,7 +15,7 @@ from bmoext import (Window, disk, half_plane, intro_lipschitz, l_shape,
 from bmoext.bmo import (adjacent_average_gap, bmo_homogeneous_norm,
                         bmo_lambda_norm, cube_average, log_growth_ratio,
                         qh_distance_field, sample_grid_function, _field_graph)
-from bmoext.cigar import classify, estimate_epsilon_delta, uniformity_fit
+from bmoext.cigar import classify, estimate_epsilon_delta
 from bmoext.dyadic import DyadicCube, SQRT_N
 from bmoext.errors import MatchingError
 from bmoext.extension import (counterexample_experiment, make_suite,
@@ -207,19 +207,21 @@ def test_criterion_08_negative_geometry(disk_classification):
 def test_criterion_09_uniformity_fit(disk1, disk_classification):
     c_f, d_f = disk_classification.cd_hat
     c_c, d_c = disk_classification.details["coarse_run"]["cd_hat"]
-    # every observed sub-pair sits below the fitted envelope
-    c2, d2, extra = uniformity_fit(disk1, DELTA, 24, 1 / 128, seed=SEED,
-                                   window=DISK_WINDOW)
-    under = all(k <= c2 * j + d2 + 1e-9 for j, k in extra["points"])
-    jmed = float(np.median([j for j, _ in extra["points"]]))
+    # every observed sub-pair sits below the envelope a report is built with
+    coarse = estimate_epsilon_delta(disk1, DELTA, 24, 1 / 128, seed=SEED,
+                                    window=DISK_WINDOW)
+    c2, d2 = coarse.cd_hat
+    points = coarse.details["fit_points"]
+    under = all(k <= c2 * j + d2 + 1e-9 for j, k in points)
+    jmed = float(np.median([j for j, _ in points]))
     v_f = c_f * jmed + d_f
     v_c = c_c * jmed + d_c
     drift = abs(v_f - v_c) / max(v_f, v_c)
-    ok = (under and c_f <= 10.0 and d_f <= 10.0 and c_c <= 10.0
-          and d_c <= 10.0 and drift <= 0.20)
+    ok = (under and (c2, d2) == (c_c, d_c) and c_f <= 10.0 and d_f <= 10.0
+          and c_c <= 10.0 and d_c <= 10.0 and drift <= 0.20)
     report(9, ok, f"(c,d) fine ({c_f:g},{d_f:g}) coarse ({c_c:g},{d_c:g}); "
                   f"envelope drift at median j: {drift:.3f}; "
-                  f"{len(extra['points'])} sub-pairs all under the envelope")
+                  f"{len(points)} sub-pairs all under the envelope")
 
 
 def test_criterion_10_oracle_equivalences(disk1):

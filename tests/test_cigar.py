@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from bmoext import Polyline, cigar, disk, l_shape, slit_disk
-from bmoext.cigar import (classify, curve_epsilon, curve_length_cigar,
-                          envelope_fit, epsilon_from_ab, epsilon_upper_bound,
-                          estimate_epsilon_delta, mirror_pairs, uniformity_fit,
+from bmoext.cigar import (classify, curve_constants, envelope_fit,
+                          epsilon_from_ab, epsilon_upper_bound,
+                          estimate_epsilon_delta, mirror_pairs,
                           _monotone_divergence, _uniform_pairs)
 from bmoext.errors import QuadratureError
 from bmoext.qhyper import qh_distance
@@ -18,29 +18,29 @@ from tests.conftest import DISK_WINDOW, HP_WINDOW
 def test_curve_epsilon_halfplane_segment(hp):
     seg = Polyline(np.array([[0.0, 1.0], [2.0, 1.0]]))
     # length factor 1, clearance quotient bottoms out at 2, clamp at 1
-    assert curve_epsilon(hp, (0, 1), (2, 1), seg) == 1.0
+    assert curve_constants(hp, (0, 1), (2, 1), seg)[0] == 1.0
 
 
 def test_curve_epsilon_rejects_degenerate_pair(hp):
     seg = Polyline(np.array([[0.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(ValueError):
-        curve_epsilon(hp, (0, 1), (0, 1), seg)
+        curve_constants(hp, (0, 1), (0, 1), seg)
 
 
 def test_curve_epsilon_rejects_exiting_curve(hp):
     seg = Polyline(np.array([[0.0, 1.0], [1.0, -0.5], [2.0, 1.0]]))
     with pytest.raises(QuadratureError):
-        curve_epsilon(hp, (0, 1), (2, 1), seg)
+        curve_constants(hp, (0, 1), (2, 1), seg)
 
 
 def test_curve_epsilon_requires_matching_endpoints(hp):
     seg = Polyline(np.array([[0.0, 1.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
-        curve_epsilon(hp, (0, 1), (2, 2), seg)
+        curve_constants(hp, (0, 1), (2, 2), seg)
 
 
 def test_length_cigar_halfplane(hp):
-    a, b = curve_length_cigar(hp, (0, 1), (2, 1),
+    _, a, b = curve_constants(hp, (0, 1), (2, 1),
                               Polyline(np.array([[0.0, 1.0], [2.0, 1.0]])))
     assert a == pytest.approx(1.0, rel=1e-9)
     assert b == pytest.approx(1.0, rel=1e-3)
@@ -48,7 +48,7 @@ def test_length_cigar_halfplane(hp):
 
 def test_length_cigar_disk_chord_vs_dense_oracle(disk1):
     x, y = (-0.5, 0.0), (0.5, 0.0)
-    a, b = curve_length_cigar(disk1, x, y,
+    _, a, b = curve_constants(disk1, x, y,
                               Polyline(np.array([x, y], dtype=float)))
     # dense sampling oracle along the chord
     t = np.linspace(0, 1, 400_001)
@@ -82,8 +82,7 @@ def test_per_curve_consistency_with_ab(disk1, disk_graph, rng):
             continue
         _, pl = qh_distance(disk1, x, y, 1 / 256, graph=disk_graph)
         try:
-            e = curve_epsilon(disk1, x, y, pl)
-            a, b = curve_length_cigar(disk1, x, y, pl)
+            e, a, b = curve_constants(disk1, x, y, pl)
         except QuadratureError:
             continue
         assert e >= epsilon_from_ab(max(a, 1.0), b) - 1e-3
@@ -99,7 +98,7 @@ def test_upper_bound_dominates_curve_epsilon(disk1, disk_graph, rng):
             continue
         _, pl = qh_distance(disk1, x, y, 1 / 256, graph=disk_graph)
         try:
-            e = curve_epsilon(disk1, x, y, pl)
+            e = curve_constants(disk1, x, y, pl)[0]
         except QuadratureError:
             continue
         assert epsilon_upper_bound(disk1, x, y) >= e - 1e-9
@@ -149,7 +148,7 @@ def test_estimate_halfplane_strong_epsilon(hp, hp_graph):
                            math.sqrt(2) * HP_WINDOW.size / 256)
     for p in pairs:
         seg = Polyline(np.array([p.x, p.y]))
-        seg_eps = curve_epsilon(hp, p.x, p.y, seg)
+        seg_eps = curve_constants(hp, p.x, p.y, seg)[0]
         match = [q for q in rep.pairs if np.allclose(q.x, p.x) and np.allclose(q.y, p.y)]
         assert match and match[0].eps_curve >= seg_eps - 1e-9
 
@@ -191,12 +190,18 @@ def test_envelope_fit_basics():
 
 
 def test_uniformity_fit_halfplane(hp, hp_graph):
-    c, d, extra = uniformity_fit(hp, 0.5, 16, 1 / 256, seed=3,
+    rep = estimate_epsilon_delta(hp, 0.5, 16, 1 / 256, seed=3,
                                  window=HP_WINDOW, graph=hp_graph)
+    c, d = rep.cd_hat
+    # the report carries its envelope when built, not only through classify
+    assert math.isfinite(c) and math.isfinite(d)
     assert c <= 3.0 and d <= 1.0
-    assert extra["points"]
+    points = rep.details["fit_points"]
+    assert points
     # degenerate sub-pairs contribute nothing: all observations have j > 0
-    assert all(j > 0 for j, _ in extra["points"])
+    assert all(j > 0 for j, _ in points)
+    assert all(k <= c * j + d + 1e-9 for j, k in points)
+    assert (c, d) == envelope_fit(points)
 
 
 def test_classify_verdicts(disk1):
@@ -231,9 +236,8 @@ def test_prop_like_ratio_stable_on_disk(disk1):
 
 def test_uniformity_fit_slit_offsets_grow():
     slit = slit_disk(1.0, 0.5)
-    c, d, extra = uniformity_fit(slit, 0.5, 16, 1 / 128, seed=7,
-                                 window=DISK_WINDOW)
-    offs = extra["fit_offsets"]
+    offs = estimate_epsilon_delta(slit, 0.5, 16, 1 / 128, seed=7,
+                                  window=DISK_WINDOW).fit_offsets
     assert len(offs) >= 3
     vals = [v for _, v in sorted(offs)]
     assert vals[-1] > vals[0]              # pinching inflates the offsets

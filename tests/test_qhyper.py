@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
-from bmoext import Polyline, Window, polygon, qh_distance, qh_length, qhyper
+from bmoext import (Polyline, Window, polygon, qh_distance, qh_length, qhyper,
+                    slit_disk)
 from bmoext.errors import (DisconnectedGraphError, EmptyInteriorError,
                            QuadratureError)
 from bmoext.qhyper import (build_metric_graph, eta_lambda, j_distance,
@@ -142,18 +144,70 @@ def test_interior_distance_halfplane(hp, hp_graph):
     assert hp.sd(r.attaining) >= 1.0 - hp_graph.h
 
 
-def test_interior_distance_restricted_matches_unrestricted(disk1, disk_graph):
-    lam = 0.5
-    x = np.array([0.05, -0.93])
-    r = qh_distance_to_interior(disk1, x, lam, 1 / 256, graph=disk_graph,
-                                refine=False)
-    # unrestricted oracle: full-window run from the same snap node
-    src = disk_graph.snap(x)
-    leg, _, _ = segment_qh_batch(disk1, x[None, :], disk_graph.node_pos[src][None, :])
-    dist, _ = disk_graph.shortest_paths(src)
-    targets = np.nonzero(disk_graph.node_sd >= lam)[0]
-    oracle = float(dist[targets].min() + leg[0])
-    assert r.raw_value == pytest.approx(oracle, rel=1e-12)
+def _disk_access_points(rng, lam, count):
+    """Points of the unit disk whose clearance lies in [0.02, 0.9 lam]."""
+    r = 1.0 - rng.uniform(0.02, 0.9 * lam, size=count)
+    th = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+def _check_against_multi_source_oracle(domain, graph, x, lam):
+    """raw_value minus the snap leg is the graph distance from the snapped
+    node to the nearest interior node, solved independently from all
+    interior nodes at once (edge weights are symmetric); attaining is such
+    a nearest node, and no lower-index interior node is as near."""
+    r = qh_distance_to_interior(domain, x, lam, None, graph=graph, refine=False)
+    targets = np.nonzero(graph.node_sd >= lam)[0]
+    src = graph.snap(x)
+    leg, _, _ = segment_qh_batch(domain, x[None, :], graph.node_pos[src][None, :])
+    d_min = r.raw_value - leg[0]
+    to_interior = csgraph.dijkstra(graph.adj, indices=targets, min_only=True)
+    assert d_min == pytest.approx(to_interior[src], rel=1e-12)
+    t = int(np.flatnonzero((graph.node_pos == r.attaining).all(axis=1))[0])
+    assert t in targets
+    assert csgraph.dijkstra(graph.adj, indices=t)[src] == pytest.approx(d_min, rel=1e-12)
+    lower = targets[targets < t]
+    if lower.size:
+        below = csgraph.dijkstra(graph.adj, indices=lower, min_only=True)
+        assert below[src] > d_min * (1.0 + 1e-12)
+
+
+def test_interior_distance_matches_multi_source_oracle(disk1, disk_graph):
+    for x in _disk_access_points(np.random.default_rng(11), 0.5, 8):
+        _check_against_multi_source_oracle(disk1, disk_graph, x, 0.5)
+    # here the graph-nearest interior node lies farther from x than the
+    # Euclidean-nearest one does, so no search ball of that radius holds it
+    slit = slit_disk(1.0, 0.5)
+    graph = build_metric_graph(slit, slit.default_window, 1 / 128)
+    _check_against_multi_source_oracle(slit, graph, np.array([-0.7965, -0.2831]), 0.16)
+
+
+def test_interior_distance_solves_once(disk1, disk_graph, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return csgraph.dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(qhyper, "_sp_dijkstra", counted)
+    for refine in (False, True):
+        calls.clear()
+        qh_distance_to_interior(disk1, (0.05, -0.93), 0.5, 1 / 256,
+                                graph=disk_graph, refine=refine)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lam", [0.2, 0.3, 0.5])
+def test_interior_distance_radial_access_on_disk(disk1, disk_graph, lam):
+    # every curve from x to {dist >= lam} gains at least ln(lam / d(x)),
+    # since the clearance is 1-Lipschitz; the radial segment attains it
+    rng = np.random.default_rng(int(lam * 10))
+    for x in _disk_access_points(rng, lam, 6):
+        exact = math.log(lam / (1.0 - math.hypot(*x)))
+        for refine in (False, True):
+            r = qh_distance_to_interior(disk1, x, lam, 1 / 256,
+                                        graph=disk_graph, refine=refine)
+            assert exact <= r.value + r.path.qh_error
 
 
 @pytest.mark.parametrize("refine", [False, True])
