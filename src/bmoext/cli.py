@@ -23,7 +23,7 @@ from .domains import Domain, parse_domain_arg, parse_domain_file
 from .dyadic import Window, resolution_level
 from .errors import GeometryError
 from .qhyper import qh_distance
-from .whitney import build_whitney
+from .whitney import FRONTIER, build_whitney
 
 CSV_VERSION = "bmoext-csv v1"
 GRID_VERSION = "bmoext-grid v1"
@@ -39,13 +39,53 @@ def _fmt(v):
     return str(v)
 
 
-def write_csv(path, schema: str, header: list[str], rows):
+def _needs_quotes(text: str, alone: bool) -> bool:
+    """Whether csv.writer (excel dialect) quotes a field: it holds a comma,
+    a quote or a line break, or it is empty and alone in its row."""
+    return (alone and not text) or any(ch in text for ch in ',"\r\n')
+
+
+def _cells(col, alone: bool) -> tuple[str, list]:
+    """A %-code and the values it prints, so that each entry of a column
+    prints as `_fmt` prints it, quoted where csv.writer quotes it. Numpy
+    columns are read by `tolist()`, which gives the digits of their scalars."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return "%d", col.tolist()
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        values = col.tolist()
+        nan = np.flatnonzero(np.isnan(col)).tolist()
+        if not nan:
+            return "%.12g", values
+        text = list(map("%.12g".__mod__, values))
+        for k in nan:
+            text[k] = "NA"
+        return "%s", text
+    if isinstance(col, np.ndarray) and col.dtype.kind in "bU":
+        text = list(map(str, col.tolist()))
+    else:
+        text = list(map(_fmt, col))
+    if _needs_quotes("".join(text), alone) or (alone and "" in text):
+        text = ['"' + t.replace('"', '""') + '"' if _needs_quotes(t, alone) else t
+                for t in text]
+    return "%s", text
+
+
+def _csv_rows(columns) -> str:
+    """Rows of one or more equal-length columns, as csv.writer writes them."""
+    codes, values = zip(*(_cells(c, len(columns) == 1) for c in columns))
+    return "".join(map((",".join(codes) + "\r\n").__mod__, zip(*values)))
+
+
+def write_csv(path, schema: str, header: list[str], columns):
+    """Write a table given as equal-length columns (arrays or sequences),
+    a chunk of rows at a time; each value prints as `_fmt` prints it."""
+    n = len(columns[0]) if len(columns) else 0
+    step = svgout.CHUNK_ROWS
     with open(path, "w", newline="") as fh:
         fh.write(f"# {CSV_VERSION} schema={schema}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(_csv_rows([[h] for h in header]))
+        for lo in range(0, n, step):
+            fh.write(_csv_rows([c[lo:lo + step] for c in columns]))
 
 
 def read_csv(path):
@@ -63,17 +103,18 @@ def read_csv(path):
 
 
 def write_grid(path, gf: bmo.GridFunction):
+    step = max(1, svgout.CHUNK_ROWS // gf.n_cells)      # grid lines per pass
     with open(path, "w") as fh:
         fh.write(f"# {GRID_VERSION}\n")
         fh.write(f"# window: {gf.window.origin[0]!r} {gf.window.origin[1]!r} "
                  f"{gf.window.size!r}\n")
         fh.write(f"# cells: {gf.n_cells}\n")
-        fh.write("# block: values (line index = x cell index)\n")
-        for i in range(gf.n_cells):
-            fh.write(",".join(repr(float(v)) for v in gf.values[i]) + "\n")
-        fh.write("# block: mask (0 outside, 1 inside, 2 straddling)\n")
-        for i in range(gf.n_cells):
-            fh.write(",".join(str(int(v)) for v in gf.mask[i]) + "\n")
+        for title, block, kind in (("values (line index = x cell index)", gf.values, float),
+                                   ("mask (0 outside, 1 inside, 2 straddling)", gf.mask, int)):
+            fh.write(f"# block: {title}\n")
+            for lo in range(0, gf.n_cells, step):
+                lines = block[lo:lo + step].astype(kind).tolist()
+                fh.write("".join(",".join(map(repr, line)) + "\n" for line in lines))
 
 
 def read_grid(path) -> bmo.GridFunction:
@@ -156,6 +197,8 @@ def _make_function(spec: str, domain, window, resolution, seed):
                                         lambda p: np.maximum(p[:, 0], 0.0),
                                         everywhere=True)
     if name == "coord":
+        if (args or "x") not in ("x", "y"):
+            raise ValueError(f"coord axis must be x or y, got {args!r}")
         axis = 0 if (args or "x") == "x" else 1
         return bmo.sample_grid_function(domain, window, level,
                                         lambda p: p[:, axis], everywhere=True)
@@ -165,7 +208,7 @@ def _make_function(spec: str, domain, window, resolution, seed):
     if name == "dipole":
         v = [float(t) for t in args.split(",")]
         if len(v) != 6:
-            raise argparse.ArgumentTypeError("dipole:x1,y1,x2,y2,r1,r2")
+            raise ValueError(f"dipole takes x1,y1,x2,y2,r1,r2, got {args!r}")
         return bmo.dipole_field(domain, v[0:2], v[2:4], v[4], v[5],
                                 resolution, window)
     if name == "cellwise":
@@ -174,7 +217,7 @@ def _make_function(spec: str, domain, window, resolution, seed):
         return bmo.whitney_cellwise_field(dec, level, np.random.default_rng(seed))
     if name == "csv":
         return read_grid(args)
-    raise argparse.ArgumentTypeError(f"unknown function spec {spec!r}")
+    raise ValueError(f"unknown function spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +228,15 @@ def cmd_decompose(args, out: Path):
     window = args.window or domain.default_window
     depth = args.max_depth or resolution_level(args.resolution)
     dec = build_whitney(domain, window, depth)
-    rows = [(tag, lvl, i, j, window.cell_size(lvl), lo, hi)
-            for tag, lvl, i, j, lo, hi in dec.cubes.tolist()]
-    rows += [("frontier", lvl, i, j, window.cell_size(lvl), None, None)
-             for lvl, i, j in dec.frontier.tolist()]
+    c, fr = dec.cubes, dec.frontier
+    level = np.concatenate([c["level"], fr[:, 0]])
+    unknown = np.full(len(fr), np.nan)          # frontier cells carry no distances
     write_csv(out / "cubes.csv", "whitney-cubes",
-              ["tag", "level", "i", "j", "side", "dist_lo", "dist_hi"], rows)
+              ["tag", "level", "i", "j", "side", "dist_lo", "dist_hi"],
+              [np.concatenate([c["tag"], np.full(len(fr), FRONTIER)]), level,
+               np.concatenate([c["i"], fr[:, 1]]), np.concatenate([c["j"], fr[:, 2]]),
+               window.cell_sizes(level), np.concatenate([c["dist_lo"], unknown]),
+               np.concatenate([c["dist_hi"], unknown])])
     svgout.render_decomposition(dec, out / "decomposition.svg")
     print(f"{len(dec.cubes)} cubes, frontier fraction "
           f"{dec.frontier_volume_fraction:.3e} -> {out}")
@@ -202,13 +248,12 @@ def cmd_geodesic(args, out: Path):
     window = args.window or domain.default_window
     value, pl = qh_distance(domain, args.frm, args.to, args.resolution,
                             window=window)
-    rows = [(args.resolution, value, pl.qh_error, pl.euclidean_length,
-             len(pl.points))]
+    row = (args.resolution, value, pl.qh_error, pl.euclidean_length, len(pl.points))
     write_csv(out / "geodesic.csv", "geodesic",
               ["resolution", "qh_length", "err_bound", "euclid_length",
-               "vertices"], rows)
+               "vertices"], [[v] for v in row])
     write_csv(out / "geodesic_points.csv", "geodesic-points", ["x", "y"],
-              [(p[0], p[1]) for p in pl.points])
+              [pl.points[:, 0], pl.points[:, 1]])
     svgout.render_curves(domain, window, [pl], out / "geodesic.svg")
     print(f"qh distance {value:.6g} (err bound {pl.qh_error:.2g}) -> {out}")
     return 0
@@ -225,7 +270,7 @@ def cmd_classify(args, out: Path):
             for p in rep.pairs]
     write_csv(out / "classify_pairs.csv", "classify-pairs",
               ["kind", "scale", "x0", "x1", "y0", "y1", "sep", "eps_curve",
-               "eps_cap", "a", "b", "j", "k", "resolution"], rows)
+               "eps_cap", "a", "b", "j", "k", "resolution"], list(zip(*rows)))
     with open(out / "classify_report.txt", "w") as fh:
         fh.write(f"domain: {rep.domain_label}\n")
         fh.write(f"delta: {_fmt(rep.delta)}\nverdict: {rep.verdict}\n")
@@ -272,7 +317,7 @@ def cmd_norm(args, out: Path):
     write_csv(out / "norm.csv", "norm-report",
               ["estimator", "value", "small_part", "large_part", "lam",
                "a", "b", "c", "degenerate", "excluded_fraction",
-               "resolution"], rows)
+               "resolution"], list(zip(*rows)))
     write_grid(out / "function_grid.csv", f)
     print(f"norms written -> {out}")
     return 0
@@ -290,17 +335,18 @@ def cmd_extend(args, out: Path):
                                         args.delta, best_effort=args.best_effort)
     res = extension.extend(f, plan)
     write_grid(out / "extend_grid.csv", res.extended)
+    a = res.assignment
     write_csv(out / "assignment.csv", "extend-assignment",
               ["level", "i", "j", "star_level", "star_i", "star_j"],
-              sorted(map(tuple, res.assignment.tolist())))
+              a[np.lexsort(a.T[::-1])].T)           # rows in lexicographic order
+    row = (args.lam, args.epsilon, args.delta, args.resolution,
+           res.input_norm, res.output_norm, res.ratio,
+           len(res.assignment), len(res.zero_region), len(res.failed),
+           res.frontier_filled)
     write_csv(out / "extend_summary.csv", "extend-summary",
               ["lam", "epsilon", "delta", "resolution", "input_norm",
                "output_norm", "ratio", "assigned", "zeroed", "failed",
-               "frontier_filled"],
-              [(args.lam, args.epsilon, args.delta, args.resolution,
-                res.input_norm, res.output_norm, res.ratio,
-                len(res.assignment), len(res.zero_region), len(res.failed),
-                res.frontier_filled)])
+               "frontier_filled"], [[v] for v in row])
     svgout.render_grid(res.extended, domain, out / "extend.svg")
     print(f"extension ratio {_fmt(res.ratio)} -> {out}")
     return 0
@@ -334,7 +380,7 @@ def cmd_report(args, out: Path):
         summary.append(entry + [note])
         lines.append(f"{entry[0]}: schema={schema} rows={len(rows)} {note}")
     write_csv(out / "summary.csv", "report-summary",
-              ["file", "schema", "rows", "note"], summary)
+              ["file", "schema", "rows", "note"], list(zip(*summary)))
     with open(out / "report.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"{len(summary)} result files -> {out}")

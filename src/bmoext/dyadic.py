@@ -34,6 +34,11 @@ class Window:
     def cell_size(self, level: int) -> float:
         return self.size * 2.0 ** (-level)
 
+    def cell_sizes(self, levels: np.ndarray) -> np.ndarray:
+        """`cell_size` of each entry of an integer array of levels, bit for bit."""
+        top = int(levels.max(initial=0))
+        return np.array([self.cell_size(lvl) for lvl in range(top + 1)])[levels]
+
     def cell_of_point(self, p, level: int) -> tuple[int, int]:
         """Index of the level-`level` cell containing p (clamped to the window)."""
         n = 1 << level

@@ -14,6 +14,7 @@ MARKER_PX = 3.0                 # radius of a curve endpoint marker
 BOUNDARY_SAMPLES = 256          # marching-squares cells per window side
 HEATMAP_BLOCKS = 256            # heatmap blocks per side at most
 CURVE_COLORS = ("#c02020", "#2020c0", "#20a020", "#c0a000")
+CHUNK_ROWS = 1 << 14            # rows, squares or grid values formatted per pass
 
 
 class SvgCanvas:
@@ -28,13 +29,26 @@ class SvgCanvas:
         y = self.px - (p[1] - self.window.origin[1]) * s
         return x, y
 
-    def rect(self, lower, side, fill, stroke="none", opacity=1.0, stroke_width=0.5):
-        x, y = self._xy((lower[0], lower[1] + side))
+    def rects(self, x0, y0, side, fill, stroke="none", opacity=1.0, stroke_width=0.5):
+        """Squares with lower-left corners (x0, y0) and sides `side`, given
+        as arrays or scalars; `fill` is one color or one per square. The
+        pixel coordinates are the float expressions of `_xy`, in its order,
+        so they print the same digits as a point-by-point mapping."""
+        x0, y0, side = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x0, y0, side)))
+        fill = np.broadcast_to(np.asarray(fill), x0.shape)
+        s = self.px / self.window.size
+        x = (x0 - self.window.origin[0]) * s
+        y = self.px - (y0 + side - self.window.origin[1]) * s
         w = side * self.px / self.window.size
-        self.parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{w:.2f}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{stroke_width}" '
-            f'fill-opacity="{opacity}"/>')
+        tail = f'stroke="{stroke}" stroke-width="{stroke_width}" fill-opacity="{opacity}"/>'
+        template = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" '
+                    + tail.replace("%", "%%"))
+        for lo in range(0, len(x), CHUNK_ROWS):
+            cut = slice(lo, lo + CHUNK_ROWS)
+            ww = w[cut].tolist()
+            self.parts.append("\n".join(map(
+                template.__mod__,
+                zip(x[cut].tolist(), y[cut].tolist(), ww, ww, fill[cut].tolist()))))
 
     def polyline(self, pts, stroke="black", width=1.5):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (self._xy(p) for p in pts))
@@ -100,16 +114,14 @@ def render_decomposition(dec, path):
 
     w = dec.window
     canvas = SvgCanvas(w, DECOMPOSITION_PX)
-    for tag, level, i, j, _, _ in dec.cubes.tolist():
-        side = w.cell_size(level)
-        lower = (w.origin[0] + i * side, w.origin[1] + j * side)
-        fill = "#7fbf7f" if tag == TAG_DOMAIN else "#7f9fff"
-        canvas.rect(lower, side, fill, stroke="#404040", opacity=0.8,
-                    stroke_width=0.3)
+    c, fr = dec.cubes, dec.frontier
+    side = w.cell_sizes(c["level"])
+    canvas.rects(w.origin[0] + c["i"] * side, w.origin[1] + c["j"] * side, side,
+                 np.where(c["tag"] == TAG_DOMAIN, "#7fbf7f", "#7f9fff"),
+                 stroke="#404040", opacity=0.8, stroke_width=0.3)
     side = w.cell_size(dec.max_depth)
-    for _, i, j in dec.frontier.tolist():
-        lower = (w.origin[0] + i * side, w.origin[1] + j * side)
-        canvas.rect(lower, side, "url(#hatch)", opacity=0.9)
+    canvas.rects(w.origin[0] + fr[:, 1] * side, w.origin[1] + fr[:, 2] * side, side,
+                 "url(#hatch)", opacity=0.9)
     draw_boundary(canvas, dec.domain)
     canvas.save(path)
 
@@ -137,6 +149,7 @@ def render_grid(gf, domain: Domain | None, path):
     else:
         lo, hi = 0.0, 1.0
     span = max(hi - lo, 1e-12)
+    x0, y0, fill = [], [], []
     for i in range(0, n, step):
         for j in range(0, n, step):
             blk = vals[i:i + step, j:j + step]
@@ -145,9 +158,10 @@ def render_grid(gf, domain: Domain | None, path):
                 continue
             v = float(blk[ok].mean())
             g = int(round(255 * min(max((v - lo) / span, 0.0), 1.0)))
-            side = gf.h * step
-            lower = (gf.window.origin[0] + i * gf.h, gf.window.origin[1] + j * gf.h)
-            canvas.rect(lower, side, f"rgb({g},{128 + g // 2},{255 - g})")
+            x0.append(gf.window.origin[0] + i * gf.h)
+            y0.append(gf.window.origin[1] + j * gf.h)
+            fill.append(f"rgb({g},{128 + g // 2},{255 - g})")
+    canvas.rects(x0, y0, gf.h * step, fill)
     if domain is not None:
         draw_boundary(canvas, domain)
     canvas.save(path)

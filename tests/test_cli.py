@@ -1,11 +1,49 @@
+import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bmoext import Window, disk
-from bmoext.bmo import sample_grid_function
-from bmoext.cli import main, read_csv, read_grid, write_grid
+from bmoext import Window, disk, svgout
+from bmoext.bmo import GridFunction, sample_grid_function
+from bmoext.cli import main, read_csv, read_grid, write_csv, write_grid
+
+
+def reference_fmt(v):
+    if v is None:
+        return "NA"
+    if isinstance(v, float):
+        if math.isnan(v):
+            return "NA"
+        return f"{v:.12g}"
+    return str(v)
+
+
+def reference_write_csv(path, schema, header, rows):
+    """One csv.writer row per table row, one `reference_fmt` per value."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# bmoext-csv v1 schema={schema}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([reference_fmt(v) for v in row])
+
+
+def reference_write_grid(path, gf):
+    """One repr per value, one str per mask cell, a line at a time."""
+    with open(path, "w") as fh:
+        fh.write("# bmoext-grid v1\n")
+        fh.write(f"# window: {gf.window.origin[0]!r} {gf.window.origin[1]!r} "
+                 f"{gf.window.size!r}\n")
+        fh.write(f"# cells: {gf.n_cells}\n")
+        fh.write("# block: values (line index = x cell index)\n")
+        for i in range(gf.n_cells):
+            fh.write(",".join(repr(float(v)) for v in gf.values[i]) + "\n")
+        fh.write("# block: mask (0 outside, 1 inside, 2 straddling)\n")
+        for i in range(gf.n_cells):
+            fh.write(",".join(str(int(v)) for v in gf.mask[i]) + "\n")
 
 
 def run(args):
@@ -115,6 +153,11 @@ def test_bad_config_exit_codes(tmp_path, capsys):
              "--outdir", str(tmp_path)])
     assert run(["decompose", "--domain", "no_such_domain",
                 "--outdir", str(tmp_path)]) == 2
+    capsys.readouterr()
+    for spec in ("dipole:1,2", "nosuch", "coord:z"):
+        assert run(["norm", "--domain", "disk:1", f"--function={spec}",
+                    "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
 
 
 @pytest.mark.parametrize("cells, width", [(6, 6), (8, 7)])
@@ -141,3 +184,57 @@ def test_grid_roundtrip_with_polygon_window(tmp_path):
     write_grid(path, f)
     g = read_grid(path)
     assert g.window == f.window
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e300, -1e300, 1e-300, 0.1, 123456789012345.0]
+TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n\r%\'é')), max_size=4)
+FLOATS = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL_FLOATS))
+SCALARS = st.one_of(st.none(), FLOATS, st.integers(-2 ** 70, 2 ** 70), st.booleans(), TEXT)
+
+
+@st.composite
+def tables(draw):
+    """Header and columns of a random table: numpy float, int, bool and
+    string columns, and plain lists of mixed values."""
+    n_cols, n_rows = draw(st.integers(1, 5)), draw(st.integers(0, 12))
+    cols = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["float", "int", "bool", "str", "mixed"]))
+        if kind == "mixed":
+            cols.append(draw(st.lists(SCALARS, min_size=n_rows, max_size=n_rows)))
+            continue
+        elem = {"float": FLOATS, "int": st.integers(-2 ** 63, 2 ** 63 - 1),
+                "bool": st.booleans(), "str": TEXT}[kind]
+        dtype = {"float": np.float64, "int": np.int64, "bool": bool, "str": str}[kind]
+        cols.append(np.array(draw(st.lists(elem, min_size=n_rows, max_size=n_rows)),
+                             dtype=dtype))
+    header = draw(st.lists(TEXT, min_size=n_cols, max_size=n_cols))
+    return header, cols, draw(st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tables())
+def test_write_csv_matches_row_loop(tmp_path_factory, table):
+    header, cols, chunk = table
+    d = tmp_path_factory.mktemp("csv")
+    with mock.patch.object(svgout, "CHUNK_ROWS", chunk):
+        write_csv(d / "got.csv", "t", header, cols)
+    reference_write_csv(d / "want.csv", "t", header, zip(*cols))
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+    if len(cols[0]) == 0:       # rows transposed from an empty list
+        write_csv(d / "none.csv", "t", header, [])
+        assert (d / "none.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 16, 3])
+def test_write_grid_matches_line_loop(tmp_path, chunk):
+    values = np.random.default_rng(5).normal(size=(8, 8)) * 10.0 ** np.arange(-4, 4)
+    values[0, :4] = [np.nan, -0.0, np.inf, -np.inf]
+    values[3, 3] = 5e-324
+    mask = np.random.default_rng(6).integers(0, 3, size=(8, 8)).astype(np.int8)
+    gf = GridFunction(Window((-1.25, 0.1), 2.5), 3, values, mask)
+    with mock.patch.object(svgout, "CHUNK_ROWS", chunk):
+        write_grid(tmp_path / "got.csv", gf)
+    reference_write_grid(tmp_path / "want.csv", gf)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

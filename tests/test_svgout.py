@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from bmoext import cusp, disk, half_plane, intro_lipschitz, l_shape, polygon, slit_disk, square
-from bmoext.svgout import boundary_segments
+from bmoext import (Window, build_whitney, cusp, disk, half_plane, intro_lipschitz, l_shape,
+                    polygon, slit_disk, square, svgout)
+from bmoext.bmo import GridFunction
+from bmoext.svgout import (DECOMPOSITION_PX, SvgCanvas, boundary_segments, draw_boundary,
+                           render_decomposition, render_grid)
+from bmoext.whitney import TAG_DOMAIN
 
 
 def reference_boundary_segments(domain, window, n=256):
@@ -48,3 +54,82 @@ def test_boundary_segments_match_cell_loop(dom):
     assert len(got) == len(want) > 0
     # bit for bit, so the SVG coordinates print the same
     assert np.array_equal(np.array(got).view(np.int64), np.array(want, dtype=float).view(np.int64))
+
+
+def reference_rect(canvas, lower, side, fill, stroke="none", opacity=1.0, stroke_width=0.5):
+    """One square mapped corner by corner through `_xy`."""
+    x, y = canvas._xy((lower[0], lower[1] + side))
+    w = side * canvas.px / canvas.window.size
+    canvas.parts.append(
+        f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{w:.2f}" '
+        f'fill="{fill}" stroke="{stroke}" stroke-width="{stroke_width}" '
+        f'fill-opacity="{opacity}"/>')
+
+
+def reference_render_decomposition(dec, path):
+    """One `reference_rect` per cube, then one per frontier cell."""
+    w = dec.window
+    canvas = SvgCanvas(w, DECOMPOSITION_PX)
+    for tag, level, i, j, _, _ in dec.cubes.tolist():
+        side = w.cell_size(level)
+        lower = (w.origin[0] + i * side, w.origin[1] + j * side)
+        fill = "#7fbf7f" if tag == TAG_DOMAIN else "#7f9fff"
+        reference_rect(canvas, lower, side, fill, stroke="#404040", opacity=0.8,
+                       stroke_width=0.3)
+    side = w.cell_size(dec.max_depth)
+    for _, i, j in dec.frontier.tolist():
+        lower = (w.origin[0] + i * side, w.origin[1] + j * side)
+        reference_rect(canvas, lower, side, "url(#hatch)", opacity=0.9)
+    draw_boundary(canvas, dec.domain)
+    canvas.save(path)
+
+
+SQUARE_HOLE = polygon([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (3, 1), (3, 3), (1, 3)]])
+
+
+@pytest.mark.parametrize("dom", [disk(1.0), slit_disk(1.0, 0.5), cusp(4.0), SQUARE_HOLE],
+                         ids=lambda d: d.label)
+def test_decomposition_svg_matches_rect_loop(tmp_path, dom):
+    dec = build_whitney(dom, dom.default_window, 8)
+    assert len(dec.frontier) > 0
+    with mock.patch.object(svgout, "CHUNK_ROWS", 1000):
+        render_decomposition(dec, tmp_path / "got.svg")
+    reference_render_decomposition(dec, tmp_path / "want.svg")
+    assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
+
+
+def reference_render_grid(gf, domain, path):
+    """The heatmap with one `reference_rect` per block."""
+    canvas = SvgCanvas(gf.window)
+    n = gf.n_cells
+    step = max(1, n // svgout.HEATMAP_BLOCKS)
+    vals = gf.values
+    finite = np.isfinite(vals)
+    lo, hi = np.nanpercentile(vals[finite], [2, 98]) if finite.any() else (0.0, 1.0)
+    span = max(hi - lo, 1e-12)
+    for i in range(0, n, step):
+        for j in range(0, n, step):
+            blk = vals[i:i + step, j:j + step]
+            ok = np.isfinite(blk)
+            if not ok.any():
+                continue
+            v = float(blk[ok].mean())
+            g = int(round(255 * min(max((v - lo) / span, 0.0), 1.0)))
+            lower = (gf.window.origin[0] + i * gf.h, gf.window.origin[1] + j * gf.h)
+            reference_rect(canvas, lower, gf.h * step, f"rgb({g},{128 + g // 2},{255 - g})")
+    if domain is not None:
+        draw_boundary(canvas, domain)
+    canvas.save(path)
+
+
+@pytest.mark.parametrize("blocks", [256, 4])
+def test_grid_svg_matches_rect_loop(tmp_path, blocks):
+    values = np.random.default_rng(2).normal(size=(16, 16))
+    values[:5, :5] = np.nan
+    values[8, 8] = np.inf
+    gf = GridFunction(Window((-1.1, 0.3), 2.5), 4, values, np.ones((16, 16), np.int8))
+    with mock.patch.object(svgout, "HEATMAP_BLOCKS", blocks), \
+            mock.patch.object(svgout, "CHUNK_ROWS", 50):
+        render_grid(gf, disk(1.0), tmp_path / "got.svg")
+        reference_render_grid(gf, disk(1.0), tmp_path / "want.svg")
+    assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
