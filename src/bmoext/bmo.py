@@ -96,6 +96,7 @@ def sample_grid_function(domain: Domain, window: Window, level: int, fn,
     With everywhere=False the values are NaN off the inside cells, which is
     the honest representation for functions only known on the domain.
     """
+    domain.check_window(window)
     mask, _, centers = classify_cells(domain, window, level)
     n = 1 << level
     vals = np.asarray(fn(centers.reshape(-1, 2)), dtype=float).reshape(n, n)
@@ -321,6 +322,7 @@ def qh_distance_field(domain: Domain, a, resolution: float,
     if domain.sd(a) <= 0:
         raise ValueError("source point must lie inside the domain")
     window = window or domain.default_window
+    domain.check_window(window)
     level = resolution_level(resolution)
     if graph is None:
         graph = _field_graph(domain, window, level)

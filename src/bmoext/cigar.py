@@ -18,7 +18,7 @@ import numpy as np
 from .domains import Domain
 from .dyadic import Window
 from .errors import GeometryError, QuadratureError
-from .qhyper import (QUAD_TOL, MetricGraph, Polyline, _refine_path,
+from .qhyper import (EVAL_BUDGET, QUAD_TOL, MetricGraph, Polyline, _refine_paths,
                      build_metric_graph, grid_path, j_distance, qh_length,
                      segment_qh_batch)
 
@@ -89,45 +89,65 @@ def epsilon_from_ab(a: float, b: float) -> float:
     return min(1.0, 1.0 / a, 1.0 / (a * b))
 
 
-def epsilon_upper_bound(domain: Domain, x, y) -> float:
-    """Certified upper bound on the pair's cigar epsilon.
+def epsilon_upper_bound(domain: Domain, x, y) -> np.ndarray:
+    """Certified upper bounds on the cigar epsilon of the pairs (x[i], y[i]).
 
-    Samples the perpendicular bisector (which every joining curve must
-    cross inside the domain), refines around the maximum, and adds a
-    Lipschitz tail bound beyond the sampled reach.
+    Samples each pair's perpendicular bisector (which every joining curve
+    must cross inside the domain), refines around the maximum, and adds a
+    Lipschitz tail bound beyond the sampled reach. All pairs go through
+    each step together, in oracle calls of at most EVAL_BUDGET points; a
+    pair's zoom stops on its own when its bracket closes.
     """
-    x, y, sep = _pair(x, y)
-    dx = max(domain.sd(x), 0.0)
+    x = np.asarray(x, float).reshape(-1, 2)
+    y = np.asarray(y, float).reshape(-1, 2)
+    sep = np.hypot(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1])
+    if not (sep > 0).all():
+        raise ValueError("pair must have distinct endpoints")
+    if not len(x):
+        return np.empty(0)
+    sd_x, sd_y = domain.signed_distance(x), domain.signed_distance(y)
+    dx = np.where(0.0 > sd_x, 0.0, sd_x)        # max(sd(x), 0.0)
     mid = 0.5 * (x + y)
-    u = np.array([-(y - x)[1], (y - x)[0]]) / sep
+    u = np.column_stack([-(y - x)[:, 1], (y - x)[:, 0]]) / sep[:, None]
 
-    reach = max(256.0 * sep, 64.0 * (dx + domain.sd(y) + sep), 8.0)
-    tg = np.geomspace(sep * 1e-3, reach, 160)
-    ts = np.concatenate([-tg[::-1], [0.0], tg])
+    reach = np.maximum(np.maximum(256.0 * sep, 64.0 * (dx + sd_y + sep)), 8.0)
+    tg = np.geomspace(sep * 1e-3, reach, 160, axis=1)
+    ts = np.concatenate([-tg[:, ::-1], np.zeros((len(x), 1)), tg], axis=1)
 
-    def quotient(tvals):
-        z = mid[None, :] + tvals[:, None] * u[None, :]
-        sd = domain.signed_distance(z)
-        rx = np.hypot(z[:, 0] - x[0], z[:, 1] - x[1])
-        ry = np.hypot(z[:, 0] - y[0], z[:, 1] - y[1])
-        q = np.where(sd > 0.0, sd * sep / np.maximum(rx * ry, 1e-300), 0.0)
-        return q
+    def quotient(rows, tvals):
+        z = mid[rows, None, :] + tvals[:, :, None] * u[rows, None, :]
+        step = max(1, EVAL_BUDGET // tvals.shape[1])
+        sd = np.concatenate([domain.signed_distance(z[lo:lo + step].reshape(-1, 2))
+                             for lo in range(0, len(rows), step)]).reshape(tvals.shape)
+        xr, yr, sr = x[rows, None, :], y[rows, None, :], sep[rows, None]
+        rx = np.hypot(z[..., 0] - xr[..., 0], z[..., 1] - xr[..., 1])
+        ry = np.hypot(z[..., 0] - yr[..., 0], z[..., 1] - yr[..., 1])
+        return np.where(sd > 0.0, sd * sr / np.maximum(rx * ry, 1e-300), 0.0)
 
-    q = quotient(ts)
+    rows = np.arange(len(x))
+    q = quotient(rows, ts)
+    q_max = np.zeros(len(x))
     for _ in range(4):
-        k = int(np.argmax(q))
-        lo = ts[max(0, k - 1)]
-        hi = ts[min(len(ts) - 1, k + 1)]
-        if hi <= lo:
+        k, at = np.argmax(q, axis=1), np.arange(len(rows))
+        lo = ts[at, np.maximum(0, k - 1)]
+        hi = ts[at, np.minimum(ts.shape[1] - 1, k + 1)]
+        done = hi <= lo
+        q_max[rows[done]] = q[done].max(axis=1)
+        rows, lo, hi, q = rows[~done], lo[~done], hi[~done], q[~done]
+        if not len(rows):
             break
-        ts = np.linspace(lo, hi, 65)
-        q_new = quotient(ts)
-        best = max(float(q.max()), float(q_new.max()))
-        ts = np.concatenate([ts, [ts[int(np.argmax(q_new))]]])
-        q = np.concatenate([q_new, [best]])
-    s_r = math.hypot(0.5 * sep, reach)
-    tail = (dx + s_r) * sep / s_r ** 2
-    return min(1.0, max(float(q.max()) * CAP_SLACK, tail))
+        ts = np.linspace(lo, hi, 65, axis=1)
+        q_new = quotient(rows, ts)
+        a, b = q.max(axis=1), q_new.max(axis=1)
+        ts = np.column_stack([ts, ts[np.arange(len(rows)), np.argmax(q_new, axis=1)]])
+        q = np.column_stack([q_new, np.where(b > a, b, a)])     # max(a, b)
+    q_max[rows] = q.max(axis=1)
+    caps = []
+    for q_top, d, sp, r in zip((q_max * CAP_SLACK).tolist(), dx.tolist(),
+                               sep.tolist(), reach.tolist()):
+        s_r = math.hypot(0.5 * sp, r)
+        caps.append(min(1.0, max(q_top, (d + s_r) * sp / s_r ** 2)))
+    return np.array(caps)
 
 
 # ---------------------------------------------------------------------------
@@ -298,41 +318,45 @@ def mirror_pairs(domain: Domain, window: Window, delta: float) -> list[PairSampl
 # ---------------------------------------------------------------------------
 # estimators
 
-def _curve_menu(domain: Domain, graph: MetricGraph, p: PairSample):
-    """Candidate curves: the straight segment when it stays inside, the raw
-    grid geodesic, and its shortened refinement, both from one Dijkstra
-    solve and measured to the quadrature tolerance of qh_distance."""
-    curves = []
-    seg = Polyline(np.array([p.x, p.y]))
-    sd = domain.signed_distance(seg.resample(64))
-    if (sd > 0).all():
-        curves.append(seg)
-    try:
-        raw = grid_path(graph, p.x, p.y)
-    except (GeometryError, ValueError):
-        return curves
-    for refine in (False, True):
+def evaluate_pair(domain: Domain, graph: MetricGraph, pairs: list[PairSample]):
+    """Curve evidence on this graph for each pair. Its menu holds the
+    straight segment when it stays inside, the raw grid geodesic and its
+    shortened refinement, each measured to the quadrature tolerance of
+    qh_distance; the grid geodesics come from one Dijkstra solve per pair
+    and are refined together. The menu curve with the best epsilon sets
+    eps_curve, a, b, curve and k_xy; with none the pair is flagged."""
+    if not pairs:
+        return pairs
+    segs = [Polyline(np.array([p.x, p.y])) for p in pairs]
+    sd = domain.signed_distance(np.concatenate([seg.resample(64) for seg in segs]))
+    inside = (sd.reshape(len(pairs), 64) > 0).all(axis=1)
+    menus = [[seg] if ok else [] for seg, ok in zip(segs, inside)]
+    raws = {}
+    for i, p in enumerate(pairs):
         try:
-            pts = _refine_path(domain, raw, graph.h) if refine else raw
-            value, err = qh_length(domain, pts, tol=QUAD_TOL)
-            curves.append(Polyline(pts, qh_value=value, qh_error=err))
+            raws[i] = grid_path(graph, p.x, p.y)
         except (GeometryError, ValueError):
             pass
-    return curves
-
-
-def evaluate_pair(domain: Domain, graph: MetricGraph, p: PairSample):
-    """Curve evidence on this graph: the menu curve with the best epsilon
-    sets eps_curve, a, b, curve and k_xy; with none the pair is flagged."""
-    best = None
-    for curve in _curve_menu(domain, graph, p):
-        try:
-            e, a, b = curve_constants(domain, p.x, p.y, curve)
-        except (GeometryError, ValueError):
+    refined = _refine_paths(domain, list(raws.values()), graph.h)
+    for (i, raw), ref in zip(raws.items(), refined):
+        for pts in (raw, ref):
+            try:
+                value, err = qh_length(domain, pts, tol=QUAD_TOL)
+                menus[i].append(Polyline(pts, qh_value=value, qh_error=err))
+            except (GeometryError, ValueError):
+                pass
+    for p, menu in zip(pairs, menus):
+        best = None
+        for curve in menu:
+            try:
+                e, a, b = curve_constants(domain, p.x, p.y, curve)
+            except (GeometryError, ValueError):
+                continue
+            if best is None or e > best[0]:
+                best = (e, a, b, curve)
+        if best is None:
+            p.flagged = True
             continue
-        if best is None or e > best[0]:
-            best = (e, a, b, curve)
-    if best is not None:
         p.eps_curve, p.a, p.b, p.curve = best
         p.k_xy = best[3].qh_value
         if p.k_xy is None:
@@ -340,9 +364,7 @@ def evaluate_pair(domain: Domain, graph: MetricGraph, p: PairSample):
                 p.k_xy, _ = qh_length(domain, best[3], tol=QUAD_TOL)
             except GeometryError:
                 p.k_xy = None
-    else:
-        p.flagged = True
-    return p
+    return pairs
 
 
 def _monotone_divergence(seq: list[tuple[int, float]]) -> bool:
@@ -365,8 +387,9 @@ def _sample_pairs(domain: Domain, window: Window, delta: float, n_pairs: int,
     pairs = _uniform_pairs(domain, window, delta, n_pairs, rng,
                            SQRT2 * window.size * resolution)
     pairs += mirror_pairs(domain, window, delta)
-    for p in pairs:
-        p.eps_cap = epsilon_upper_bound(domain, p.x, p.y)
+    caps = epsilon_upper_bound(domain, [p.x for p in pairs], [p.y for p in pairs])
+    for p, cap in zip(pairs, caps.tolist()):
+        p.eps_cap = cap
         try:
             p.j_xy = j_distance(domain, p.x, p.y)
         except ValueError:
@@ -379,14 +402,17 @@ def _evaluate_all(domain: Domain, graph: MetricGraph, pairs: list[PairSample]):
     adversarial pairs only at the coarse grid-resolvable scales (enough for
     the envelope offsets)."""
     counts: dict[int, int] = {}
+    chosen = []
     for p in pairs:
-        if p.kind == "uniform":
-            evaluate_pair(domain, graph, p)
-            continue
         k = p.scale_index
-        if k in CURVE_SCALES and counts.get(k, 0) < CURVES_PER_SCALE:
+        if p.kind == "adversarial":
+            if k not in CURVE_SCALES or counts.get(k, 0) >= CURVES_PER_SCALE:
+                continue
             counts[k] = counts.get(k, 0) + 1
-            evaluate_pair(domain, graph, p)
+        chosen.append(p)
+    evaluate_pair(domain, graph, chosen)
+    for p in chosen:
+        if p.kind == "adversarial":
             p.flagged = False   # adversarial pairs never gate the verdict
 
 

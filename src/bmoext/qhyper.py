@@ -96,11 +96,12 @@ def segment_qh_batch(domain: Domain, a, b, rtol: float = 1e-3,
     return vals, errs, valid
 
 
-def _panel_cost(domain: Domain, a, b, floor: float = 0.0):
+def _panel_cost(domain: Domain, a, b, floor=0.0):
     """Cheap fixed-panel midpoint estimate used for candidate comparison.
 
-    valid requires clearance > panel length / 2 at every panel midpoint,
-    which certifies the whole segment stays inside the domain.
+    valid requires clearance > panel length / 2 (and above `floor`, one
+    value or one per segment) at every panel midpoint, which certifies the
+    whole segment stays inside the domain.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -109,7 +110,7 @@ def _panel_cost(domain: Domain, a, b, floor: float = 0.0):
     pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
     sd = domain.signed_distance(pts.reshape(-1, 2)).reshape(len(a), CANDIDATE_PANELS)
     lp = seg_len / CANDIDATE_PANELS
-    ok = (sd > np.maximum(0.5 * lp[:, None], floor)).all(axis=1)
+    ok = (sd > np.maximum(0.5 * lp, floor)[:, None]).all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         est = (lp[:, None] / sd).sum(axis=1)
     est = np.where(seg_len == 0.0, 0.0, est)
@@ -219,10 +220,11 @@ class MetricGraph:
         # breaks ties by cell index
         return int(np.argmin(((self.node_pos - p) ** 2).sum(axis=1)))
 
-    def shortest_paths(self, src: int):
-        """(distances, predecessors) from one node to all nodes."""
+    def shortest_paths(self, src: int, limit: float = np.inf):
+        """(distances, predecessors) from one node to all nodes; nodes
+        farther than `limit` are left unreached (distance inf)."""
         dist, pred = _sp_dijkstra(self.adj, directed=True, indices=src,
-                                  return_predecessors=True)
+                                  return_predecessors=True, limit=limit)
         return dist, pred
 
     def path_nodes(self, pred: np.ndarray, dst: int) -> list[int]:
@@ -297,46 +299,62 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
 # ---------------------------------------------------------------------------
 # geodesic refinement
 
-def _refine_path(domain: Domain, pts: np.ndarray, h: float) -> np.ndarray:
-    """Iterative midpoint/normal perturbation decreasing the qh length.
+def _split_long(p: np.ndarray, max_len: float) -> np.ndarray:
+    """The path with every segment longer than max_len cut into equal parts."""
+    d = np.hypot(*(p[1:] - p[:-1]).T)
+    if (d <= max_len).all():
+        return p
+    out = [p[0]]
+    for k in range(len(p) - 1):
+        if d[k] > max_len:
+            m = int(math.ceil(d[k] / max_len))
+            for t in range(1, m):
+                out.append(p[k] + (p[k + 1] - p[k]) * (t / m))
+        out.append(p[k + 1])
+    return np.asarray(out)
+
+
+def _path_totals(domain: Domain, paths: list, floors: np.ndarray) -> list[float]:
+    """Panel-cost length of each path, inf where a segment is not certified;
+    one oracle call for all of them."""
+    n_seg = np.array([len(p) - 1 for p in paths])
+    v, ok = _panel_cost(domain, np.concatenate([p[:-1] for p in paths]),
+                        np.concatenate([p[1:] for p in paths]),
+                        floor=np.repeat(floors, n_seg))
+    ends = np.cumsum(n_seg)
+    return [math.inf if not ok[e - n:e].all() else float(v[e - n:e].sum())
+            for n, e in zip(n_seg, ends)]
+
+
+def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
+    """Iterative midpoint/normal perturbation decreasing the qh length of
+    each path, all paths in lockstep.
 
     Interior vertices move to the best of a fixed candidate set; alternating
-    parity keeps simultaneous updates independent. Stops when a full round
-    improves the total by less than REFINE_RTOL (relative), or after
-    REFINE_ROUNDS rounds.
+    parity keeps simultaneous updates independent. In each parity pass one
+    _panel_cost call scores the candidates of every live path, both
+    neighbour segments at once. A path stops when a full round improves its
+    total by less than REFINE_RTOL (relative), or after REFINE_ROUNDS
+    rounds; its floor comes from its own extent.
     """
-    pts = np.array(pts, dtype=float)
-    scale = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), h)
-    floor = _SD_FLOOR_FRAC * scale
-
-    def total(p):
-        v, ok = _panel_cost(domain, p[:-1], p[1:], floor=floor)
-        return math.inf if not ok.all() else float(v.sum())
-
-    def split_long(p, max_len):
-        d = np.hypot(*(p[1:] - p[:-1]).T)
-        if (d <= max_len).all():
-            return p
-        out = [p[0]]
-        for k in range(len(p) - 1):
-            if d[k] > max_len:
-                m = int(math.ceil(d[k] / max_len))
-                for t in range(1, m):
-                    out.append(p[k] + (p[k + 1] - p[k]) * (t / m))
-            out.append(p[k + 1])
-        return np.asarray(out)
-
-    pts = split_long(pts, 2.0 * h)
-    prev = total(pts)
+    paths = [np.array(p, dtype=float) for p in paths]
+    if not paths:
+        return []
+    floors = np.array([_SD_FLOOR_FRAC * max(np.ptp(p[:, 0]), np.ptp(p[:, 1]), h)
+                       for p in paths])
+    paths = [_split_long(p, 2.0 * h) for p in paths]
+    live = list(range(len(paths)))
+    prev = _path_totals(domain, paths, floors)
     for _ in range(REFINE_ROUNDS):
         for parity in (1, 0):
-            idx = np.arange(1, len(pts) - 1)
-            idx = idx[idx % 2 == parity]
-            if idx.size == 0:
+            moves = [(k, np.arange(2 - parity, len(paths[k]) - 1, 2)) for k in live
+                     if len(paths[k]) > 3 - parity]
+            if not moves:
                 continue
-            p_prev = pts[idx - 1]
-            p_next = pts[idx + 1]
-            cur = pts[idx]
+            p_prev = np.concatenate([paths[k][idx - 1] for k, idx in moves])
+            p_next = np.concatenate([paths[k][idx + 1] for k, idx in moves])
+            cur = np.concatenate([paths[k][idx] for k, idx in moves])
+            fl = np.repeat(floors[[k for k, _ in moves]], [idx.size for _, idx in moves])
             mid = 0.5 * (p_prev + p_next)
             chord = p_next - p_prev
             clen = np.hypot(chord[:, 0], chord[:, 1])
@@ -357,19 +375,28 @@ def _refine_path(domain: Domain, pts: np.ndarray, h: float) -> np.ndarray:
             a = np.broadcast_to(p_prev, (k_c, m_c, 2)).reshape(-1, 2)
             b = cands.reshape(-1, 2)
             c = np.broadcast_to(p_next, (k_c, m_c, 2)).reshape(-1, 2)
-            v1, ok1 = _panel_cost(domain, a, b, floor=floor)
-            v2, ok2 = _panel_cost(domain, b, c, floor=floor)
-            cost = np.where(ok1 & ok2, v1 + v2, np.inf).reshape(k_c, m_c)
+            v, ok = _panel_cost(domain, np.concatenate([a, b]), np.concatenate([b, c]),
+                                floor=np.tile(fl, 2 * k_c))
+            n = k_c * m_c
+            cost = np.where(ok[:n] & ok[n:], v[:n] + v[n:], np.inf).reshape(k_c, m_c)
             best = np.argmin(cost, axis=0)      # first minimum: 'stay' wins ties
-            pts[idx] = cands[best, np.arange(m_c)]
-        pts = split_long(pts, 2.0 * h)
-        cur_total = total(pts)
-        if not math.isfinite(cur_total) and not math.isfinite(prev):
+            moved = cands[best, np.arange(m_c)]
+            lo = 0
+            for k, idx in moves:
+                paths[k][idx] = moved[lo:lo + idx.size]
+                lo += idx.size
+        for k in live:
+            paths[k] = _split_long(paths[k], 2.0 * h)
+        still = []
+        for k, total in zip(live, _path_totals(domain, [paths[k] for k in live], floors[live])):
+            stuck = not (math.isfinite(total) or math.isfinite(prev[k]))
+            if not stuck and prev[k] - total > REFINE_RTOL * max(abs(total), 1e-12):
+                prev[k] = total
+                still.append(k)
+        live = still
+        if not live:
             break
-        if prev - cur_total <= REFINE_RTOL * max(abs(cur_total), 1e-12):
-            break
-        prev = cur_total
-    return pts
+    return paths
 
 
 def qh_distance(domain: Domain, x, y, resolution: float,
@@ -394,7 +421,7 @@ def qh_distance(domain: Domain, x, y, resolution: float,
 
     pts = grid_path(graph, x, y)
     if refine:
-        pts = _refine_path(domain, pts, graph.h)
+        pts = _refine_paths(domain, [pts], graph.h)[0]
     value, err = qh_length(domain, pts, tol=QUAD_TOL)
     return value, Polyline(pts, qh_value=value, qh_error=err)
 
@@ -407,16 +434,42 @@ def _drop_repeats(pts: np.ndarray) -> np.ndarray:
     return pts[keep] if keep.sum() >= 2 else pts[[0, -1]]
 
 
+def _walk_bound(graph: MetricGraph, src: int, dst: int) -> float:
+    """An upper bound on the graph distance from src to dst: the edge-weight
+    sum of the lattice walk that takes diagonal steps first and straight
+    steps after, times (1 + 1e-9) against rounding in the sums; inf when a
+    node or an edge of that walk is not in the graph."""
+    o = np.asarray(graph.window.origin)
+    (i0, j0), (i1, j1) = np.floor((graph.node_pos[[src, dst]] - o) / graph.h).astype(int)
+    di, dj = i1 - i0, j1 - j0
+    k = np.arange(max(abs(di), abs(dj)) + 1)
+    ii = i0 + np.sign(di) * np.minimum(k, abs(di))
+    jj = j0 + np.sign(dj) * np.minimum(k, abs(dj))
+    nodes = graph.node_grid[ii, jj]
+    if (nodes < 0).any():
+        return math.inf
+    w = np.asarray(graph.adj[nodes[:-1], nodes[1:]]).ravel()
+    if not (w > 0.0).all():
+        return math.inf
+    return float(w.sum()) * (1.0 + 1e-9)
+
+
 def grid_path(graph: MetricGraph, x, y) -> np.ndarray:
     """Vertices of the grid geodesic from x to y: the endpoints joined
-    through their snapped nodes by one Dijkstra solve, repeats dropped."""
+    through their snapped nodes by one Dijkstra solve, repeats dropped. The
+    solve stops at the weight of a lattice walk between the nodes
+    (_walk_bound); if that misses the target it runs again without a
+    limit."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     src = graph.snap(x)
     dst = graph.snap(y)
     if src == dst:
         return _drop_repeats(np.vstack([x, graph.node_pos[src], y]))
-    dist, pred = graph.shortest_paths(src)
+    limit = _walk_bound(graph, src, dst)
+    dist, pred = graph.shortest_paths(src, limit=limit)
+    if not np.isfinite(dist[dst]) and np.isfinite(limit):
+        dist, pred = graph.shortest_paths(src)
     if not np.isfinite(dist[dst]):
         sizes, _ = graph.component_sizes()
         raise DisconnectedGraphError(
@@ -478,7 +531,7 @@ def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
 
     pts = _drop_repeats(np.vstack([x, graph.node_pos[graph.path_nodes(pred, t_star)]]))
     if refine and len(pts) > 2:
-        pts = _refine_path(domain, pts, graph.h)
+        pts = _refine_paths(domain, [pts], graph.h)[0]
     value, err = qh_length(domain, pts, tol=QUAD_TOL)
     return InteriorDistance(value, graph.node_pos[t_star].copy(),
                             Polyline(pts, qh_value=value, qh_error=err),

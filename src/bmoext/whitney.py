@@ -250,8 +250,7 @@ def build_whitney(domain: Domain, window: Window, max_depth: int) -> WhitneyDeco
     then check the invariants."""
     if max_depth > 40 or max_depth < 0:
         raise ValueError("max_depth must be in [0, 40]")
-    if not domain.window_inside_bbox(window):
-        raise ValueError("window must sit inside the domain bounding box")
+    domain.check_window(window)
 
     origin = np.asarray(window.origin)
     corner_off = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -422,3 +422,23 @@ def test_local_oscillation_controls_full_norm(disk1, corpus):
         assert rep.value <= full + 1e-12, name       # fewer cubes, smaller sup
         if full > 0:
             assert full <= 3.0 * rep.value, name     # measured envelope
+
+
+# -- windows outside the bounding box ---------------------------------------
+
+OUTSIDE_BBOX = Window((1.5, 1.5), 1.0)   # disk(1)'s box is [-2, 2]^2
+
+
+def test_sample_grid_function_rejects_window_outside_bbox(disk1):
+    with pytest.raises(ValueError, match="window must sit inside the domain bounding box"):
+        sample_grid_function(disk1, OUTSIDE_BBOX, 4, lambda p: p[:, 0])
+
+
+def test_qh_distance_field_rejects_window_outside_bbox(disk1):
+    with pytest.raises(ValueError, match="window must sit inside the domain bounding box"):
+        qh_distance_field(disk1, (0.0, 0.0), 1 / 16, OUTSIDE_BBOX)
+
+
+def test_dipole_field_rejects_window_outside_bbox(disk1):
+    with pytest.raises(ValueError, match="window must sit inside the domain bounding box"):
+        dipole_field(disk1, (-0.5, 0), (0.5, 0), 1.0, 1.0, 1 / 16, OUTSIDE_BBOX)

@@ -101,7 +101,7 @@ def test_upper_bound_dominates_curve_epsilon(disk1, disk_graph, rng):
             e = curve_constants(disk1, x, y, pl)[0]
         except QuadratureError:
             continue
-        assert epsilon_upper_bound(disk1, x, y) >= e - 1e-9
+        assert epsilon_upper_bound(disk1, [x], [y])[0] >= e - 1e-9
         done += 1
 
 
@@ -115,7 +115,7 @@ def test_slit_tip_pair_arithmetic():
         v = np.array([0.5 + d, -s])
         leg = np.hypot(*(u - tip)) + np.hypot(*(v - tip))
         arith = 2 * s / leg          # length-condition cap via the detour
-        cap = epsilon_upper_bound(dom, u, v)
+        cap = epsilon_upper_bound(dom, [u], [v])[0]
         assert cap <= 3.0 * arith    # certified cap tracks the tip detour
         assert cap < 0.05
 
@@ -283,20 +283,24 @@ def test_reused_pairs_keep_caps_and_leave_earlier_report_unchanged():
 
 
 def test_classify_samples_and_caps_each_pair_once(monkeypatch):
+    # caps are batched, so count the rows capped rather than the calls
     calls = {"mirror": 0, "cap": 0}
+    capped = []
     mirror, cap = cigar.mirror_pairs, cigar.epsilon_upper_bound
 
     def counted_mirror(*args, **kwargs):
         calls["mirror"] += 1
         return mirror(*args, **kwargs)
 
-    def counted_cap(*args, **kwargs):
+    def counted_cap(domain, x, y):
         calls["cap"] += 1
-        return cap(*args, **kwargs)
+        capped.extend(tuple(np.concatenate([a, b])) for a, b in zip(x, y))
+        return cap(domain, x, y)
 
     monkeypatch.setattr(cigar, "mirror_pairs", counted_mirror)
     monkeypatch.setattr(cigar, "epsilon_upper_bound", counted_cap)
     rep = classify(slit_disk(1.0, 0.5), 0.5, 6, 1 / 64, seed=7, window=DISK_WINDOW)
     assert any(p.kind == "adversarial" for p in rep.pairs)
     assert calls["mirror"] == 1
-    assert calls["cap"] == rep.pair_count
+    assert len(capped) == rep.pair_count
+    assert sorted(capped) == sorted(tuple(np.concatenate([p.x, p.y])) for p in rep.pairs)

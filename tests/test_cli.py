@@ -160,6 +160,14 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("usage error: ")
 
 
+def test_missing_csv_function_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nosuch.csv"
+    assert run(["norm", "--domain", "disk:1", f"--function=csv:{missing}",
+                "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "nosuch.csv" in err
+
+
 @pytest.mark.parametrize("cells, width", [(6, 6), (8, 7)])
 def test_read_grid_rejects_malformed_size(tmp_path, cells, width):
     # 6 cells per side is no dyadic grid; 7 entries in rows of an 8-cell grid

@@ -6,7 +6,9 @@ a slab index. The oracle must agree with them bit for bit, and must still
 reject every loop layout that makes its sign meaningless.
 """
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -239,3 +241,47 @@ def test_disjoint_holes_are_accepted():
                                  [(2, 2), (3, 2), (3, 3), (2, 3)]])
     assert dom.sd((2.5, 2.5)) == pytest.approx(-0.5, abs=1e-15)
     assert dom.sd((3.5, 0.5)) == pytest.approx(0.5, abs=1e-15)
+
+
+def _edge_probes(loops):
+    """Every vertex, points along every edge, lattice points that share the
+    vertex coordinates, points near 1e200 whose squared distances overflow,
+    and points within about 1e-170 of an edge, whose squares underflow."""
+    verts = np.concatenate([np.asarray(lp, dtype=float) for lp in loops])
+    ends = np.concatenate([np.roll(np.asarray(lp, dtype=float), -1, axis=0) for lp in loops])
+    t = np.linspace(0.0, 1.0, 7)[:, None, None]
+    on_edges = (verts + t * (ends - verts)).reshape(-1, 2)
+    xs, ys = np.unique(verts[:, 0]), np.unique(verts[:, 1])
+    lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), -1).reshape(-1, 2)
+    far = np.array([[1e200, 0.5], [-3e200, 2e200], [0.5, -1e200], [7e199, 7e199],
+                    [1e200, verts[0, 1]], [verts[0, 0], 1e200]])
+    d = ends - verts
+    normal = np.column_stack([-d[:, 1], d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    mids = 0.5 * (verts + ends)
+    near = np.concatenate([mids + s * normal for s in (1e-170, -3e-171, 1e-200, 1e-310)])
+    return np.concatenate([verts, on_edges, lattice, far, near, verts + 1e-170])
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_oracle_edge_cases_bitwise_and_quiet(name):
+    loops, dom = CASES[name]
+    pts = _edge_probes(loops)
+    want = reference_sd(loops, pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = dom.signed_distance(pts)
+    assert np.array_equal(got, want)
+
+
+def test_oracle_when_subnormal_squares_misorder_edges():
+    # near the corner of a tiny triangle, the offset to the bottom edge is
+    # (0, b) and to the diagonal about (c, -c), with b^2 = 1.4 and c^2 = 0.6
+    # subnormal units: the squares round to 1 and 1 + 1 units, so the
+    # diagonal, the nearer edge, has the larger squared distance
+    unit = 2.0 ** -537                       # squares to 2^-1074
+    b, c = math.sqrt(1.4) * unit, math.sqrt(0.6) * unit
+    tri = [(0.0, 0.0), (1e-150, 0.0), (1e-150, 1e-150)]
+    pts = np.array([[b + 2 * c, b]])
+    want = reference_sd([tri], pts)
+    assert 0 < want[0] < 0.95 * b
+    assert np.array_equal(polygon(tri).signed_distance(pts), want)

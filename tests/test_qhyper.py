@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from bmoext import (Polyline, Window, polygon, qh_distance, qh_length, qhyper,
-                    slit_disk)
+from bmoext import (Polyline, Window, l_shape, polygon, qh_distance, qh_length,
+                    qhyper, slit_disk)
 from bmoext.errors import (DisconnectedGraphError, EmptyInteriorError,
                            QuadratureError)
 from bmoext.qhyper import (build_metric_graph, eta_lambda, j_distance,
@@ -340,3 +340,91 @@ def test_segment_values_do_not_depend_on_the_budget(disk1, monkeypatch):
     assert max(sizes) == 1024
     for w, v in zip(want, got):
         assert np.array_equal(w, v)
+
+
+# -- bounded grid solves -------------------------------------------------------
+
+def unlimited_grid_path(graph, x, y):
+    """grid_path from one full single-source solve."""
+    src, dst = graph.snap(x), graph.snap(y)
+    _, pred = graph.shortest_paths(src)
+    return qhyper._drop_repeats(
+        np.vstack([x, graph.node_pos[graph.path_nodes(pred, dst)], y]))
+
+
+def _random_pairs(dom, graph, n, seed):
+    rng = np.random.default_rng(seed)
+    w, out = graph.window, []
+    while len(out) < n:
+        x, y = np.asarray(w.origin) + rng.uniform(0.0, w.size, size=(2, 2))
+        if dom.sd(x) > 2 * graph.h and dom.sd(y) > 2 * graph.h:
+            out.append((x, y))
+    return out
+
+
+def _assert_bounded_paths_match(graph, pairs):
+    bounded = 0
+    for x, y in pairs:
+        src, dst = graph.snap(x), graph.snap(y)
+        bounded += math.isfinite(qhyper._walk_bound(graph, src, dst))
+        assert np.array_equal(qhyper.grid_path(graph, x, y), unlimited_grid_path(graph, x, y))
+    return bounded
+
+
+def test_bounded_solve_on_the_symmetric_disk_diameter(disk_graph):
+    x, y = np.array([-0.9, 0.0]), np.array([0.9, 0.0])
+    assert _assert_bounded_paths_match(disk_graph, [(x, y), (y, x)]) == 2
+
+
+def test_bounded_solve_on_the_half_plane(hp, hp_graph):
+    pairs = [(np.array([0.0, 1.0]), np.array([0.0, 3.5])),
+             (np.array([-1.5, 0.2]), np.array([1.5, 0.2]))] + _random_pairs(hp, hp_graph, 8, 1)
+    assert _assert_bounded_paths_match(hp_graph, pairs) == len(pairs)
+
+
+@pytest.mark.parametrize("dom", [l_shape(), slit_disk(1.0, 0.5)], ids=["l_shape", "slit_disk"])
+def test_bounded_solve_on_seeded_pairs(dom):
+    graph = build_metric_graph(dom, dom.default_window, 1 / 128)
+    pairs = _random_pairs(dom, graph, 16, 5)
+    assert _assert_bounded_paths_match(graph, pairs) > 0
+
+
+SQUARE_WITH_HOLE = polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)],
+                           holes=[[(-0.4, -0.4), (0.4, -0.4), (0.4, 0.4), (-0.4, 0.4)]])
+
+
+@pytest.mark.parametrize("dom, x, y", [
+    (slit_disk(1.0, 0.5), (0.75, 0.2), (0.75, -0.2)),
+    (SQUARE_WITH_HOLE, (-0.7, 0.0), (0.7, 0.0)),
+], ids=["slit", "square_hole"])
+def test_walk_across_the_boundary_solves_in_full(dom, x, y, monkeypatch):
+    graph = build_metric_graph(dom, dom.default_window, 1 / 64)
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    assert qhyper._walk_bound(graph, graph.snap(x), graph.snap(y)) == math.inf
+    limits = []
+    solve = qhyper.MetricGraph.shortest_paths
+
+    def counted(self, src, limit=np.inf):
+        limits.append(limit)
+        return solve(self, src, limit=limit)
+
+    monkeypatch.setattr(qhyper.MetricGraph, "shortest_paths", counted)
+    got = qhyper.grid_path(graph, x, y)
+    assert limits == [np.inf]
+    assert np.array_equal(got, unlimited_grid_path(graph, x, y))
+
+
+def test_bound_that_misses_the_target_solves_again(disk_graph, monkeypatch):
+    x, y = np.array([-0.6, 0.3]), np.array([0.5, -0.4])
+    want = unlimited_grid_path(disk_graph, x, y)
+    limits = []
+    solve = qhyper.MetricGraph.shortest_paths
+
+    def counted(self, src, limit=np.inf):
+        limits.append(limit)
+        return solve(self, src, limit=limit)
+
+    monkeypatch.setattr(qhyper.MetricGraph, "shortest_paths", counted)
+    monkeypatch.setattr(qhyper, "_walk_bound", lambda graph, src, dst: 0.5)
+    assert np.array_equal(qhyper.grid_path(disk_graph, x, y), want)
+    assert limits == [0.5, np.inf]
