@@ -142,6 +142,8 @@ def epsilon_upper_bound(domain: Domain, x, y) -> np.ndarray:
         ts = np.column_stack([ts, ts[np.arange(len(rows)), np.argmax(q_new, axis=1)]])
         q = np.column_stack([q_new, np.where(b > a, b, a)])     # max(a, b)
     q_max[rows] = q.max(axis=1)
+    # the tail with math.hypot and Python floats, as the one-pair cap had
+    # it: np.hypot can differ from math.hypot in the last bit
     caps = []
     for q_top, d, sp, r in zip((q_max * CAP_SLACK).tolist(), dx.tolist(),
                                sep.tolist(), reach.tolist()):

@@ -102,9 +102,12 @@ _NEAR = 1.0 + 2.0 ** -40
 _TINY = np.finfo(float).tiny
 
 
-def _edge_columns(seg_a: np.ndarray, seg_b: np.ndarray) -> tuple:
-    """The constants of segments a -> b as read-only (E, 1) columns: start
-    x, y, direction x, y and squared length (at least 1e-300)."""
+def _edge_columns(loops: list[np.ndarray]) -> tuple:
+    """The constants of the edges of a set of loops as read-only (E, 1)
+    columns: start x, y, direction x, y and squared length (at least
+    1e-300)."""
+    seg_a = np.concatenate(loops)
+    seg_b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
     ax, ay = seg_a[:, 0:1].copy(), seg_a[:, 1:2].copy()
     abx, aby = seg_b[:, 0:1] - ax, seg_b[:, 1:2] - ay
     den = np.maximum(abx * abx + aby * aby, 1e-300)
@@ -130,9 +133,10 @@ def _segment_distances(pts: np.ndarray, edges: tuple) -> np.ndarray:
     ulps of the exact length. So an edge with q > m * (1 + 2^-40) has an
     exact squared length above the nearest edge's by a factor of more than
     1 + 2^-41, and its hypot exceeds the nearest edge's hypot. Points with
-    a second edge within that margin, or whose m is not a normal number
-    (zero, subnormal, or a NaN coordinate), take the hypot minimum over
-    all edges; a margin that overflows puts every edge within it.
+    exactly two edges within that margin take the smaller of their two
+    hypots; points with more, or whose m is not a normal number (zero,
+    subnormal, or a NaN coordinate), take the hypot minimum over all edges.
+    A margin that overflows puts every edge within it.
     """
     ax, ay, abx, aby, den = edges
     n_edges = len(ax)
@@ -144,7 +148,7 @@ def _segment_distances(pts: np.ndarray, edges: tuple) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         for lo in range(0, len(pts), step):
             px, py = pts[lo:lo + step, 0], pts[lo:lo + step, 1]
-            # the expressions of the point-major kernel, computed in place
+            # the reference kernel's expressions (tests/test_polygon_oracle.py), in place
             apx, apy = px - ax, py - ay
             t = apx * abx
             t += np.multiply(apy, aby, out=apy)
@@ -276,8 +280,8 @@ def _validate_loop(loop: np.ndarray, name: str):
 
 def _touching(p: np.ndarray, q: np.ndarray) -> bool:
     """Whether a vertex of either loop lies exactly on an edge of the other."""
-    return bool((_segment_distances(p, _edge_columns(q, np.roll(q, -1, axis=0))) == 0.0).any()
-                or (_segment_distances(q, _edge_columns(p, np.roll(p, -1, axis=0))) == 0.0).any())
+    return bool((_segment_distances(p, _edge_columns([q])) == 0.0).any()
+                or (_segment_distances(q, _edge_columns([p])) == 0.0).any())
 
 
 def _validate_holes(loops: list[np.ndarray]):
@@ -297,7 +301,7 @@ def _validate_holes(loops: list[np.ndarray]):
     hole_verts, hole_of = np.concatenate(loops[1:]), owner[sizes[0]:]
     for h in range(1, len(loops)):
         hole = loops[h]
-        on = _segment_distances(hole_verts, _edge_columns(hole, np.roll(hole, -1, axis=0))) == 0.0
+        on = _segment_distances(hole_verts, _edge_columns([hole])) == 0.0
         hit = (_crossings_parity(hole_verts, _slab_index([hole])) | on) & (hole_of != h)
         if hit.any():
             raise PolygonError(
@@ -325,8 +329,7 @@ def polygon(outer, holes=(), label: str = "polygon") -> Domain:
     if holes:
         _validate_holes(loops)
 
-    edges = _edge_columns(np.concatenate(loops),
-                          np.concatenate([np.roll(lp, -1, axis=0) for lp in loops]))
+    edges = _edge_columns(loops)
     index = _slab_index(loops)
 
     def sd(pts):

@@ -363,10 +363,15 @@ def _random_pairs(dom, graph, n, seed):
 
 
 def _assert_bounded_paths_match(graph, pairs):
+    """The bounded solve gives the unlimited solve's path, and a finite walk
+    bound is at least the graph distance; returns how many were finite."""
     bounded = 0
     for x, y in pairs:
         src, dst = graph.snap(x), graph.snap(y)
-        bounded += math.isfinite(qhyper._walk_bound(graph, src, dst))
+        bound = qhyper._walk_bound(graph, src, dst)
+        if math.isfinite(bound):
+            bounded += 1
+            assert bound >= graph.shortest_paths(src)[0][dst]
         assert np.array_equal(qhyper.grid_path(graph, x, y), unlimited_grid_path(graph, x, y))
     return bounded
 
