@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain
-from .dyadic import DyadicCube, SQRT_N, Window, level_cell_centers, resolution_level
+from .dyadic import DyadicCube, SQRT_N, Window, grid_centers, resolution_level
 from .errors import DisconnectedGraphError
 from .qhyper import MetricGraph, build_metric_graph, segment_qh_batch
 
@@ -64,9 +64,6 @@ class GridFunction:
             return self.mask[block] != MASK_STRADDLING
         raise ValueError("cells must be 'inside' or 'defined'")
 
-    def copy_with(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.window, self.level, values, self.mask.copy())
-
     def block(self, q: DyadicCube):
         if q.window != self.window:
             raise ValueError("cube and grid live in different windows")
@@ -79,8 +76,7 @@ class GridFunction:
 
 def classify_cells(domain: Domain, window: Window, level: int):
     n = 1 << level
-    ij = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"), axis=-1)
-    centers = level_cell_centers(window, level, ij.reshape(-1, 2))
+    centers = grid_centers(window, level)
     sd = domain.signed_distance(centers).reshape(n, n)
     half_diag = 0.5 * SQRT_N * window.cell_size(level)
     mask = np.full((n, n), MASK_STRADDLING, dtype=np.int8)
@@ -108,26 +104,13 @@ def sample_grid_function(domain: Domain, window: Window, level: int, fn,
 # ---------------------------------------------------------------------------
 # cube averages
 
-def _inside_values(f: GridFunction, q: DyadicCube) -> np.ndarray:
-    """Values of the inside cells of the cube, in row-major order."""
+def cube_average(f: GridFunction, q: DyadicCube) -> float:
+    """Mean over the inside cells of the cube, exactly-rounded summation."""
     block = f.block(q)
     vals = f.values[block][f.counted("inside", block)]
     if vals.size == 0:
         raise ValueError(f"cube ({q.level}, {q.coords}) has no counted cells")
-    return vals
-
-
-def cube_average(f: GridFunction, q: DyadicCube) -> float:
-    """Mean over the inside cells of the cube, exactly-rounded summation."""
-    vals = _inside_values(f, q)
     return math.fsum(vals.tolist()) / vals.size
-
-
-def cube_oscillation(f: GridFunction, q: DyadicCube) -> float:
-    """Mean absolute deviation from the cube average."""
-    vals = _inside_values(f, q)
-    avg = math.fsum(vals.tolist()) / vals.size
-    return math.fsum(np.abs(vals - avg).tolist()) / vals.size
 
 
 def _level_stats(f: GridFunction, level: int, cells: str):
@@ -160,9 +143,7 @@ def _contained_mask(f: GridFunction, domain: Domain | None, level: int,
     nb = 1 << level
     if domain is None:
         return np.ones((nb, nb), dtype=bool)
-    ij = np.stack(np.meshgrid(np.arange(nb), np.arange(nb), indexing="ij"), axis=-1)
-    centers = level_cell_centers(f.window, level, ij.reshape(-1, 2))
-    sd = domain.signed_distance(centers).reshape(nb, nb)
+    sd = domain.signed_distance(grid_centers(f.window, level)).reshape(nb, nb)
     side = f.window.cell_size(level)
     return sd >= margin_factor * side - 1e-12 * f.window.size
 
@@ -192,71 +173,52 @@ def require_defined(f: GridFunction, cells: str):
                          "the function is not defined on the requested cells")
 
 
-def _sweep(f: GridFunction, domain: Domain | None, lam: float | None,
-           cells: str, margin_factor: float = 0.5 * SQRT_N):
-    """Dyadic sweep returning the oscillation and |average| envelopes split
-    at sidelength lam (lam None: oscillation over every scale)."""
+def _norm_report(f: GridFunction, domain: Domain | None, lam: float | None,
+                 margin_factor: float = 0.5 * SQRT_N,
+                 surrogate: bool = False) -> NormReport:
+    """Dyadic sweep: the oscillation supremum below sidelength lam and the
+    |average| supremum at and above it, over the cubes inside the domain
+    (all window cubes when domain is None); lam None sweeps the oscillation
+    over every scale. Over SWEEP_BUDGET cubes, every other level is swept."""
+    if lam is not None and not lam > 0:
+        raise ValueError("lam must be positive")
+    cells = "inside" if domain is not None else "defined"
+    require_defined(f, cells)
     levels = list(range(0, f.level + 1))
-    total_cubes = sum(4 ** l for l in levels)
-    subsampled = False
-    if total_cubes > SWEEP_BUDGET:
+    subsampled = sum(4 ** l for l in levels) > SWEEP_BUDGET
+    if subsampled:
         levels = levels[::2] + [f.level]
-        subsampled = True
 
-    small_best = (-math.inf, None)
-    large_best = (-math.inf, None)
-    any_large = False
-    any_cube = False
+    # (value, (level, i, j)) of the first largest cube below lam, then at or above it
+    best = [(-math.inf, None), (-math.inf, None)]
     for lvl in levels:
-        side = f.window.cell_size(lvl)
         means, osc, counts = _level_stats(f, lvl, cells)
         inside = _contained_mask(f, domain, lvl, margin_factor) & (counts > 0)
         if not inside.any():
             continue
-        any_cube = True
-        if lam is None or side < lam:
-            cand = np.where(inside, osc, -math.inf)
-            pos = np.unravel_index(np.argmax(cand), cand.shape)
-            if cand[pos] > small_best[0]:
-                small_best = (float(cand[pos]), (lvl, int(pos[0]), int(pos[1])))
-        if lam is not None and side >= lam:
-            any_large = True
-            cand = np.where(inside, np.abs(means), -math.inf)
-            pos = np.unravel_index(np.argmax(cand), cand.shape)
-            if cand[pos] > large_best[0]:
-                large_best = (float(cand[pos]), (lvl, int(pos[0]), int(pos[1])))
-    small = max(small_best[0], 0.0) if small_best[1] is not None else 0.0
-    large = max(large_best[0], 0.0) if large_best[1] is not None else 0.0
-    return (small, small_best[1], large, large_best[1], any_large, any_cube,
-            subsampled)
+        large = lam is not None and f.window.cell_size(lvl) >= lam
+        cand = np.where(inside, np.abs(means) if large else osc, -math.inf)
+        pos = np.unravel_index(np.argmax(cand), cand.shape)
+        if cand[pos] > best[large][0]:
+            best[large] = (float(cand[pos]), (lvl, int(pos[0]), int(pos[1])))
+    (small, s_at), (large, l_at) = [(max(v, 0.0), at) for v, at in best]
+    return NormReport(max(small, large), small, large, lam,
+                      s_at if small >= large else l_at, s_at, l_at,
+                      degenerate=lam is not None and l_at is None,
+                      excluded_volume_fraction=f.straddling_fraction,
+                      subsampled=subsampled, surrogate=surrogate)
 
 
 def bmo_lambda_norm(f: GridFunction, domain: Domain | None, lam: float) -> NormReport:
     """Scale-lambda norm: oscillation below the scale, absolute averages at
     and above it, both over dyadic cubes inside the domain (all window cubes
     when domain is None). Degenerate when no counted cube reaches the scale."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    cells = "inside" if domain is not None else "defined"
-    require_defined(f, cells)
-    small, s_at, large, l_at, any_large, any_cube, subs = _sweep(f, domain, lam, cells)
-    degenerate = not any_large
-    value = max(small, large)
-    attaining = s_at if small >= large else l_at
-    return NormReport(value, small, large, lam, attaining, s_at, l_at,
-                      degenerate=degenerate,
-                      excluded_volume_fraction=f.straddling_fraction,
-                      subsampled=subs)
+    return _norm_report(f, domain, lam)
 
 
 def bmo_homogeneous_norm(f: GridFunction, domain: Domain | None) -> NormReport:
     """Oscillation supremum over every dyadic cube inside the domain."""
-    cells = "inside" if domain is not None else "defined"
-    require_defined(f, cells)
-    small, s_at, _, _, _, _, subs = _sweep(f, domain, None, cells)
-    return NormReport(small, small, 0.0, None, s_at, s_at, None,
-                      excluded_volume_fraction=f.straddling_fraction,
-                      subsampled=subs)
+    return _norm_report(f, domain, None)
 
 
 def bmo_local_norm(f: GridFunction, domain: Domain) -> NormReport:
@@ -264,12 +226,7 @@ def bmo_local_norm(f: GridFunction, domain: Domain) -> NormReport:
     inside the domain: the cube surrogate of the ball-based local seminorm
     (doubles in place of doubled balls; constants differ only by dimensional
     factors). Reports carry surrogate=True."""
-    require_defined(f, "inside")
-    small, s_at, _, _, _, _, subs = _sweep(f, domain, None, "inside",
-                                           margin_factor=SQRT_N)
-    return NormReport(small, small, 0.0, None, s_at, s_at, None,
-                      excluded_volume_fraction=f.straddling_fraction,
-                      subsampled=subs, surrogate=True)
+    return _norm_report(f, domain, None, margin_factor=SQRT_N, surrogate=True)
 
 
 def dyadic_abc_norm(f: GridFunction, lam: float) -> NormReport:
@@ -399,14 +356,6 @@ def whitney_cellwise_field(dec, grid_level: int, rng) -> GridFunction:
 # ---------------------------------------------------------------------------
 # average growth and gap checks
 
-def _cube_means_lookup(f: GridFunction, levels):
-    out = {}
-    for lvl in sorted(set(levels)):
-        means, _, counts = _level_stats(f, lvl, "inside")
-        out[lvl] = (means, counts)
-    return out
-
-
 def _domain_cube_means(f: GridFunction, dec):
     """Mean of f over each domain Whitney cube no finer than the grid; NaN
     for the other cubes and for cubes without inside cells."""
@@ -415,7 +364,8 @@ def _domain_cube_means(f: GridFunction, dec):
     c = dec.cubes
     out = np.full(len(c), np.nan)
     rows = np.flatnonzero((c["tag"] == TAG_DOMAIN) & (c["level"] <= f.level))
-    for lvl, (means, counts) in _cube_means_lookup(f, c["level"][rows]).items():
+    for lvl in np.unique(c["level"][rows]).tolist():
+        means, _, counts = _level_stats(f, lvl, "inside")
         k = rows[c["level"][rows] == lvl]
         i, j = c["i"][k], c["j"][k]
         ok = counts[i, j] > 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import Domain
-from .dyadic import Window
+from .dyadic import Window, grid_centers
 from .errors import GeometryError, QuadratureError
 from .qhyper import (EVAL_BUDGET, QUAD_TOL, MetricGraph, Polyline, _refine_paths,
                      build_metric_graph, grid_path, j_distance, qh_length,
@@ -267,9 +267,7 @@ def mirror_pairs(domain: Domain, window: Window, delta: float) -> list[PairSampl
     geometrically and later rounds zoom onto the regions that produced
     small certified caps."""
     spacing = window.size / 128.0
-    g = np.arange(128) + 0.5
-    seeds = np.asarray(window.origin) + spacing * np.stack(
-        np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    seeds = grid_centers(window, 7)         # centers of the cells of side spacing
     pairs: list[PairSample] = []
     hot: list[np.ndarray] = []
 
@@ -430,6 +428,8 @@ def estimate_epsilon_delta(domain: Domain, delta: float, n_pairs: int,
     domain, window and delta), it copies them with their caps and
     j-distances and measures only their curve evidence on this graph;
     n_pairs and seed then go unused."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     window = window or domain.default_window
@@ -566,9 +566,7 @@ def classify(domain: Domain, delta: float, budget: int, resolution: float,
     window = window or domain.default_window
     runs = []
     for res in (resolution, resolution / 2.0):
-        graph = build_metric_graph(domain, window, res)
-        runs.append(estimate_epsilon_delta(domain, delta, budget, res, seed,
-                                           window=window, graph=graph,
+        runs.append(estimate_epsilon_delta(domain, delta, budget, res, seed, window=window,
                                            pairs=runs[0].pairs if runs else None))
 
     fine = runs[1]

@@ -154,12 +154,10 @@ def read_grid(path) -> bmo.GridFunction:
 # argument parsing helpers
 
 def _parse_resolution(text: str) -> float:
-    frac = Fraction(text)
-    num, den = frac.numerator, frac.denominator
-    if num != 1 or den & (den - 1):
-        raise argparse.ArgumentTypeError(
-            f"resolution must be 1/2^k, got {text}")
-    return float(frac)
+    try:
+        return 2.0 ** -resolution_level(float(Fraction(text)))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"resolution must be 1/2^k, got {text}") from exc
 
 
 def _parse_window(text: str) -> Window:
@@ -226,7 +224,7 @@ def _make_function(spec: str, domain, window, resolution, seed):
 def cmd_decompose(args, out: Path):
     domain = _load_domain(args.domain)
     window = args.window or domain.default_window
-    depth = args.max_depth or resolution_level(args.resolution)
+    depth = resolution_level(args.resolution) if args.max_depth is None else args.max_depth
     dec = build_whitney(domain, window, depth)
     c, fr = dec.cubes, dec.frontier
     level = np.concatenate([c["level"], fr[:, 0]])
@@ -326,7 +324,7 @@ def cmd_norm(args, out: Path):
 def cmd_extend(args, out: Path):
     domain = _load_domain(args.domain)
     window = args.window or domain.default_window
-    depth = args.max_depth or resolution_level(args.resolution)
+    depth = resolution_level(args.resolution) if args.max_depth is None else args.max_depth
     dec = build_whitney(domain, window, depth)
     f = _make_function(args.function, domain, window, args.resolution, args.seed)
     with warnings.catch_warnings():

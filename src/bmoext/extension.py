@@ -81,21 +81,19 @@ class ExtensionResult:
     zero_region: np.ndarray
     failed: np.ndarray
     frontier_filled: int
-    input_report: NormReport | None = None
-    output_report: NormReport | None = None
+    input_report: NormReport
+    output_report: NormReport
 
     @property
     def input_norm(self):
-        return self.input_report.value if self.input_report else math.nan
+        return self.input_report.value
 
     @property
     def output_norm(self):
-        return self.output_report.value if self.output_report else math.nan
+        return self.output_report.value
 
     @property
     def ratio(self):
-        if self.input_report is None or self.output_report is None:
-            return None
         if self.input_norm <= 0:
             return None
         return self.output_norm / self.input_norm
@@ -177,10 +175,10 @@ def plan_extension(dec: WhitneyDecomposition, mask, lam: float, epsilon: float,
                          keys[zero], keys[subcell], keys[failed], int(need.sum()))
 
 
-def extend(f: GridFunction, plan: ExtensionPlan,
-           compute_norms: bool = True) -> ExtensionResult:
+def extend(f: GridFunction, plan: ExtensionPlan) -> ExtensionResult:
     """Apply the plan to f: keep f on inside cells and give every planned
-    cell zero or the mean of f over its matched domain cube."""
+    cell zero or the mean of f over its matched domain cube. The result
+    carries the scale-lam norms of f on the domain and of the extension."""
     if (f.window != plan.window or f.level != plan.level
             or not np.array_equal(f.mask, plan.mask)):
         raise ValueError("grid function and plan differ in window, level or mask")
@@ -189,10 +187,9 @@ def extend(f: GridFunction, plan: ExtensionPlan,
     vals = np.where(plan.source < 0, own, table[plan.source])
 
     out = GridFunction(f.window, f.level, vals, f.mask.copy())
-    reports = ((bmo_lambda_norm(f, plan.domain, plan.lam),
-                bmo_lambda_norm(out, None, plan.lam)) if compute_norms else ())
     return ExtensionResult(out, plan.assignment, plan.zero_region, plan.failed,
-                           plan.frontier_filled, *reports)
+                           plan.frontier_filled, bmo_lambda_norm(f, plan.domain, plan.lam),
+                           bmo_lambda_norm(out, None, plan.lam))
 
 
 # ---------------------------------------------------------------------------

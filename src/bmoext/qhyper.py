@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sp_dijkstra
 
 from .domains import Domain
-from .dyadic import Window, resolution_level
+from .dyadic import Window, grid_centers, resolution_level
 from .errors import DisconnectedGraphError, EmptyInteriorError, QuadratureError
 
 _SD_FLOOR_FRAC = 1e-12  # of the window side: below this the integrand is unbounded
@@ -251,11 +251,7 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
         raise ValueError(f"graph resolution must be 1/2^k with 1 <= k <= 14, got {resolution}")
     n = 1 << level
     h = window.cell_size(level)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    centers = np.column_stack([
-        window.origin[0] + (ii.ravel() + 0.5) * h,
-        window.origin[1] + (jj.ravel() + 0.5) * h,
-    ])
+    centers = grid_centers(window, level)
     sd = domain.signed_distance(centers)
     is_node = sd > node_margin * h
     node_grid = np.full((n, n), -1, dtype=np.int64)

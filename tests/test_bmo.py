@@ -1,16 +1,20 @@
+import dataclasses
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bmoext import Window, disk
-from bmoext.bmo import (MASK_INSIDE, _cube_means_lookup, adjacent_average_gap,
-                        bmo_homogeneous_norm, bmo_lambda_norm, cube_average,
-                        cube_oscillation, dipole_field, dyadic_abc_norm,
+from bmoext import Window, bmo, disk, l_shape, slit_disk
+from bmoext.bmo import (MASK_INSIDE, GridFunction, NormReport, adjacent_average_gap,
+                        bmo_homogeneous_norm, bmo_lambda_norm, bmo_local_norm, cube_average,
+                        dipole_field, dyadic_abc_norm,
                         log_growth_ratio, qh_distance_field,
                         log_plus, sample_grid_function, whitney_cellwise_field,
-                        _field_graph)
-from bmoext.dyadic import DyadicCube
+                        _field_graph, _level_stats)
+from bmoext.dyadic import SQRT_N, DyadicCube, level_cell_centers
 from bmoext.qhyper import qh_distance
 from bmoext.whitney import TAG_DOMAIN, build_whitney
 from tests.conftest import DISK_WINDOW
@@ -38,6 +42,20 @@ def corpus(disk1, disk_dec, field_graph):
         ("cellwise", whitney_cellwise_field(disk_dec, 8, rng)),
         ("linear", sample_grid_function(disk1, DISK_WINDOW, 8, lambda p: p[:, 1])),
     ]
+
+
+def with_values(f, values):
+    return GridFunction(f.window, f.level, values, f.mask.copy())
+
+
+def level_oscillation(f, q):
+    """The oscillation over the inside cells of q that the norm sweeps use."""
+    return float(_level_stats(f, q.level, "inside")[1][q.coords])
+
+
+def cube_means_lookup(f, levels):
+    """(means, counts) over the dyadic cubes of each level."""
+    return {lvl: _level_stats(f, lvl, "inside")[::2] for lvl in sorted(set(levels))}
 
 
 # -- independent summation oracle --------------------------------------------
@@ -71,7 +89,7 @@ def test_cube_average_const(disk1):
     f = sample_grid_function(disk1, DISK_WINDOW, 8, lambda p: np.full(len(p), 5.0))
     q = DyadicCube(3, (3, 3), DISK_WINDOW)
     assert cube_average(f, q) == 5.0
-    assert cube_oscillation(f, q) == 0.0
+    assert level_oscillation(f, q) == pytest.approx(0.0, rel=1e-12)
 
 
 def test_cube_average_linear_is_center(disk1):
@@ -92,7 +110,7 @@ def test_cube_average_matches_summation_exactly(disk1, rng):
         except ValueError:
             continue
         assert got == oracle_average(f, q)          # bit-identical
-        assert cube_oscillation(f, q) == oracle_oscillation(f, q)
+        assert level_oscillation(f, q) == pytest.approx(oracle_oscillation(f, q), rel=1e-12)
 
 
 def test_oscillation_two_level_split(disk1):
@@ -104,7 +122,7 @@ def test_oscillation_two_level_split(disk1):
         return np.where(p[:, 0] > mid, 1.0, -1.0)
 
     f = sample_grid_function(disk1, DISK_WINDOW, 8, fn)
-    assert cube_oscillation(f, q) == pytest.approx(1.0, abs=1e-12)
+    assert level_oscillation(f, q) == pytest.approx(1.0, rel=1e-12)
 
 
 # -- norms ---------------------------------------------------------------
@@ -142,7 +160,7 @@ def test_bmo_homogeneous_jump_function(disk1):
 def test_translation_invariance(disk1):
     f = sample_grid_function(disk1, DISK_WINDOW, 8,
                              lambda p: np.sin(2 * p[:, 0] * p[:, 1]))
-    g = f.copy_with(f.values + 7.25)
+    g = with_values(f, f.values + 7.25)
     a = bmo_homogeneous_norm(f, disk1).value
     b = bmo_homogeneous_norm(g, disk1).value
     assert b == pytest.approx(a, abs=1e-12)
@@ -151,7 +169,7 @@ def test_translation_invariance(disk1):
 def test_absolute_homogeneity(disk1):
     f = sample_grid_function(disk1, DISK_WINDOW, 8,
                              lambda p: np.cos(4 * p[:, 0]) * p[:, 1])
-    doubled = f.copy_with(2.0 * f.values)     # power of two: exact scaling
+    doubled = with_values(f, 2.0 * f.values)     # power of two: exact scaling
     assert bmo_homogeneous_norm(doubled, disk1).value == \
         2.0 * bmo_homogeneous_norm(f, disk1).value
     rep = bmo_lambda_norm(doubled, disk1, LAM)
@@ -196,6 +214,121 @@ def test_abc_requires_defined_values(disk1):
     f = sample_grid_function(disk1, DISK_WINDOW, 8, lambda p: p[:, 0])
     with pytest.raises(ValueError):
         dyadic_abc_norm(f, LAM)
+
+
+# -- the sweep against the three-wrapper reference ------------------------
+
+def reference_contained_mask(f, domain, level, margin_factor):
+    nb = 1 << level
+    if domain is None:
+        return np.ones((nb, nb), dtype=bool)
+    ij = np.stack(np.meshgrid(np.arange(nb), np.arange(nb), indexing="ij"), axis=-1)
+    centers = level_cell_centers(f.window, level, ij.reshape(-1, 2))
+    sd = domain.signed_distance(centers).reshape(nb, nb)
+    side = f.window.cell_size(level)
+    return sd >= margin_factor * side - 1e-12 * f.window.size
+
+
+def reference_sweep(f, domain, lam, cells, margin_factor=0.5 * SQRT_N):
+    """Oscillation and |average| envelopes split at sidelength lam, one
+    sweep per norm, as the norms were computed before one report builder."""
+    levels = list(range(0, f.level + 1))
+    total_cubes = sum(4 ** l for l in levels)
+    subsampled = False
+    if total_cubes > bmo.SWEEP_BUDGET:
+        levels = levels[::2] + [f.level]
+        subsampled = True
+
+    small_best = (-math.inf, None)
+    large_best = (-math.inf, None)
+    any_large = False
+    for lvl in levels:
+        side = f.window.cell_size(lvl)
+        means, osc, counts = _level_stats(f, lvl, cells)
+        inside = reference_contained_mask(f, domain, lvl, margin_factor) & (counts > 0)
+        if not inside.any():
+            continue
+        if lam is None or side < lam:
+            cand = np.where(inside, osc, -math.inf)
+            pos = np.unravel_index(np.argmax(cand), cand.shape)
+            if cand[pos] > small_best[0]:
+                small_best = (float(cand[pos]), (lvl, int(pos[0]), int(pos[1])))
+        if lam is not None and side >= lam:
+            any_large = True
+            cand = np.where(inside, np.abs(means), -math.inf)
+            pos = np.unravel_index(np.argmax(cand), cand.shape)
+            if cand[pos] > large_best[0]:
+                large_best = (float(cand[pos]), (lvl, int(pos[0]), int(pos[1])))
+    small = max(small_best[0], 0.0) if small_best[1] is not None else 0.0
+    large = max(large_best[0], 0.0) if large_best[1] is not None else 0.0
+    return small, small_best[1], large, large_best[1], any_large, subsampled
+
+
+def reference_lambda_norm(f, domain, lam):
+    cells = "inside" if domain is not None else "defined"
+    bmo.require_defined(f, cells)
+    small, s_at, large, l_at, any_large, subs = reference_sweep(f, domain, lam, cells)
+    return NormReport(max(small, large), small, large, lam,
+                      s_at if small >= large else l_at, s_at, l_at,
+                      degenerate=not any_large,
+                      excluded_volume_fraction=f.straddling_fraction, subsampled=subs)
+
+
+def reference_homogeneous_norm(f, domain):
+    cells = "inside" if domain is not None else "defined"
+    bmo.require_defined(f, cells)
+    small, s_at, _, _, _, subs = reference_sweep(f, domain, None, cells)
+    return NormReport(small, small, 0.0, None, s_at, s_at, None,
+                      excluded_volume_fraction=f.straddling_fraction, subsampled=subs)
+
+
+def reference_local_norm(f, domain):
+    bmo.require_defined(f, "inside")
+    small, s_at, _, _, _, subs = reference_sweep(f, domain, None, "inside",
+                                                 margin_factor=SQRT_N)
+    return NormReport(small, small, 0.0, None, s_at, s_at, None,
+                      excluded_volume_fraction=f.straddling_fraction, subsampled=subs,
+                      surrogate=True)
+
+
+def same_bits(a, b):
+    if isinstance(a, float) and isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
+
+
+SWEEP_DOMAINS = [disk(1.0), l_shape(), slit_disk(1.0, 0.5)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SWEEP_DOMAINS), st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, 0.05, 0.3, 0.9, 1.5]), st.booleans(), st.booleans(),
+       st.sampled_from([bmo.SWEEP_BUDGET, 64]))
+def test_norm_reports_match_the_reference_sweep(dom, level, seed, lam_frac, ties,
+                                                whole_window, budget):
+    # lam is a fraction of the window side: below it, and above it (1.5),
+    # where no cube reaches the scale and the lambda norm is degenerate
+    rng = np.random.default_rng(seed)
+    window = dom.default_window
+
+    def field(p):
+        v = rng.normal(size=len(p)) * 10.0 ** rng.integers(-3, 3)
+        return np.round(v, 1) if ties else v
+
+    f = sample_grid_function(dom, window, level, field, everywhere=whole_window)
+    lam = None if lam_frac is None else lam_frac * window.size
+    pairs = []
+    for domain in ([dom, None] if whole_window else [dom]):
+        if lam is not None:
+            pairs.append((bmo_lambda_norm, reference_lambda_norm, (f, domain, lam)))
+        pairs.append((bmo_homogeneous_norm, reference_homogeneous_norm, (f, domain)))
+    pairs.append((bmo_local_norm, reference_local_norm, (f, dom)))
+    with mock.patch.object(bmo, "SWEEP_BUDGET", budget):
+        for got_fn, want_fn, args in pairs:
+            got, want = got_fn(*args), want_fn(*args)
+            for fld in dataclasses.fields(NormReport):
+                a, b = getattr(got, fld.name), getattr(want, fld.name)
+                assert same_bits(a, b), (got_fn.__name__, fld.name, a, b)
 
 
 # -- generators ----------------------------------------------------------
@@ -289,7 +422,7 @@ def test_cellwise_field_matches_cube_loop(disk_dec, grid_level):
 
 def test_log_growth_matches_cube_loop(disk_dec, corpus):
     for name, f in corpus:
-        lookup = _cube_means_lookup(f, range(f.level + 1))
+        lookup = cube_means_lookup(f, range(f.level + 1))
         best = 0.0
         for k in disk_dec.indices(TAG_DOMAIN):
             q = disk_dec.cube(k)
@@ -323,7 +456,7 @@ def test_log_growth_plateaus_while_max_grows(disk1, disk_dec, field_graph):
     f = dipole_field(disk1, (0.0, -0.93), (0.5, 0.5), 3.0, 1.0, 1 / 256,
                      DISK_WINDOW, field_graph)
     idxs = [k for k in disk_dec.indices(TAG_DOMAIN)]
-    lookup = _cube_means_lookup(f, [disk_dec.cubes["level"][k] for k in idxs])
+    lookup = cube_means_lookup(f, [disk_dec.cubes["level"][k] for k in idxs])
     raw = {}
     for k in idxs:
         q = disk_dec.cube(k)
@@ -414,7 +547,6 @@ def test_chain_cover_count_vs_integral(disk1, disk_dec, rng):
 def test_local_oscillation_controls_full_norm(disk1, corpus):
     # the doubled-cube local seminorm controls the full oscillation norm
     # with a measured dimensional constant (surrogate for doubled balls)
-    from bmoext.bmo import bmo_local_norm
     for name, f in corpus:
         full = bmo_homogeneous_norm(f, disk1).value
         rep = bmo_local_norm(f, disk1)

@@ -304,3 +304,15 @@ def test_classify_samples_and_caps_each_pair_once(monkeypatch):
     assert calls["mirror"] == 1
     assert len(capped) == rep.pair_count
     assert sorted(capped) == sorted(tuple(np.concatenate([p.x, p.y])) for p in rep.pairs)
+
+
+def test_nonpositive_delta_is_rejected_before_any_graph(disk1, monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("metric graph built for an invalid delta")
+
+    monkeypatch.setattr(cigar, "build_metric_graph", no_graph)
+    for delta in (-0.5, 0.0, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            estimate_epsilon_delta(disk1, delta, 4, 1 / 64, seed=0)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            classify(disk1, delta, 4, 1 / 64, seed=0)

@@ -148,9 +148,12 @@ def test_report_aggregates_and_recomputes(tmp_path):
 
 
 def test_bad_config_exit_codes(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        run(["decompose", "--domain", "disk:1", "--resolution", "1/3",
-             "--outdir", str(tmp_path)])
+    for text in ("1/3", "1/0", "3/8"):
+        with pytest.raises(SystemExit) as exc:
+            run(["decompose", "--domain", "disk:1", "--resolution", text,
+                 "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "resolution must be 1/2^k" in capsys.readouterr().err
     assert run(["decompose", "--domain", "no_such_domain",
                 "--outdir", str(tmp_path)]) == 2
     capsys.readouterr()
@@ -158,6 +161,30 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         assert run(["norm", "--domain", "disk:1", f"--function={spec}",
                     "--outdir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_decimal_resolution_writes_the_same_files(tmp_path):
+    for name, text in (("frac", "1/256"), ("dec", "0.00390625")):
+        assert run(["norm", "--domain", "disk:1", "--function", "qh:0.3,0",
+                    "--lambda", "0.25", "--resolution", text,
+                    "--outdir", str(tmp_path / name)]) == 0
+    for name in ("norm.csv", "norm_report.txt", "function_grid.csv"):
+        assert (tmp_path / "frac" / name).read_bytes() == (tmp_path / "dec" / name).read_bytes()
+
+
+def test_max_depth_zero_builds_only_the_root(tmp_path):
+    out = tmp_path / "d0"
+    assert run(["decompose", "--domain", "disk:1", "--max-depth", "0",
+                "--outdir", str(out)]) == 0
+    _, header, rows = read_csv(out / "cubes.csv")
+    assert [r[:4] for r in rows] == [["frontier", "0", "0", "0"]]
+
+
+def test_classify_rejects_nonpositive_delta(tmp_path, capsys):
+    for delta in ("-0.5", "0", "nan"):
+        assert run(["classify", "--domain", "disk:1", "--delta", delta,
+                    "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: delta must be positive")
 
 
 def test_missing_csv_function_is_a_usage_error(tmp_path, capsys):

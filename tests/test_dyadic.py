@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmoext import DyadicCube, Window, cubes_adjacent
 from bmoext.bmo import qh_distance_field
-from bmoext.dyadic import box_distance, resolution_level
+from bmoext.dyadic import box_distance, grid_centers, level_cell_centers, resolution_level
 from bmoext.extension import make_suite
 from bmoext.qhyper import build_metric_graph
 from tests.conftest import DISK_WINDOW
@@ -141,3 +142,26 @@ NON_DYADIC_CALLS = {
 def test_non_dyadic_resolution_rejected(caller, disk1, disk_dec):
     with pytest.raises(ValueError, match="1/2\\^k"):
         NON_DYADIC_CALLS[caller](disk1, disk_dec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(0, 10))
+def test_grid_centers_match_the_three_grid_expressions(x0, y0, size, level):
+    # bitwise: the meshgrid of indices through level_cell_centers, the
+    # metric graph's column stack, and the mirror seeds' spacing grid
+    window = Window((x0, y0), size)
+    n = 1 << level
+    h = window.cell_size(level)
+    got = grid_centers(window, level)
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    g = np.arange(n) + 0.5
+    refs = [
+        level_cell_centers(window, level, np.stack([ii, jj], axis=-1).reshape(-1, 2)),
+        np.column_stack([window.origin[0] + (ii.ravel() + 0.5) * h,
+                         window.origin[1] + (jj.ravel() + 0.5) * h]),
+        np.asarray(window.origin) + window.size / float(n) * np.stack(
+            np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2),
+    ]
+    assert got.shape == (n * n, 2)
+    for ref in refs:
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bmoext import DyadicCube, Window, disk, intro_lipschitz
-from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, dyadic_abc_norm, log_plus,
-                        sample_grid_function, _cube_means_lookup)
+from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, GridFunction, dyadic_abc_norm,
+                        log_plus, sample_grid_function, _level_stats)
 from bmoext.dyadic import box_distance
 from bmoext.errors import ExtensionError
 from bmoext.extension import (counterexample_experiment, extend, make_suite,
@@ -90,11 +90,11 @@ def test_linearity_cellwise(disk1, disk_dec):
                              lambda p: np.sin(2 * p[:, 0]))
     g = sample_grid_function(disk1, DISK_WINDOW, 8,
                              lambda p: np.cos(3 * p[:, 1]))
-    h = f.copy_with(f.values + g.values)
+    h = GridFunction(f.window, f.level, f.values + g.values, f.mask.copy())
     plan = quiet_plan(disk_dec, f.mask, 0.1, 0.3, 0.5)
-    rf = extend(f, plan, compute_norms=False)
-    rg = extend(g, plan, compute_norms=False)
-    rh = extend(h, plan, compute_norms=False)
+    rf = extend(f, plan)
+    rg = extend(g, plan)
+    rh = extend(h, plan)
     ok = np.isfinite(rh.extended.values)
     lhs = rh.extended.values[ok]
     rhs = rf.extended.values[ok] + rg.extended.values[ok]
@@ -113,7 +113,7 @@ def test_matching_failure_lists_cubes():
     # best effort lists the same cubes and paints them zero
     plan = quiet_plan(dec, f.mask, 2.0, 0.3, 0.5, best_effort=True)
     assert list(map(tuple, plan.failed.tolist())) == err.value.failed_cubes
-    res = extend(f, plan, compute_norms=False)
+    res = extend(f, plan)
     for level, i, j in err.value.failed_cubes:
         blk = res.extended.values[f.block(DyadicCube(level, (i, j), window))]
         assert (blk == 0.0).all()
@@ -148,10 +148,10 @@ def test_extension_average_growth_bound(disk_dec, suite, plan):
         tf = res.extended
         cubes = [disk_dec.cube(k) for k in range(len(disk_dec.cubes))]
         cubes = [q for q in cubes if q.level <= tf.level]
-        lookup = _cube_means_lookup(tf, [q.level for q in cubes])
+        stats = {lvl: _level_stats(tf, lvl, "inside") for lvl in {q.level for q in cubes}}
         worst = 0.0
         for q in cubes:
-            means, counts = lookup[q.level]
+            means, _, counts = stats[q.level]
             if counts[q.coords] == 0:
                 continue
             worst = max(worst, abs(float(means[q.coords]))
@@ -203,19 +203,19 @@ def test_extend_rejects_grid_of_another_plan(disk1, suite, plan):
     other_window = sample_grid_function(disk1, Window((-1.5, -1.5), 3.0), 8,
                                         lambda p: p[:, 0])
     coarser = sample_grid_function(disk1, DISK_WINDOW, 7, lambda p: p[:, 0])
-    other_mask = f.copy_with(f.values)
+    other_mask = GridFunction(f.window, f.level, f.values.copy(), f.mask.copy())
     other_mask.mask[0, 0] = MASK_INSIDE
     other_mask.values[0, 0] = 0.0           # keep the function defined
     for g in (other_window, coarser, other_mask):
         with pytest.raises(ValueError, match="differ in window, level or mask"):
-            extend(g, plan, compute_norms=False)
+            extend(g, plan)
 
 
 def test_shared_plan_matches_fresh_plans(disk_dec, suite, plan):
     for name, f in suite:
         fresh = quiet_plan(disk_dec, f.mask, 0.1, 0.3, 0.5)
-        a = extend(f, plan, compute_norms=False).extended.values
-        b = extend(f, fresh, compute_norms=False).extended.values
+        a = extend(f, plan).extended.values
+        b = extend(f, fresh).extended.values
         assert a.tobytes() == b.tobytes(), name
 
 
