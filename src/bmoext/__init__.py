@@ -10,9 +10,9 @@ from .bmo import (GridFunction, NormReport, adjacent_average_gap,
                   whitney_cellwise_field)
 from .cigar import (ClassificationReport, classify, curve_constants,
                     epsilon_from_ab, epsilon_upper_bound, estimate_epsilon_delta)
-from .domains import (Domain, DomainSpec, cusp, disk, half_plane,
-                      intro_lipschitz, l_shape, make_domain, parse_domain_arg,
-                      parse_domain_file, polygon, slit_disk, square)
+from .domains import (Domain, cusp, disk, half_plane, intro_lipschitz, l_shape,
+                      parse_domain_arg, parse_domain_file, polygon, slit_disk,
+                      square)
 from .dyadic import DyadicCube, Window, cubes_adjacent
 from .extension import (ExtensionPlan, ExtensionResult,
                         counterexample_experiment, extend, make_suite,
@@ -31,8 +31,7 @@ __all__ = [
     "sample_grid_function", "whitney_cellwise_field", "ClassificationReport",
     "classify", "curve_constants", "epsilon_from_ab",
     "epsilon_upper_bound", "estimate_epsilon_delta",
-    "Domain", "DomainSpec", "cusp", "disk",
-    "half_plane", "intro_lipschitz", "l_shape", "make_domain",
+    "Domain", "cusp", "disk", "half_plane", "intro_lipschitz", "l_shape",
     "parse_domain_arg", "parse_domain_file", "polygon", "slit_disk", "square",
     "DyadicCube", "Window", "cubes_adjacent",
     "ExtensionPlan", "ExtensionResult", "counterexample_experiment", "extend",

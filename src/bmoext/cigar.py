@@ -1,11 +1,12 @@
-"""Cigar-condition diagnostics: per-curve constants, certified per-pair
-upper bounds, sampled estimates of the best (epsilon, delta) fit, and the
-quasi-hyperbolic uniformity envelope.
+"""Cigar-condition diagnostics: per-curve constants, sampled per-pair
+upper estimates (caps), sampled estimates of the best (epsilon, delta) fit,
+and the quasi-hyperbolic uniformity envelope.
 
 The per-pair estimate from a fixed curve menu is only an achieved value;
-negative evidence uses a sound upper bound instead: every curve joining x
-and y crosses the perpendicular bisector inside the domain, and on it the
-clearance condition caps epsilon by d(z) |x-y| / (|z-x| |z-y|).
+negative evidence uses a cap instead: every curve joining x and y crosses
+the perpendicular bisector inside the domain, and on it the clearance
+condition caps epsilon by d(z) |x-y| / (|z-x| |z-y|), here maximized over
+samples, so a cap is an upper estimate, not a proven bound.
 """
 
 from __future__ import annotations
@@ -90,11 +91,12 @@ def epsilon_from_ab(a: float, b: float) -> float:
 
 
 def epsilon_upper_bound(domain: Domain, x, y) -> np.ndarray:
-    """Certified upper bounds on the cigar epsilon of the pairs (x[i], y[i]).
+    """Caps: sampled upper estimates of the cigar epsilon of (x[i], y[i]).
 
     Samples each pair's perpendicular bisector (which every joining curve
-    must cross inside the domain), refines around the maximum, and adds a
-    Lipschitz tail bound beyond the sampled reach. All pairs go through
+    must cross inside the domain), refines around the maximum, scales it by
+    CAP_SLACK and adds a Lipschitz tail bound beyond the sampled reach; a
+    peak between samples can exceed the cap. All pairs go through
     each step together, in oracle calls of at most EVAL_BUDGET points; a
     pair's zoom stops on its own when its bracket closes.
     """
@@ -265,7 +267,7 @@ def mirror_pairs(domain: Domain, window: Window, delta: float) -> list[PairSampl
     """Adversarial close pairs facing each other across a thin boundary
     piece, produced by reflecting near-boundary points; scales shrink
     geometrically and later rounds zoom onto the regions that produced
-    small certified caps."""
+    small caps."""
     spacing = window.size / 128.0
     seeds = grid_centers(window, 7)         # centers of the cells of side spacing
     pairs: list[PairSample] = []
@@ -306,7 +308,7 @@ def mirror_pairs(domain: Domain, window: Window, delta: float) -> list[PairSampl
             centers = np.asarray(hot)
             order = np.lexsort((centers[:, 1], centers[:, 0]))
             # keep the extremes: the ends of a thin feature are where the
-            # certified caps pinch hardest
+            # caps pinch hardest
             reps = centers[order[np.unique(np.linspace(0, len(order) - 1, 48).astype(int))]]
             spacing = spacing / 8.0
             sub = np.linspace(-6.0, 6.0, 13) * spacing
@@ -381,7 +383,7 @@ def _monotone_divergence(seq: list[tuple[int, float]]) -> bool:
 def _sample_pairs(domain: Domain, window: Window, delta: float, n_pairs: int,
                   resolution: float, seed: int) -> list[PairSample]:
     """Seeded uniform pairs plus the adversarial sweep, each with its
-    certified cap and j-distance: everything about a pair that no grid
+    cap and j-distance: everything about a pair that no grid
     changes."""
     rng = np.random.default_rng(seed)
     pairs = _uniform_pairs(domain, window, delta, n_pairs, rng,
@@ -422,7 +424,7 @@ def estimate_epsilon_delta(domain: Domain, delta: float, n_pairs: int,
                            graph: MetricGraph | None = None,
                            pairs: list[PairSample] | None = None) -> ClassificationReport:
     """Sampled lower estimate of the best cigar epsilon at reach delta,
-    certified caps from the adversarial sweep, and the uniformity envelope
+    sampled caps from the adversarial sweep, and the uniformity envelope
     (c, d) with its per-scale offsets, fitted to the (j, k) points kept in
     details["fit_points"]. Given the `pairs` of an earlier report (same
     domain, window and delta), it copies them with their caps and
@@ -556,7 +558,7 @@ def classify(domain: Domain, delta: float, budget: int, resolution: float,
              seed: int, window: Window | None = None) -> ClassificationReport:
     """Run the cigar estimators at two resolutions and return a verdict.
 
-    evidence-against requires a monotone divergence sequence (certified
+    evidence-against requires a monotone divergence sequence (sampled
     caps shrinking scale by scale, or adversarial envelope offsets growing);
     consistent-with requires every estimator stable within 20% across the
     two resolutions with no flagged pairs; otherwise inconclusive. Both

@@ -21,7 +21,7 @@ import numpy as np
 from . import bmo, cigar, extension, svgout
 from .domains import Domain, parse_domain_arg, parse_domain_file
 from .dyadic import Window, resolution_level
-from .errors import GeometryError
+from .errors import GeometryError, PolygonError
 from .qhyper import qh_distance
 from .whitney import FRONTIER, build_whitney
 
@@ -176,8 +176,7 @@ def _parse_point(text: str):
 
 def _load_domain(text: str) -> Domain:
     if text.startswith("@") or os.path.exists(text):
-        p = text[1:] if text.startswith("@") else text
-        return parse_domain_file(Path(p).read_text())
+        return parse_domain_file(Path(text.removeprefix("@")).read_text())
     return parse_domain_arg(text)
 
 
@@ -221,9 +220,7 @@ def _make_function(spec: str, domain, window, resolution, seed):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_decompose(args, out: Path):
-    domain = _load_domain(args.domain)
-    window = args.window or domain.default_window
+def cmd_decompose(args, domain: Domain, window: Window, out: Path):
     depth = resolution_level(args.resolution) if args.max_depth is None else args.max_depth
     dec = build_whitney(domain, window, depth)
     c, fr = dec.cubes, dec.frontier
@@ -241,9 +238,7 @@ def cmd_decompose(args, out: Path):
     return 0
 
 
-def cmd_geodesic(args, out: Path):
-    domain = _load_domain(args.domain)
-    window = args.window or domain.default_window
+def cmd_geodesic(args, domain: Domain, window: Window, out: Path):
     value, pl = qh_distance(domain, args.frm, args.to, args.resolution,
                             window=window)
     row = (args.resolution, value, pl.qh_error, pl.euclidean_length, len(pl.points))
@@ -257,9 +252,7 @@ def cmd_geodesic(args, out: Path):
     return 0
 
 
-def cmd_classify(args, out: Path):
-    domain = _load_domain(args.domain)
-    window = args.window or domain.default_window
+def cmd_classify(args, domain: Domain, window: Window, out: Path):
     rep = cigar.classify(domain, args.delta, args.pairs, args.resolution,
                          args.seed, window=window)
     rows = [(p.kind, p.scale_index, p.x[0], p.x[1], p.y[0], p.y[1], p.sep,
@@ -287,9 +280,7 @@ def cmd_classify(args, out: Path):
     return 0
 
 
-def cmd_norm(args, out: Path):
-    domain = _load_domain(args.domain)
-    window = args.window or domain.default_window
+def cmd_norm(args, domain: Domain, window: Window, out: Path):
     f = _make_function(args.function, domain, window, args.resolution, args.seed)
     reports = [("bmo_homogeneous", bmo.bmo_homogeneous_norm(f, domain))]
     if args.lam is not None:
@@ -321,9 +312,7 @@ def cmd_norm(args, out: Path):
     return 0
 
 
-def cmd_extend(args, out: Path):
-    domain = _load_domain(args.domain)
-    window = args.window or domain.default_window
+def cmd_extend(args, domain: Domain, window: Window, out: Path):
     depth = resolution_level(args.resolution) if args.max_depth is None else args.max_depth
     dec = build_whitney(domain, window, depth)
     f = _make_function(args.function, domain, window, args.resolution, args.seed)
@@ -447,13 +436,16 @@ def main(argv=None) -> int:
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return args.func(args, out)
+        if args.command == "report":
+            return args.func(args, out)
+        domain = _load_domain(args.domain)
+        return args.func(args, domain, args.window or domain.default_window, out)
+    except (PolygonError, ValueError, KeyError, FileNotFoundError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, FileNotFoundError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

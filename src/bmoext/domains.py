@@ -8,7 +8,7 @@ therefore 1-Lipschitz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,14 +38,6 @@ class Domain:
         wx, wy = window.origin
         if not (x0 <= wx and y0 <= wy and wx + window.size <= x1 and wy + window.size <= y1):
             raise ValueError("window must sit inside the domain bounding box")
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    shape: str
-    params: tuple = ()
-    outer: tuple | None = None   # polygon vertex loop, ((x, y), ...)
-    holes: tuple = ()            # hole loops
 
 
 # ---------------------------------------------------------------------------
@@ -268,44 +260,44 @@ def _first_crossing(loops: list[np.ndarray]):
     return None
 
 
-def _validate_loop(loop: np.ndarray, name: str):
-    m = len(loop)
-    if m < 3:
-        raise PolygonError(f"{name}: needs at least 3 vertices, got {m}")
-    pair = _first_crossing([loop])
-    if pair is not None:
-        raise PolygonError(
-            f"{name}: edges {pair[0]} and {pair[1]} intersect (self-intersecting loop)")
-
-
-def _touching(p: np.ndarray, q: np.ndarray) -> bool:
-    """Whether a vertex of either loop lies exactly on an edge of the other."""
-    return bool((_segment_distances(p, _edge_columns([q])) == 0.0).any()
-                or (_segment_distances(q, _edge_columns([p])) == 0.0).any())
-
-
-def _validate_holes(loops: list[np.ndarray]):
-    """Reject edges of different loops that cross, and a hole with a vertex
-    inside or on another hole; each loop is already known to be simple.
-    Without crossings, two holes that share no point pass, and two that
-    overlap or touch have a vertex of one inside or on the other."""
+def _validate(loops: list[np.ndarray]):
+    """Reject a loop of fewer than 3 vertices, two edges that cross (in one
+    loop or across loops), a hole that touches the outer loop or leaves it,
+    and a hole with a vertex inside or on another hole. Without crossings,
+    two holes that share no point pass, and two that overlap or touch have
+    a vertex of one inside or on the other."""
     names = ["outer loop"] + [f"hole {k}" for k in range(len(loops) - 1)]
     sizes = [len(lp) for lp in loops]
+    for name, m in zip(names, sizes):
+        if m < 3:
+            raise PolygonError(f"{name}: needs at least 3 vertices, got {m}")
     owner = np.repeat(np.arange(len(loops)), sizes)
     start = np.cumsum([0] + sizes)
     pair = _first_crossing(loops)
     if pair is not None:
         (i, j), (li, lj) = pair, owner[list(pair)]
+        if li == lj:
+            raise PolygonError(f"{names[li]}: edges {i - start[li]} and {j - start[li]} "
+                               "intersect (self-intersecting loop)")
         raise PolygonError(f"{names[li]} edge {i - start[li]} and "
                            f"{names[lj]} edge {j - start[lj]} intersect")
-    hole_verts, hole_of = np.concatenate(loops[1:]), owner[sizes[0]:]
+    if len(loops) == 1:
+        return
+    # row h: whether each vertex lies on an edge of loop h, or inside it by
+    # parity (half-open, so a vertex on the outer loop must be refused first)
+    verts = np.concatenate(loops)
+    on = np.array([_segment_distances(verts, _edge_columns([lp])) == 0.0 for lp in loops])
+    inside = np.array([_crossings_parity(verts, _slab_index([lp])) for lp in loops])
+    for k in range(1, len(loops)):
+        if on[0, owner == k].any() or on[k, owner == 0].any():
+            raise PolygonError(f"{names[k]} touches the outer loop")
+        if not inside[0, owner == k].all():
+            raise PolygonError(f"{names[k]} is not inside the outer loop")
     for h in range(1, len(loops)):
-        hole = loops[h]
-        on = _segment_distances(hole_verts, _edge_columns([hole])) == 0.0
-        hit = (_crossings_parity(hole_verts, _slab_index([hole])) | on) & (hole_of != h)
+        hit = (on[h] | inside[h]) & (owner != h) & (owner != 0)
         if hit.any():
             raise PolygonError(
-                f"{names[hole_of[np.argmax(hit)]]} has a vertex inside or on {names[h]}")
+                f"{names[owner[np.argmax(hit)]]} has a vertex inside or on {names[h]}")
 
 
 def polygon(outer, holes=(), label: str = "polygon") -> Domain:
@@ -313,22 +305,8 @@ def polygon(outer, holes=(), label: str = "polygon") -> Domain:
     polyline, signed by even-odd parity. No two edges may cross, every hole
     lies inside the outer loop without touching it, and no two holes
     overlap or touch."""
-    loops = [np.asarray(outer, dtype=float)]
-    _validate_loop(loops[0], "outer loop")
-    outer_index = _slab_index(loops)
-    for k, h in enumerate(holes):
-        hv = np.asarray(h, dtype=float)
-        _validate_loop(hv, f"hole {k}")
-        # parity is half-open, so a vertex on the outer loop would count as
-        # inside on some sides and outside on others
-        if _touching(hv, loops[0]):
-            raise PolygonError(f"hole {k} touches the outer loop")
-        if not _crossings_parity(hv, outer_index).all():
-            raise PolygonError(f"hole {k} is not inside the outer loop")
-        loops.append(hv)
-    if holes:
-        _validate_holes(loops)
-
+    loops = [np.asarray(lp, dtype=float) for lp in (outer, *holes)]
+    _validate(loops)
     edges = _edge_columns(loops)
     index = _slab_index(loops)
 
@@ -338,8 +316,7 @@ def polygon(outer, holes=(), label: str = "polygon") -> Domain:
         return sign * d
 
     allv = np.concatenate(loops)
-    x0, y0 = allv.min(axis=0)
-    x1, y1 = allv.max(axis=0)
+    (x0, y0), (x1, y1) = allv.min(axis=0), allv.max(axis=0)
     m = 0.5 * max(x1 - x0, y1 - y0)
     side = max(x1 - x0, y1 - y0) * 1.5
     cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
@@ -384,9 +361,8 @@ def cusp(p: float = 2.0) -> Domain:
     xs = np.geomspace(1e-3, 1.0, CUSP_WALL_VERTICES)
     lower = [(0.0, 0.0)] + [(x, -x ** p) for x in xs]
     upper = [(x, x ** p) for x in xs[::-1]]
-    dom = polygon(lower + upper, label=f"cusp({p:g})")
-    return Domain(dom.sd_func, dom.bounding_box, dom.label,
-                  default_window=Window((-0.25, -1.0), 2.0))
+    return replace(polygon(lower + upper, label=f"cusp({p:g})"),
+                   default_window=Window((-0.25, -1.0), 2.0))
 
 
 def intro_lipschitz() -> Domain:
@@ -420,18 +396,23 @@ _BUILDERS = {
 }
 
 
-def make_domain(spec: DomainSpec) -> Domain:
-    """Build a Domain from a DomainSpec; rejects invalid parameters."""
-    if spec.shape == "polygon":
-        if spec.outer is None:
+def _build(shape: str, params: tuple, outer, holes) -> Domain:
+    """The domain a parsed spec names; rejects invalid parameters, and
+    loops given to a built-in shape or parameters given to a polygon."""
+    if shape == "polygon":
+        if params:
+            raise ValueError("polygon takes no params, only outer and hole loops")
+        if outer is None:
             raise PolygonError("polygon spec requires an outer vertex loop")
-        return polygon(spec.outer, spec.holes)
-    if spec.shape not in _BUILDERS:
-        raise ValueError(f"unknown domain shape {spec.shape!r}")
-    builder, max_args = _BUILDERS[spec.shape]
-    if len(spec.params) > max_args:
-        raise ValueError(f"{spec.shape} takes at most {max_args} parameters")
-    return builder(*spec.params)
+        return polygon(outer, holes)
+    if shape not in _BUILDERS:
+        raise ValueError(f"unknown domain shape {shape!r}")
+    if outer is not None or holes:
+        raise ValueError(f"{shape} takes params, not outer or hole loops")
+    builder, max_args = _BUILDERS[shape]
+    if len(params) > max_args:
+        raise ValueError(f"{shape} takes at most {max_args} parameters")
+    return builder(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +422,7 @@ def parse_domain_arg(text: str) -> Domain:
     """Parse "<builtin>[:p1,p2,...]" into a Domain."""
     name, _, args = text.partition(":")
     params = tuple(float(a) for a in args.split(",") if a.strip()) if args else ()
-    return make_domain(DomainSpec(name.strip(), params))
+    return _build(name.strip(), params, None, ())
 
 
 def parse_domain_file(text: str) -> Domain:
@@ -452,17 +433,22 @@ def parse_domain_file(text: str) -> Domain:
         params: p1 p2 ...
         outer: x1 y1 x2 y2 ...
         hole: x1 y1 x2 y2 ...      (repeatable)
+    Every other key may appear once.
     """
     shape = None
     params: tuple = ()
     outer = None
     holes = []
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, val = line.partition(":")
         key = key.strip().lower()
+        if key in seen and key != "hole":
+            raise ValueError(f"domain-file key {key!r} is given twice")
+        seen.add(key)
         if key == "shape":
             shape = val.strip()
         elif key == "params":
@@ -480,4 +466,4 @@ def parse_domain_file(text: str) -> Domain:
             raise ValueError(f"unknown domain-file key {key!r}")
     if shape is None:
         raise ValueError("domain file must set 'shape'")
-    return make_domain(DomainSpec(shape, params, outer=outer, holes=tuple(holes)))
+    return _build(shape, params, outer, holes)

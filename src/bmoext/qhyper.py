@@ -196,7 +196,7 @@ class MetricGraph:
     level: int
     node_pos: np.ndarray
     node_sd: np.ndarray
-    node_grid: np.ndarray          # (N, N) int32 node index, -1 where absent
+    node_grid: np.ndarray          # (N, N) int64 node index, -1 where absent
     adj: csr_matrix = field(repr=False)
 
     @property

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import math
 from unittest import mock
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bmoext import Window, disk, svgout
 from bmoext.bmo import GridFunction, sample_grid_function
 from bmoext.cli import main, read_csv, read_grid, write_csv, write_grid
+from bmoext.domains import _first_crossing
 
 
 def reference_fmt(v):
@@ -161,6 +164,67 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         assert run(["norm", "--domain", "disk:1", f"--function={spec}",
                     "--outdir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_malformed_polygon_is_a_usage_error(tmp_path, capsys):
+    odd, bowtie = tmp_path / "odd.dom", tmp_path / "bowtie.dom"
+    odd.write_text("shape: polygon\nouter: 0 0 1 0 0\n")
+    bowtie.write_text("shape: polygon\nouter: 0 0 1 1 1 0 0 1\n")
+    for domain in (str(odd), str(bowtie), "polygon"):
+        assert run(["decompose", "--domain", domain, "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def domain_file(path, outer, holes=()):
+    lines = ["shape: polygon", "outer: " + " ".join(map(repr, np.ravel(outer).tolist()))]
+    lines += ["hole: " + " ".join(map(repr, np.ravel(h).tolist())) for h in holes]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+SMALL_SQUARE = 0.05 * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+
+
+@st.composite
+def star_polygons(draw):
+    """5-16 vertices at sorted angles with gaps below 2 pi / 3 and radii in
+    [0.5, 1], so the loop is simple and keeps 0.25 from the origin; half of
+    them get a square hole of side 0.1 around the origin."""
+    n = draw(st.integers(5, 16))
+    w = np.array(draw(st.lists(st.floats(1.0, 1.9), min_size=n, max_size=n)))
+    th = draw(st.floats(0.0, 2 * np.pi)) + 2 * np.pi * np.cumsum(w) / w.sum()
+    r = np.array(draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n)))
+    outer = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    return outer, [SMALL_SQUARE] if draw(st.booleans()) else []
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
+def test_polygon_files_decompose_deterministically(tmp_path_factory, case):
+    outer, holes = case
+    d = tmp_path_factory.mktemp("star")
+    spec = domain_file(d / "star.dom", outer, holes)
+    for name in ("a", "b"):
+        assert run(["decompose", "--domain", spec, "--max-depth", "5",
+                    "--outdir", str(d / name)]) == 0
+    for name in ("cubes.csv", "decomposition.svg"):
+        assert (d / "a" / name).read_bytes() == (d / "b" / name).read_bytes()
+    # the first swap of two vertices after which two edges cross, and a
+    # hole around a vertex, which two edges of the outer loop leave
+    swapped = []
+    for i in range(len(outer)):
+        for j in range(i + 1, len(outer)):
+            loop = outer.copy()
+            loop[[i, j]] = loop[[j, i]]
+            swapped.append(loop)
+    bowtie = next(lp for lp in swapped if _first_crossing([lp]) is not None)
+    for bad in (domain_file(d / "bowtie.dom", bowtie, holes),
+                domain_file(d / "cross.dom", outer, [*holes, outer[0] + SMALL_SQUARE])):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["decompose", "--domain", bad, "--max-depth", "5",
+                        "--outdir", str(d / "bad")]) == 2
+        assert err.getvalue().startswith("usage error: ")
 
 
 def test_decimal_resolution_writes_the_same_files(tmp_path):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from bmoext import (DomainSpec, cusp, disk, half_plane, intro_lipschitz,
-                    l_shape, make_domain, parse_domain_arg, parse_domain_file,
-                    polygon, slit_disk, square)
+from bmoext import (cusp, disk, half_plane, intro_lipschitz, l_shape,
+                    parse_domain_arg, parse_domain_file, polygon, slit_disk, square)
 from bmoext.errors import PolygonError
 
 ALL_BUILTINS = [half_plane(), disk(1.0), square(2.0), l_shape(), slit_disk(1.0, 0.5),
@@ -132,13 +131,36 @@ def test_polygon_with_hole_sign():
     assert dom.sd((2.0, 2.0)) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_make_domain_validates_parameters():
-    with pytest.raises(ValueError):
-        make_domain(DomainSpec("disk", (-1.0,)))
-    with pytest.raises(ValueError):
-        make_domain(DomainSpec("cusp", (0.5,)))
-    with pytest.raises(ValueError):
-        make_domain(DomainSpec("no_such_shape"))
+def test_domain_specs_validate_parameters():
+    for shape, params, match in [("disk", "-1", "disk radius must be positive"),
+                                 ("cusp", "0.5", "cusp exponent must be > 1"),
+                                 ("disk", "1 2", "disk takes at most 1 parameters"),
+                                 ("no_such_shape", "", "unknown domain shape 'no_such_shape'")]:
+        with pytest.raises(ValueError, match=match):
+            parse_domain_arg(f"{shape}:{params.replace(' ', ',')}")
+        with pytest.raises(ValueError, match=match):
+            parse_domain_file(f"shape: {shape}\nparams: {params}\n")
+
+
+def test_polygon_spec_needs_an_outer_loop():
+    for make in (lambda: parse_domain_arg("polygon"),
+                 lambda: parse_domain_file("shape: polygon\n")):
+        with pytest.raises(PolygonError, match="requires an outer vertex loop"):
+            make()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("shape: disk\nparams: 1\nouter: 0 0 1 0 0 1", "disk takes params, not outer or hole"),
+    ("shape: l_shape\nhole: 0 0 1 0 0 1", "l_shape takes params, not outer or hole"),
+    ("shape: polygon\nparams: 5\nouter: 0 0 4 0 4 4 0 4", "polygon takes no params"),
+    ("shape: disk\nshape: square", "key 'shape' is given twice"),
+    ("shape: disk\nparams: 1\nparams: 2", "key 'params' is given twice"),
+    ("shape: polygon\nouter: 0 0 4 0 4 4\nouter: 0 0 1 0 0 1", "key 'outer' is given twice"),
+], ids=["outer-with-builtin", "hole-with-builtin", "params-with-polygon",
+        "repeated-shape", "repeated-params", "repeated-outer"])
+def test_domain_file_keeps_every_key_or_refuses(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_domain_file(text)
 
 
 def test_parse_domain_arg_and_file():
@@ -152,6 +174,9 @@ def test_parse_domain_arg_and_file():
     """
     d2 = parse_domain_file(text)
     assert d2.sd((0.5, 0.5)) > 0 and d2.sd((2, 2)) < 0
+    # hole is the one key that repeats
+    d3 = parse_domain_file(text + "hole: 0.2 0.2 0.8 0.2 0.8 0.8\n")
+    assert d3.sd((0.5, 0.3)) < 0 and d3.sd((2, 2)) < 0 and d3.sd((3.5, 3.5)) > 0
 
 
 def test_cusp_pinches():

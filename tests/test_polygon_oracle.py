@@ -3,7 +3,8 @@
 `reference_distances` and `reference_parity` are the point-by-edge kernels
 that the polygon oracle used before it worked in blocks and read parity from
 a slab index. The oracle must agree with them bit for bit, and must still
-reject every loop layout that makes its sign meaningless.
+reject every loop layout that makes its sign meaningless; `reference_validate`
+is the loop-by-loop validation that one pass over all loops replaced.
 """
 
 import math
@@ -12,9 +13,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bmoext import cusp, l_shape, polygon
+from bmoext import cusp, domains, l_shape, polygon
+from bmoext.domains import (_crossings_parity, _edge_columns, _first_crossing,
+                            _segment_distances, _slab_index)
 from bmoext.errors import PolygonError
 
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
@@ -285,3 +288,133 @@ def test_oracle_when_subnormal_squares_misorder_edges():
     want = reference_sd([tri], pts)
     assert 0 < want[0] < 0.95 * b
     assert np.array_equal(polygon(tri).signed_distance(pts), want)
+
+
+def reference_validate(outer, holes=()):
+    """The validation `polygon` ran loop by loop: each loop checked for size
+    and self-crossings, each hole for touching and leaving the outer loop,
+    then one scan for crossings across loops and one containment test per
+    hole. Raises PolygonError."""
+    def validate_loop(loop, name):
+        if len(loop) < 3:
+            raise PolygonError(f"{name}: needs at least 3 vertices, got {len(loop)}")
+        pair = _first_crossing([loop])
+        if pair is not None:
+            raise PolygonError(
+                f"{name}: edges {pair[0]} and {pair[1]} intersect (self-intersecting loop)")
+
+    def touching(p, q):
+        return bool((_segment_distances(p, _edge_columns([q])) == 0.0).any()
+                    or (_segment_distances(q, _edge_columns([p])) == 0.0).any())
+
+    loops = [np.asarray(outer, dtype=float)]
+    validate_loop(loops[0], "outer loop")
+    outer_index = _slab_index(loops)
+    for k, h in enumerate(holes):
+        hv = np.asarray(h, dtype=float)
+        validate_loop(hv, f"hole {k}")
+        if touching(hv, loops[0]):
+            raise PolygonError(f"hole {k} touches the outer loop")
+        if not _crossings_parity(hv, outer_index).all():
+            raise PolygonError(f"hole {k} is not inside the outer loop")
+        loops.append(hv)
+    if not holes:
+        return
+    names = ["outer loop"] + [f"hole {k}" for k in range(len(loops) - 1)]
+    sizes = [len(lp) for lp in loops]
+    owner = np.repeat(np.arange(len(loops)), sizes)
+    start = np.cumsum([0] + sizes)
+    pair = _first_crossing(loops)
+    if pair is not None:
+        (i, j), (li, lj) = pair, owner[list(pair)]
+        raise PolygonError(f"{names[li]} edge {i - start[li]} and "
+                           f"{names[lj]} edge {j - start[lj]} intersect")
+    hole_verts, hole_of = np.concatenate(loops[1:]), owner[sizes[0]:]
+    for h in range(1, len(loops)):
+        on = _segment_distances(hole_verts, _edge_columns([loops[h]])) == 0.0
+        hit = (_crossings_parity(hole_verts, _slab_index([loops[h]])) | on) & (hole_of != h)
+        if hit.any():
+            raise PolygonError(
+                f"{names[hole_of[np.argmax(hit)]]} has a vertex inside or on {names[h]}")
+
+
+LATTICE = st.integers(0, 6)
+# the lattice points on the boundary of [0, 6]^2, counter-clockwise
+RING = ([(t, 0) for t in range(6)] + [(6, t) for t in range(6)]
+        + [(6 - t, 6) for t in range(6)] + [(0, 6 - t) for t in range(6)])
+
+
+@st.composite
+def lattice_polygons(draw):
+    """An outer loop of 4-10 lattice vertices, either at random (one draw in
+    four; most cross themselves) or in order along the boundary of [0, 6]^2
+    (never crossing), and 0-3 holes in [1, 5]^2: right triangles, rectangles
+    and free triangles or quads of lattice points, which fall nested,
+    overlapping, touching, crossing or disjoint."""
+    n = draw(st.integers(4, 10))
+    if draw(st.integers(0, 3)) == 0:
+        outer = draw(st.lists(st.tuples(LATTICE, LATTICE), min_size=n, max_size=n))
+    else:
+        picks = draw(st.lists(st.integers(0, len(RING) - 1), min_size=n, max_size=n,
+                              unique=True))
+        outer = [RING[k] for k in sorted(picks)]
+    holes = []
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        a, b = draw(st.integers(1, 5 - x)), draw(st.integers(1, 5 - y))
+        kind = draw(st.sampled_from(["triangle", "rectangle", "free"]))
+        if kind == "triangle":
+            holes.append([(x, y), (x + a, y), (x, y + b)])
+        elif kind == "rectangle":
+            holes.append([(x, y), (x + a, y), (x + a, y + b), (x, y + b)])
+        else:
+            m = draw(st.integers(3, 4))
+            holes.append(draw(st.lists(st.tuples(st.integers(x, x + a), st.integers(y, y + b)),
+                                       min_size=m, max_size=m)))
+    return outer, holes
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except PolygonError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lattice_polygons())
+# crossings that no vertex test sees: two holes in a plus, and a hole whose
+# vertices lie in an L but whose edge cuts across its notch; and a reflex
+# outer vertex on a hole's edge, which only the outer vertices' test sees
+@example(([(0, 0), (6, 0), (6, 6), (0, 6)],
+          [[(1, 2), (4, 2), (4, 3), (1, 3)], [(2, 1), (3, 1), (3, 4), (2, 4)]]))
+@example(([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)], [[(1, 1), (5, 2), (2, 5)]]))
+@example(([(0, 0), (6, 0), (6, 6), (3, 2), (0, 6)], [[(2, 2), (4, 2), (3, 1)]]))
+def test_validation_accepts_and_rejects_as_the_reference(case):
+    outer, holes = case
+    want = outcome(reference_validate, outer, holes)
+    # the loops as `polygon` passes them; a loop of collinear vertices passes
+    # both and only fails later, in the window of the domain
+    got = outcome(domains._validate, [np.asarray(lp, dtype=float) for lp in (outer, *holes)])
+    assert (got is None) == (want is None)
+    if not holes:
+        assert got == want
+
+
+@pytest.mark.parametrize("holes", [
+    [],
+    [SQUARE_HOLE],
+    [[(0.5, 0.5), (1.5, 0.5), (1.5, 1.5)], [(2, 2), (3, 2), (3, 3), (2, 3)],
+     [(0.5, 3), (1, 3), (1, 3.5)]],
+], ids=["no-hole", "one-hole", "three-holes"])
+def test_polygon_scans_for_crossings_once(holes, monkeypatch):
+    calls = []
+
+    def counted(loops):
+        calls.append(len(loops))
+        return _first_crossing(loops)
+
+    monkeypatch.setattr(domains, "_first_crossing", counted)
+    polygon(SQUARE, holes=holes)
+    assert calls == [1 + len(holes)]
