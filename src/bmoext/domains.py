@@ -262,10 +262,11 @@ def _first_crossing(loops: list[np.ndarray]):
 
 def _validate(loops: list[np.ndarray]):
     """Reject a loop of fewer than 3 vertices, two edges that cross (in one
-    loop or across loops), a hole that touches the outer loop or leaves it,
-    and a hole with a vertex inside or on another hole. Without crossings,
-    two holes that share no point pass, and two that overlap or touch have
-    a vertex of one inside or on the other."""
+    loop or across loops), an outer loop of zero area, a hole that touches
+    the outer loop or leaves it, and a hole with a vertex inside or on
+    another hole. Without crossings, two holes that share no point pass,
+    and two that overlap or touch have a vertex of one inside or on the
+    other."""
     names = ["outer loop"] + [f"hole {k}" for k in range(len(loops) - 1)]
     sizes = [len(lp) for lp in loops]
     for name, m in zip(names, sizes):
@@ -281,6 +282,12 @@ def _validate(loops: list[np.ndarray]):
                                "intersect (self-intersecting loop)")
         raise PolygonError(f"{names[li]} edge {i - start[li]} and "
                            f"{names[lj]} edge {j - start[lj]} intersect")
+    # without crossings the shoelace sum is twice the enclosed area; a hole
+    # of zero area is a slit and stays
+    x, y = loops[0].T
+    if np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y) == 0.0:
+        raise PolygonError("outer loop: encloses no area (its vertices are "
+                           "collinear or coincide)")
     if len(loops) == 1:
         return
     # row h: whether each vertex lies on an edge of loop h, or inside it by
@@ -302,9 +309,9 @@ def _validate(loops: list[np.ndarray]):
 
 def polygon(outer, holes=(), label: str = "polygon") -> Domain:
     """Simple polygon with optional holes; exact distance to the boundary
-    polyline, signed by even-odd parity. No two edges may cross, every hole
-    lies inside the outer loop without touching it, and no two holes
-    overlap or touch."""
+    polyline, signed by even-odd parity. No two edges may cross, the outer
+    loop encloses positive area, every hole lies inside the outer loop
+    without touching it, and no two holes overlap or touch."""
     loops = [np.asarray(lp, dtype=float) for lp in (outer, *holes)]
     _validate(loops)
     edges = _edge_columns(loops)

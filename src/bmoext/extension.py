@@ -25,7 +25,8 @@ from .bmo import (GridFunction, MASK_INSIDE, MASK_OUTSIDE, NormReport,
                   qh_distance_field, sample_grid_function,
                   whitney_cellwise_field, _field_graph)
 from .domains import Domain, intro_lipschitz
-from .dyadic import DyadicCube, N_DIM, Window, box_distance, resolution_level
+from .dyadic import (DyadicCube, N_DIM, SQRT_N, Window, box_distance,
+                     resolution_level)
 from .errors import ExtensionError, MatchingError
 from .whitney import (TAG_COMPLEMENT, WhitneyDecomposition, build_whitney,
                       matching_cube)
@@ -158,21 +159,53 @@ def plan_extension(dec: WhitneyDecomposition, mask, lam: float, epsilon: float,
     painted = np.flatnonzero(paint >= 0)
     if need.any() and painted.size:
         lows = np.asarray(window.origin) + keys[painted, 1:] * sides[painted, None]
-        highs = lows + sides[painted, None]
         cells = np.argwhere(need)
-        centers = np.asarray(window.origin) + (cells + 0.5) * window.cell_size(level)
-        step = max(1, _FILL_BUDGET // painted.size)      # cells per distance block
-        for lo in range(0, len(cells), step):
-            c = centers[lo:lo + step, None, :]
-            nearest = np.argmin(box_distance(lows, highs, c, c), axis=1)
-            sel = cells[lo:lo + step]
-            source[sel[:, 0], sel[:, 1]] = paint[painted[nearest]]
+        nearest = _nearest_boxes(window, level, cells, lows, lows + sides[painted, None])
+        source[cells[:, 0], cells[:, 1]] = paint[painted[nearest]]
     else:
         source[need] = 0
 
     return ExtensionPlan(dec.domain, window, level, mask, lam, source, tuple(sources),
                          np.array(assignment, dtype=np.int64).reshape(-1, 6),
                          keys[zero], keys[subcell], keys[failed], int(need.sum()))
+
+
+def _nearest_boxes(window: Window, level: int, cells, lows, highs) -> np.ndarray:
+    """Index of the box [lows, highs] nearest each level-`level` cell center,
+    by `box_distance`, the first in box order on ties.
+
+    The cells are grouped into buckets, the dyadic cells of level level // 2,
+    b = 2^ceil(level / 2) grid cells on a side. For a center x in bucket B
+    and any box P, dist(B, P) <= dist(x, P), and min_P dist(x, P) <=
+    min_P dist(B, P) + diam(B). So a box farther from B than that bound,
+    widened by a rounding slack, is nearest to no center in B, and each cell
+    is measured against the boxes its bucket keeps. Along a boundary m cells
+    long, the bucket pass measures about m / b distances per box and the
+    cell pass about m b kept pairs, so b near the square root of the grid
+    width balances the two.
+    """
+    origin = np.asarray(window.origin)
+    centers = origin + (cells + 0.5) * window.cell_size(level)
+    top = level // 2
+    shift = level - top
+    bucket = (cells[:, 0] >> shift) << top | (cells[:, 1] >> shift)
+    order = np.argsort(bucket, kind="stable")
+    ids, first = np.unique(bucket[order], return_index=True)
+    size = window.cell_size(top)
+    b_lo = origin + np.column_stack(np.divmod(ids, 1 << top)) * size
+    reach = SQRT_N * size + 1e-9 * (window.size + np.abs(origin).max())
+
+    nearest = np.empty(len(cells), dtype=np.int64)
+    for blo, rows in zip(b_lo, np.split(order, first[1:])):
+        d = box_distance(blo, blo + size, lows, highs)
+        box = np.flatnonzero(d <= d.min() + reach)
+        step = max(1, _FILL_BUDGET // len(box))      # cells per distance block
+        for a in range(0, len(rows), step):
+            c = centers[rows[a:a + step], None, :]
+            # argmin takes the first of equals, and `box` is in box order
+            k = np.argmin(box_distance(lows[box], highs[box], c, c), axis=1)
+            nearest[rows[a:a + step]] = box[k]
+    return nearest
 
 
 def extend(f: GridFunction, plan: ExtensionPlan) -> ExtensionResult:

@@ -29,6 +29,10 @@ EDGE_RTOL = 2e-2        # relative quadrature error of a graph edge weight
 QUAD_TOL = 2e-3         # relative quadrature error of a returned curve length
 REFINE_RTOL = 1e-4      # refinement stops when a round gains less than this
 REFINE_ROUNDS = 60      # ... or after this many rounds
+# finest graph level: the build holds several n x n arrays and grows about
+# fourfold per level (disk(1): 134 MB peak at level 9, 342 MB at level 10),
+# so level 12 would take several GB of a 7 GB host
+MAX_GRAPH_LEVEL = 11
 
 
 def segment_qh_batch(domain: Domain, a, b, rtol: float = 1e-3,
@@ -247,8 +251,9 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
     straight segment; edges whose integrand cannot be bracketed are dropped.
     """
     level = resolution_level(resolution)
-    if not 0 < level <= 14:
-        raise ValueError(f"graph resolution must be 1/2^k with 1 <= k <= 14, got {resolution}")
+    if not 0 < level <= MAX_GRAPH_LEVEL:
+        raise ValueError("graph resolution must be 1/2^k with "
+                         f"1 <= k <= {MAX_GRAPH_LEVEL}, got {resolution}")
     n = 1 << level
     h = window.cell_size(level)
     centers = grid_centers(window, level)

@@ -109,9 +109,13 @@ class WhitneyDecomposition:
     cubes: np.ndarray                  # CUBE_DTYPE rows in build order
     frontier: np.ndarray               # (F, 3) int64 rows (level, i, j)
     depth: int = field(init=False)     # deepest level of any leaf
-    # rows [starts[2l], starts[2l+1]) hold the domain cubes of level l and
-    # [starts[2l+1], starts[2l+2]) its complement cubes
-    block_starts: np.ndarray = field(init=False, repr=False)
+    # the domain cubes in build order, which is (level, i, j) order: their
+    # rows in `cubes`, their closed boxes [domain_lo, domain_hi], and
+    # [domain_starts[l], domain_starts[l + 1]) spanning level l, l <= depth
+    domain_rows: np.ndarray = field(init=False, repr=False)
+    domain_lo: np.ndarray = field(init=False, repr=False)
+    domain_hi: np.ndarray = field(init=False, repr=False)
+    domain_starts: np.ndarray = field(init=False, repr=False)
     # leaves (cubes, then frontier rows offset by len(cubes)) in key order
     leaf_keys: np.ndarray = field(init=False, repr=False)
     leaf_levels: np.ndarray = field(init=False, repr=False)
@@ -128,10 +132,13 @@ class WhitneyDecomposition:
         keys = _morton(*_first_cell_at(depth, level, np.concatenate([c["i"], fr[:, 1]]),
                                        np.concatenate([c["j"], fr[:, 2]])), depth)
         order = np.argsort(keys, kind="stable")
-        block = 2 * c["level"] + (c["tag"] == TAG_COMPLEMENT)
-        self._attach(cubes=c, frontier=fr, depth=depth,
-                  block_starts=np.searchsorted(block, np.arange(2 * depth + 3)),
-                  leaf_keys=keys[order], leaf_levels=level[order], leaf_ids=order)
+        rows = np.flatnonzero(c["tag"] == TAG_DOMAIN)
+        side = self.window.cell_sizes(c["level"][rows])[:, None]
+        lo = np.asarray(self.window.origin) + np.column_stack([c["i"][rows], c["j"][rows]]) * side
+        self._attach(cubes=c, frontier=fr, depth=depth, domain_rows=rows, domain_lo=lo,
+                     domain_hi=lo + side,
+                     domain_starts=np.searchsorted(c["level"][rows], np.arange(depth + 2)),
+                     leaf_keys=keys[order], leaf_levels=level[order], leaf_ids=order)
         indptr, indices = self.neighbor_indices()
         self._attach(adj_indptr=indptr, adj_indices=indices)
 
@@ -335,25 +342,20 @@ def check_invariants(dec: WhitneyDecomposition):
 # ---------------------------------------------------------------------------
 # queries
 
-def _nearest_domain_cube(dec: WhitneyDecomposition, levels, lo, hi, accept):
-    """Domain cube nearest the closed box [lo, hi] among those at a distance
-    `accept` allows, scanning `levels` coarse to fine; ties go to the
-    coarser level, then to lexicographic coords. None when none qualifies."""
-    c = dec.cubes
-    best, best_d = None, math.inf
-    for lvl in levels:
-        start, stop = dec.block_starts[2 * lvl:2 * lvl + 2].tolist()
-        if start == stop:
-            continue
-        s = dec.window.cell_size(lvl)
-        coords = np.column_stack([c["i"][start:stop], c["j"][start:stop]])
-        blo = np.asarray(dec.window.origin) + coords * s
-        d = box_distance(blo, blo + s, lo, hi)
-        d = np.where(accept(d), d, math.inf)
-        k = int(np.argmin(d))     # a block runs in (i, j) order: first of equals
-        if d[k] < best_d:
-            best, best_d = start + k, d[k]
-    return None if best is None else dec.cube(best)
+def _nearest_domain_cube(dec: WhitneyDecomposition, top: int, bottom: int, lo, hi, accept):
+    """Domain cube of a level in top..bottom nearest the closed box [lo, hi]
+    among those at a distance `accept` allows. One scan of the table's
+    coarse-to-fine slice takes the first of equals, so ties go to the coarser
+    level, then to lexicographic coords. None when none qualifies."""
+    last = len(dec.domain_starts) - 1
+    start = int(dec.domain_starts[min(top, last)])
+    stop = int(dec.domain_starts[min(bottom + 1, last)])
+    if bottom < top or stop == start:
+        return None
+    d = box_distance(dec.domain_lo[start:stop], dec.domain_hi[start:stop], lo, hi)
+    d = np.where(accept(d), d, math.inf)
+    k = int(np.argmin(d))
+    return None if d[k] == math.inf else dec.cube(int(dec.domain_rows[start + k]))
 
 
 def matching_cube(dec: WhitneyDecomposition, q: DyadicCube, epsilon: float,
@@ -376,8 +378,8 @@ def matching_cube(dec: WhitneyDecomposition, q: DyadicCube, epsilon: float,
 
     radius = matching_distance_constant(epsilon) * q.side + 1e-12 * dec.window.size
     lo = q.lower
-    best = _nearest_domain_cube(dec, range(max(0, q.level - 2), q.level + 1),
-                                lo, lo + q.side, lambda d: d <= radius)
+    best = _nearest_domain_cube(dec, max(0, q.level - 2), q.level, lo, lo + q.side,
+                                lambda d: d <= radius)
     if best is None:
         raise MatchingError(q.sort_key(), radius)
     return best
@@ -417,8 +419,10 @@ def find_big_cube_near(dec: WhitneyDecomposition, x, epsilon: float, delta: floa
     x = np.asarray(x, dtype=float)
     min_side = epsilon * delta / (320.0 * N_DIM)
     reach = delta * (1.0 / epsilon + SQRT_N)
-    levels = [lvl for lvl in range(dec.depth + 1) if dec.window.cell_size(lvl) >= min_side]
-    return _nearest_domain_cube(dec, levels, x, x, lambda d: d < reach)
+    # sides shrink with the level, so the admissible levels are 0..bottom
+    bottom = max((lvl for lvl in range(dec.depth + 1)
+                  if dec.window.cell_size(lvl) >= min_side), default=-1)
+    return _nearest_domain_cube(dec, 0, bottom, x, x, lambda d: d < reach)
 
 
 def whitney_chain(dec: WhitneyDecomposition, x, y) -> list[DyadicCube]:

@@ -168,9 +168,11 @@ def test_bad_config_exit_codes(tmp_path, capsys):
 
 def test_malformed_polygon_is_a_usage_error(tmp_path, capsys):
     odd, bowtie = tmp_path / "odd.dom", tmp_path / "bowtie.dom"
+    collinear = tmp_path / "collinear.dom"
     odd.write_text("shape: polygon\nouter: 0 0 1 0 0\n")
     bowtie.write_text("shape: polygon\nouter: 0 0 1 1 1 0 0 1\n")
-    for domain in (str(odd), str(bowtie), "polygon"):
+    collinear.write_text("shape: polygon\nouter: 0 0 1 0 2 0 3 0\n")
+    for domain in (str(odd), str(bowtie), str(collinear), "polygon"):
         assert run(["decompose", "--domain", domain, "--outdir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
 

@@ -117,6 +117,19 @@ def test_polygon_rejects_self_intersection():
         polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
 
 
+@pytest.mark.parametrize("outer", [[(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 0)] * 4],
+                         ids=["collinear", "coincident"])
+def test_polygon_rejects_outer_loop_without_area(outer):
+    with pytest.raises(PolygonError, match="outer loop: encloses no area"):
+        polygon(outer)
+
+
+def test_polygon_keeps_a_hole_without_area_as_a_slit():
+    dom = polygon([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (2, 2), (3, 3)]])
+    assert (dom.signed_distance(np.array([[2.0, 2.5], [2.5, 2.0]])) > 0).all()
+    assert dom.sd((2.0, 2.0)) == 0.0
+
+
 def test_polygon_rejects_outside_hole():
     with pytest.raises(PolygonError):
         polygon([(0, 0), (1, 0), (1, 1), (0, 1)],

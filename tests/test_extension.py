@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from bmoext import DyadicCube, Window, disk, intro_lipschitz
+from bmoext import DyadicCube, Window, disk, intro_lipschitz, l_shape, slit_disk
 from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, GridFunction, dyadic_abc_norm,
                         log_plus, sample_grid_function, _level_stats)
-from bmoext.dyadic import box_distance
+from bmoext.dyadic import box_distance, resolution_level
 from bmoext.errors import ExtensionError
-from bmoext.extension import (counterexample_experiment, extend, make_suite,
+from bmoext.extension import (GROWTH_CELL, GROWTH_DELTA, GROWTH_EPSILON,
+                              counterexample_experiment, extend, make_suite,
                               max_extension_scale, max_suite_ratio,
                               operator_norm_experiment, plan_extension)
 from bmoext.whitney import TAG_COMPLEMENT, build_whitney
@@ -136,6 +137,71 @@ def test_frontier_fill_takes_nearest_painted_cube(disk_dec, plan):
         c = np.asarray(DISK_WINDOW.origin) + (np.array([i, j]) + 0.5) * h
         k = int(np.argmin(box_distance(lows, lows + sides, c, c)))
         assert plan.source[i, j] == plan.source[corner[k]]
+
+
+def reference_fill(dec, plan, pick=np.argmin):
+    """The plan's `source` refilled by the blocked brute-force frontier fill
+    that the bucketed one replaced: every filled cell center measured
+    against every painted cube, `pick` choosing among the distances in
+    build order (argmin: the first nearest)."""
+    c, w = dec.cubes, dec.window
+    painted = np.flatnonzero((c["tag"] == TAG_COMPLEMENT) & (c["level"] <= plan.level))
+    lvl = c["level"][painted]
+    sides = np.ldexp(w.size, -lvl)[:, None]
+    ij = np.column_stack([c["i"][painted], c["j"][painted]])
+    lows = np.asarray(w.origin) + ij * sides
+    corner = ij << (plan.level - lvl)[:, None]
+    paint = plan.source[corner[:, 0], corner[:, 1]]
+    cells = np.argwhere((plan.mask == MASK_OUTSIDE) & (dec.cell_rows(plan.level) < 0))
+    centers = np.asarray(w.origin) + (cells + 0.5) * w.cell_size(plan.level)
+    source = plan.source.copy()
+    step = max(1, (1 << 20) // len(lows))
+    for lo in range(0, len(cells), step):
+        x = centers[lo:lo + step, None, :]
+        nearest = pick(box_distance(lows, lows + sides, x, x), axis=1)
+        sel = cells[lo:lo + step]
+        source[sel[:, 0], sel[:, 1]] = paint[nearest]
+    return source
+
+
+def growth_plan(r_size, lam):
+    """The plan of `counterexample_experiment([r_size], lam)`."""
+    dom = intro_lipschitz()
+    side = 2.0 * r_size
+    level = resolution_level(GROWTH_CELL / side)
+    window = Window((-float(r_size), -float(r_size)), side)
+    dec = build_whitney(dom, window, level)
+    f = sample_grid_function(dom, window, level, lambda p: p[:, 0], everywhere=True)
+    return dec, quiet_plan(dec, f.mask, lam, GROWTH_EPSILON, GROWTH_DELTA, best_effort=True)
+
+
+def domain_plan(dom, window, depth, level, lam):
+    dec = build_whitney(dom, window, depth)
+    f = sample_grid_function(dom, window, level, lambda p: p[:, 0])
+    return dec, quiet_plan(dec, f.mask, lam, 0.3, 0.5, best_effort=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: growth_plan(4, 2.0), lambda: growth_plan(4, 0.25),
+    lambda: growth_plan(8, 2.0), lambda: growth_plan(8, 0.25),
+    lambda: domain_plan(disk(1.0), disk(1.0).default_window, 6, 6, 0.1),
+    lambda: domain_plan(slit_disk(1.0, 0.5), slit_disk(1.0, 0.5).default_window, 7, 7, 0.2),
+    lambda: domain_plan(l_shape(), l_shape().default_window, 6, 8, 0.2),
+], ids=["growth-4-lam2", "growth-4-lam0.25", "growth-8-lam2", "growth-8-lam0.25",
+        "suite-ratio-disk", "slit-disk", "l-shape-frontier-6-grid-8"])
+def test_frontier_fill_equals_brute_force(make):
+    dec, plan = make()
+    assert plan.frontier_filled > 0
+    assert reference_fill(dec, plan).tobytes() == plan.source.tobytes()
+
+
+def test_frontier_fill_ties_go_to_the_first_painted_cube():
+    # the disk and its centered window are symmetric about the diagonals, so
+    # cells lie equidistant from two painted cubes of different sources
+    dec, plan = domain_plan(disk(1.0), DISK_WINDOW, 5, 7, 0.1)
+    last = lambda d, axis: d.shape[axis] - 1 - np.argmin(d[:, ::-1], axis=axis)
+    assert reference_fill(dec, plan, last).tobytes() != plan.source.tobytes()
+    assert reference_fill(dec, plan).tobytes() == plan.source.tobytes()
 
 
 def test_extension_average_growth_bound(disk_dec, suite, plan):

@@ -188,6 +188,12 @@ def test_first_crossing_matches_pairwise_loop():
         loop = rng.integers(0, 6, size=(int(rng.integers(4, 12)), 2)).astype(float)
         want = reference_first_crossing(loop)
         if want is None:
+            x, y = loop.T
+            if np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y) == 0.0:
+                # no crossing, but the loop runs back along itself
+                with pytest.raises(PolygonError, match="outer loop: encloses no area"):
+                    polygon(loop)
+                continue
             polygon(loop)
             simple += 1
             continue
@@ -292,9 +298,9 @@ def test_oracle_when_subnormal_squares_misorder_edges():
 
 def reference_validate(outer, holes=()):
     """The validation `polygon` ran loop by loop: each loop checked for size
-    and self-crossings, each hole for touching and leaving the outer loop,
-    then one scan for crossings across loops and one containment test per
-    hole. Raises PolygonError."""
+    and self-crossings, the outer loop for zero shoelace area, each hole for
+    touching and leaving the outer loop, then one scan for crossings across
+    loops and one containment test per hole. Raises PolygonError."""
     def validate_loop(loop, name):
         if len(loop) < 3:
             raise PolygonError(f"{name}: needs at least 3 vertices, got {len(loop)}")
@@ -309,6 +315,10 @@ def reference_validate(outer, holes=()):
 
     loops = [np.asarray(outer, dtype=float)]
     validate_loop(loops[0], "outer loop")
+    x, y = loops[0].T
+    if np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y) == 0.0:
+        raise PolygonError("outer loop: encloses no area (its vertices are "
+                           "collinear or coincide)")
     outer_index = _slab_index(loops)
     for k, h in enumerate(holes):
         hv = np.asarray(h, dtype=float)
@@ -394,8 +404,7 @@ def outcome(check, *args):
 def test_validation_accepts_and_rejects_as_the_reference(case):
     outer, holes = case
     want = outcome(reference_validate, outer, holes)
-    # the loops as `polygon` passes them; a loop of collinear vertices passes
-    # both and only fails later, in the window of the domain
+    # the loops as `polygon` passes them
     got = outcome(domains._validate, [np.asarray(lp, dtype=float) for lp in (outer, *holes)])
     assert (got is None) == (want is None)
     if not holes:

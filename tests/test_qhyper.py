@@ -7,6 +7,7 @@ from scipy.sparse import csgraph
 
 from bmoext import (Polyline, Window, l_shape, polygon, qh_distance, qh_length,
                     qhyper, slit_disk)
+from bmoext.cli import main
 from bmoext.errors import (DisconnectedGraphError, EmptyInteriorError,
                            QuadratureError)
 from bmoext.qhyper import (build_metric_graph, eta_lambda, j_distance,
@@ -235,6 +236,20 @@ def test_eta_basics(hp, hp_graph):
 
 
 # -- graph internals ---------------------------------------------------------
+
+def test_graph_level_cap_refuses_before_allocating(disk1, tmp_path, capsys, monkeypatch):
+    # a 1/8192 graph would need many GB: the cap must refuse it before
+    # the first n x n array, so a broken cap fails here at once
+    def no_grid(*args):
+        raise AssertionError("grid allocated past the level cap")
+
+    monkeypatch.setattr(qhyper, "grid_centers", no_grid)
+    with pytest.raises(ValueError, match="1 <= k <= 11"):
+        build_metric_graph(disk1, Window((-1.25, -1.25), 2.5), 1 / 8192)
+    assert main(["norm", "--domain", "disk:1", "--function", "qh:0.3,0",
+                 "--resolution", "1/8192", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: graph resolution")
+
 
 def test_edge_weight_brackets(disk1, disk_graph, rng):
     # weights sit inside the Lipschitz-corrected clearance bracket

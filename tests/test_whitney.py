@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from bmoext import Window, cusp, disk, half_plane, slit_disk
+from hypothesis import given, settings, strategies as st
+
+from bmoext import Window, cusp, disk, half_plane, intro_lipschitz, l_shape, slit_disk
 from bmoext.dyadic import DyadicCube, SQRT_N, box_distance
 from bmoext.errors import WhitneyInvariantError
 from bmoext.whitney import (ACCEPT_FACTOR, TAG_COMPLEMENT, TAG_DOMAIN,
-                            build_whitney, find_big_cube_near,
-                            find_interior_point, matching_cube,
-                            matching_distance_constant, matching_size_bound,
-                            whitney_chain)
+                            _nearest_domain_cube, build_whitney,
+                            find_big_cube_near, find_interior_point,
+                            matching_cube, matching_distance_constant,
+                            matching_size_bound, whitney_chain)
 from tests.conftest import DISK_WINDOW
 
 
@@ -101,7 +103,8 @@ def test_decomposition_is_read_only(disk_dec):
         disk_dec.cubes = disk_dec.cubes.copy()
     with pytest.raises(dataclasses.FrozenInstanceError):
         disk_dec.max_depth = 3
-    columns = (disk_dec.cubes, disk_dec.frontier, disk_dec.block_starts,
+    columns = (disk_dec.cubes, disk_dec.frontier, disk_dec.domain_rows,
+               disk_dec.domain_lo, disk_dec.domain_hi, disk_dec.domain_starts,
                disk_dec.leaf_keys, disk_dec.leaf_levels, disk_dec.leaf_ids,
                disk_dec.adj_indptr, disk_dec.adj_indices)
     for col in columns:
@@ -224,6 +227,75 @@ def test_matching_disk_exhaustive_scan(disk_dec):
         assert cands, "oracle found no candidate but matching_cube succeeded"
         best = min(cands)
         assert (got.level, got.coords[0], got.coords[1]) == best[1:]
+
+
+def reference_nearest_domain_cube(dec, levels, lo, hi, accept):
+    """The per-level scan that the domain-cube table replaced: each level's
+    domain cubes in (i, j) order, where the first nearest of a level wins
+    only when strictly nearer than the best of the coarser levels."""
+    c = dec.cubes
+    best, best_d = None, math.inf
+    for lvl in levels:
+        rows = np.flatnonzero((c["tag"] == TAG_DOMAIN) & (c["level"] == lvl))
+        if rows.size == 0:
+            continue
+        s = dec.window.cell_size(lvl)
+        coords = np.column_stack([c["i"][rows], c["j"][rows]])
+        blo = np.asarray(dec.window.origin) + coords * s
+        d = box_distance(blo, blo + s, lo, hi)
+        d = np.where(accept(d), d, math.inf)
+        k = int(np.argmin(d))
+        if d[k] < best_d:
+            best, best_d = rows[k], d[k]
+    return None if best is None else dec.cube(best)
+
+
+@pytest.fixture(scope="module")
+def query_decs():
+    return [build_whitney(dom, dom.default_window, 7)
+            for dom in (disk(1.0), l_shape(), slit_disk(1.0, 0.5), intro_lipschitz())]
+
+
+@st.composite
+def nearest_queries(draw, decs):
+    """A decomposition, a level range (empty, or reaching past the deepest
+    level), a query box and an accept test. Dyadic cells as queries meet
+    cubes of several levels at the same distance, often 0; the radius is 0,
+    inf, a random value, or the exact distance of one domain cube."""
+    dec = decs[draw(st.integers(0, len(decs) - 1))]
+    top = draw(st.integers(0, dec.depth + 1))
+    bottom = draw(st.integers(top - 2, dec.depth + 1))
+    w, u = dec.window, st.floats(-0.1, 1.1)
+    kind = draw(st.sampled_from(["cell", "box", "point"]))
+    if kind == "cell":
+        level = draw(st.integers(0, dec.depth))
+        ij = st.integers(0, (1 << level) - 1)
+        q = DyadicCube(level, (draw(ij), draw(ij)), w)
+        lo, hi = q.lower, q.lower + q.side
+    else:
+        lo = np.asarray(w.origin) + w.size * np.array([draw(u), draw(u)])
+        hi = lo + (w.size * np.array([draw(st.floats(0, 0.3)), draw(st.floats(0, 0.3))])
+                   if kind == "box" else 0.0)
+    radius = draw(st.sampled_from(["zero", "inf", "random", "cube"]))
+    if radius == "cube":
+        k = draw(st.integers(0, len(dec.domain_rows) - 1))
+        radius = float(box_distance(dec.domain_lo[k], dec.domain_hi[k], lo, hi))
+    elif radius == "random":
+        radius = draw(st.floats(0, w.size))
+    else:
+        radius = 0.0 if radius == "zero" else math.inf
+    strict = draw(st.booleans())
+    accept = (lambda d: d < radius) if strict else (lambda d: d <= radius)
+    return dec, top, bottom, lo, hi, accept
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_table_scan_matches_per_level_scan(query_decs, data):
+    dec, top, bottom, lo, hi, accept = data.draw(nearest_queries(query_decs))
+    got = _nearest_domain_cube(dec, top, bottom, lo, hi, accept)
+    want = reference_nearest_domain_cube(dec, range(top, bottom + 1), lo, hi, accept)
+    assert (got is None and want is None) or got.sort_key() == want.sort_key()
 
 
 def test_find_interior_point_center(disk_dec):
