@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .bmo import (GridFunction, NormReport, adjacent_average_gap,
                   bmo_homogeneous_norm, bmo_lambda_norm, bmo_local_norm,
-                  cube_average, dipole_field, dyadic_abc_norm,
+                  cube_average, dipole_field, dyadic_abc_norm, field_graph,
                   log_growth_ratio, qh_distance_field, sample_grid_function,
                   whitney_cellwise_field)
 from .cigar import (ClassificationReport, classify, curve_constants,
@@ -27,7 +27,7 @@ from .whitney import (WhitneyDecomposition, build_whitney, find_big_cube_near,
 __all__ = [
     "GridFunction", "NormReport", "adjacent_average_gap", "bmo_homogeneous_norm",
     "bmo_lambda_norm", "bmo_local_norm", "cube_average", "dipole_field",
-    "dyadic_abc_norm", "log_growth_ratio", "qh_distance_field",
+    "dyadic_abc_norm", "field_graph", "log_growth_ratio", "qh_distance_field",
     "sample_grid_function", "whitney_cellwise_field", "ClassificationReport",
     "classify", "curve_constants", "epsilon_from_ab",
     "epsilon_upper_bound", "estimate_epsilon_delta",

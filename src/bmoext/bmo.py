@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain
-from .dyadic import DyadicCube, SQRT_N, Window, grid_centers, resolution_level
+from .dyadic import DyadicCube, SQRT_N, Window, grid_centers
 from .errors import DisconnectedGraphError
 from .qhyper import MetricGraph, build_metric_graph, segment_qh_batch
 
@@ -113,20 +113,25 @@ def cube_average(f: GridFunction, q: DyadicCube) -> float:
     return math.fsum(vals.tolist()) / vals.size
 
 
-def _level_stats(f: GridFunction, level: int, cells: str):
-    """(means, oscillations, counts) over the dyadic cubes at `level`."""
-    b = 1 << (f.level - level)
-    nb = 1 << level
+def _counted_values(f: GridFunction, cells: str):
+    """The level-free inputs of _level_stats: the counted-cell mask and the
+    values with every other cell set to zero."""
     counted = f.counted(cells)
-    v = np.where(counted, np.nan_to_num(f.values, nan=0.0), 0.0)
+    return counted, np.where(counted, np.nan_to_num(f.values, nan=0.0), 0.0)
+
+
+def _level_stats(counted: np.ndarray, v: np.ndarray, level: int):
+    """(means, oscillations, counts) over the dyadic cubes at `level` of a
+    grid, given its `_counted_values`."""
+    nb = 1 << level
+    b = len(v) >> level
     v4 = v.reshape(nb, b, nb, b)
     c4 = counted.reshape(nb, b, nb, b)
     counts = c4.sum(axis=(1, 3))
     sums = v4.sum(axis=(1, 3))
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    dev = np.abs(v - np.repeat(np.repeat(means, b, axis=0), b, axis=1))
-    dev = np.where(counted, dev, 0.0).reshape(nb, b, nb, b).sum(axis=(1, 3))
+    dev = np.where(c4, np.abs(v4 - means[:, None, :, None]), 0.0).sum(axis=(1, 3))
     with np.errstate(invalid="ignore"):
         osc = np.where(counts > 0, dev / np.maximum(counts, 1), np.nan)
     return means, osc, counts
@@ -191,9 +196,12 @@ def _norm_report(f: GridFunction, domain: Domain | None, lam: float | None,
 
     # (value, (level, i, j)) of the first largest cube below lam, then at or above it
     best = [(-math.inf, None), (-math.inf, None)]
+    counted, v = _counted_values(f, cells)
     for lvl in levels:
-        means, osc, counts = _level_stats(f, lvl, cells)
-        inside = _contained_mask(f, domain, lvl, margin_factor) & (counts > 0)
+        # the oracle call before the level's stats keeps its peak memory low
+        inside = _contained_mask(f, domain, lvl, margin_factor)
+        means, osc, counts = _level_stats(counted, v, lvl)
+        inside &= counts > 0
         if not inside.any():
             continue
         large = lam is not None and f.window.cell_size(lvl) >= lam
@@ -241,9 +249,10 @@ def dyadic_abc_norm(f: GridFunction, lam: float) -> NormReport:
     b_val = 0.0
     c_val = 0.0
     c_floor = lam / (16.0 * SQRT_N)
+    counted, v = _counted_values(f, cells)
     for lvl in range(0, f.level + 1):
         side = f.window.cell_size(lvl)
-        means, osc, counts = _level_stats(f, lvl, cells)
+        means, osc, counts = _level_stats(counted, v, lvl)
         ok = counts > 0
         if ok.any():
             a_val = max(a_val, float(np.max(np.where(ok, osc, -math.inf))))
@@ -265,24 +274,21 @@ def dyadic_abc_norm(f: GridFunction, lam: float) -> NormReport:
 # ---------------------------------------------------------------------------
 # test-function generators
 
-def _field_graph(domain: Domain, window: Window, level: int) -> MetricGraph:
-    # node margin slightly under half the diagonal so every inside cell is a node
+def field_graph(domain: Domain, window: Window, level: int) -> MetricGraph:
+    """The metric graph of the distance fields on the level-`level` grid: its
+    node margin sits just under half the cell diagonal, so every inside cell
+    is a node."""
     margin = 0.5 * SQRT_N * (1.0 - 1e-9)
     return build_metric_graph(domain, window, 2.0 ** (-level), node_margin=margin)
 
 
-def qh_distance_field(domain: Domain, a, resolution: float,
-                      window: Window | None = None,
-                      graph: MetricGraph | None = None) -> GridFunction:
+def qh_distance_field(graph: MetricGraph, a) -> GridFunction:
     """Grid field of quasi-hyperbolic distances from the source point."""
+    domain, window, level = graph.domain, graph.window, graph.level
     a = np.asarray(a, dtype=float)
-    if domain.sd(a) <= 0:
+    if not domain.sd(a) > 0:
         raise ValueError("source point must lie inside the domain")
-    window = window or domain.default_window
     domain.check_window(window)
-    level = resolution_level(resolution)
-    if graph is None:
-        graph = _field_graph(domain, window, level)
     mask, _, _ = classify_cells(domain, window, level)
     src = graph.snap(a)
     leg, _, leg_ok = segment_qh_batch(domain, a[None, :], graph.node_pos[src][None, :])
@@ -293,8 +299,11 @@ def qh_distance_field(domain: Domain, a, resolution: float,
     n = 1 << level
     vals = np.full((n, n), np.nan)
     node_cells = graph.node_grid >= 0
+    if ((mask == MASK_INSIDE) & ~node_cells).any():
+        raise ValueError("the graph has no node at some inside cells; "
+                         "build it with field_graph")
     vals[node_cells] = dist[graph.node_grid[node_cells]] + leg[0]
-    unreachable = (mask == MASK_INSIDE) & ~np.isfinite(np.where(node_cells, vals, np.inf))
+    unreachable = (mask == MASK_INSIDE) & ~np.isfinite(vals)
     if unreachable.any():
         raise DisconnectedGraphError(
             f"{int(unreachable.sum())} inside cells unreachable from the source; "
@@ -303,21 +312,15 @@ def qh_distance_field(domain: Domain, a, resolution: float,
     return GridFunction(window, level, vals, mask)
 
 
-def dipole_field(domain: Domain, z1, z2, r1: float, r2: float,
-                 resolution: float, window: Window | None = None,
-                 graph: MetricGraph | None = None) -> GridFunction:
+def dipole_field(graph: MetricGraph, z1, z2, r1: float, r2: float) -> GridFunction:
     """Difference of two truncated distance cones: bounded, vanishes far
     from both sources once the radii are below their interior access."""
-    if r1 < 0 or r2 < 0:
+    if not (r1 >= 0 and r2 >= 0):
         raise ValueError("radii must be nonnegative")
-    window = window or domain.default_window
-    level = resolution_level(resolution)
-    if graph is None:
-        graph = _field_graph(domain, window, level)
-    f1 = qh_distance_field(domain, z1, resolution, window, graph)
-    f2 = qh_distance_field(domain, z2, resolution, window, graph)
+    f1 = qh_distance_field(graph, z1)
+    f2 = qh_distance_field(graph, z2)
     vals = np.maximum(r1 - f1.values, 0.0) - np.maximum(r2 - f2.values, 0.0)
-    return GridFunction(window, level, vals, f1.mask.copy())
+    return GridFunction(graph.window, graph.level, vals, f1.mask.copy())
 
 
 def whitney_cellwise_field(dec, grid_level: int, rng) -> GridFunction:
@@ -364,8 +367,9 @@ def _domain_cube_means(f: GridFunction, dec):
     c = dec.cubes
     out = np.full(len(c), np.nan)
     rows = np.flatnonzero((c["tag"] == TAG_DOMAIN) & (c["level"] <= f.level))
+    counted, v = _counted_values(f, "inside")
     for lvl in np.unique(c["level"][rows]).tolist():
-        means, _, counts = _level_stats(f, lvl, "inside")
+        means, _, counts = _level_stats(counted, v, lvl)
         k = rows[c["level"][rows] == lvl]
         i, j = c["i"][k], c["j"][k]
         ok = counts[i, j] > 0

@@ -45,7 +45,7 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
     """The endpoints as arrays and their separation, which must be positive."""
     x, y = np.asarray(x, float), np.asarray(y, float)
     sep = float(np.hypot(*(x - y)))
-    if sep <= 0:
+    if not sep > 0:
         raise ValueError("pair must have distinct endpoints")
     return x, y, sep
 
@@ -82,7 +82,7 @@ def curve_constants(domain: Domain, x, y, gamma) -> tuple[float, float, float]:
 
 def epsilon_from_ab(a: float, b: float) -> float:
     """Cigar epsilon guaranteed by length-cigar constants: min(1/a, 1/(ab))."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ValueError("length-cigar constants must be positive")
     if a < 1.0 - 1e-9:
         raise ValueError("a = s/|x-y| cannot be below 1")
@@ -320,7 +320,7 @@ def mirror_pairs(domain: Domain, window: Window, delta: float) -> list[PairSampl
 # ---------------------------------------------------------------------------
 # estimators
 
-def evaluate_pair(domain: Domain, graph: MetricGraph, pairs: list[PairSample]):
+def evaluate_pair(graph: MetricGraph, pairs: list[PairSample]):
     """Curve evidence on this graph for each pair. Its menu holds the
     straight segment when it stays inside, the raw grid geodesic and its
     shortened refinement, each measured to the quadrature tolerance of
@@ -329,6 +329,7 @@ def evaluate_pair(domain: Domain, graph: MetricGraph, pairs: list[PairSample]):
     eps_curve, a, b, curve and k_xy; with none the pair is flagged."""
     if not pairs:
         return pairs
+    domain = graph.domain
     segs = [Polyline(np.array([p.x, p.y])) for p in pairs]
     sd = domain.signed_distance(np.concatenate([seg.resample(64) for seg in segs]))
     inside = (sd.reshape(len(pairs), 64) > 0).all(axis=1)
@@ -380,6 +381,13 @@ def _monotone_divergence(seq: list[tuple[int, float]]) -> bool:
             and vals[-1] * DIVERGENCE_FACTOR <= vals[0])
 
 
+def _check_sampling(delta: float, n_pairs: int):
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    if n_pairs < 1:
+        raise ValueError("need at least one pair")
+
+
 def _sample_pairs(domain: Domain, window: Window, delta: float, n_pairs: int,
                   resolution: float, seed: int) -> list[PairSample]:
     """Seeded uniform pairs plus the adversarial sweep, each with its
@@ -399,7 +407,7 @@ def _sample_pairs(domain: Domain, window: Window, delta: float, n_pairs: int,
     return pairs
 
 
-def _evaluate_all(domain: Domain, graph: MetricGraph, pairs: list[PairSample]):
+def _evaluate_all(graph: MetricGraph, pairs: list[PairSample]):
     """Curve evidence on this graph: every uniform pair gets the curve menu,
     adversarial pairs only at the coarse grid-resolvable scales (enough for
     the envelope offsets)."""
@@ -412,37 +420,30 @@ def _evaluate_all(domain: Domain, graph: MetricGraph, pairs: list[PairSample]):
                 continue
             counts[k] = counts.get(k, 0) + 1
         chosen.append(p)
-    evaluate_pair(domain, graph, chosen)
+    evaluate_pair(graph, chosen)
     for p in chosen:
         if p.kind == "adversarial":
             p.flagged = False   # adversarial pairs never gate the verdict
 
 
-def estimate_epsilon_delta(domain: Domain, delta: float, n_pairs: int,
-                           resolution: float, seed: int,
-                           window: Window | None = None,
-                           graph: MetricGraph | None = None,
+def estimate_epsilon_delta(graph: MetricGraph, delta: float, n_pairs: int, seed: int,
                            pairs: list[PairSample] | None = None) -> ClassificationReport:
-    """Sampled lower estimate of the best cigar epsilon at reach delta,
-    sampled caps from the adversarial sweep, and the uniformity envelope
-    (c, d) with its per-scale offsets, fitted to the (j, k) points kept in
-    details["fit_points"]. Given the `pairs` of an earlier report (same
-    domain, window and delta), it copies them with their caps and
-    j-distances and measures only their curve evidence on this graph;
-    n_pairs and seed then go unused."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if n_pairs < 1:
-        raise ValueError("need at least one pair")
-    window = window or domain.default_window
-    if graph is None:
-        graph = build_metric_graph(domain, window, resolution)
+    """Sampled lower estimate of the best cigar epsilon at reach delta in
+    the graph's domain and window, sampled caps from the adversarial sweep,
+    and the uniformity envelope (c, d) with its per-scale offsets, fitted to
+    the (j, k) points kept in details["fit_points"]. Given the `pairs` of an
+    earlier report (same domain, window and delta), it copies them with
+    their caps and j-distances and measures only their curve evidence on
+    this graph; n_pairs and seed then go unused."""
+    _check_sampling(delta, n_pairs)
+    domain = graph.domain
+    resolution = 2.0 ** -graph.level
     if pairs is None:
-        pairs = _sample_pairs(domain, window, delta, n_pairs, resolution, seed)
+        pairs = _sample_pairs(domain, graph.window, delta, n_pairs, resolution, seed)
     else:
         pairs = [PairSample(p.x, p.y, p.sep, p.kind, p.scale_index,
                             eps_cap=p.eps_cap, j_xy=p.j_xy) for p in pairs]
-    _evaluate_all(domain, graph, pairs)
+    _evaluate_all(graph, pairs)
 
     found = [p.eps_curve for p in pairs if p.eps_curve is not None]
     eps_hat = min(found) if found else math.nan
@@ -565,11 +566,12 @@ def classify(domain: Domain, delta: float, budget: int, resolution: float,
     runs share the pairs, caps and j-distances of the coarse run; only the
     curve evidence is measured again on the fine grid.
     """
+    _check_sampling(delta, budget)
     window = window or domain.default_window
     runs = []
     for res in (resolution, resolution / 2.0):
-        runs.append(estimate_epsilon_delta(domain, delta, budget, res, seed, window=window,
-                                           pairs=runs[0].pairs if runs else None))
+        runs.append(estimate_epsilon_delta(build_metric_graph(domain, window, res), delta,
+                                           budget, seed, pairs=runs[0].pairs if runs else None))
 
     fine = runs[1]
     divergent = (_monotone_divergence(fine.cap_scale_minima)

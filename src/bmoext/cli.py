@@ -22,7 +22,7 @@ from . import bmo, cigar, extension, svgout
 from .domains import Domain, parse_domain_arg, parse_domain_file
 from .dyadic import Window, resolution_level
 from .errors import GeometryError, PolygonError
-from .qhyper import qh_distance
+from .qhyper import build_metric_graph, qh_distance
 from .whitney import FRONTIER, build_whitney
 
 CSV_VERSION = "bmoext-csv v1"
@@ -201,13 +201,13 @@ def _make_function(spec: str, domain, window, resolution, seed):
                                         lambda p: p[:, axis], everywhere=True)
     if name == "qh":
         a = [float(t) for t in args.split(",")]
-        return bmo.qh_distance_field(domain, a, resolution, window)
+        return bmo.qh_distance_field(bmo.field_graph(domain, window, level), a)
     if name == "dipole":
         v = [float(t) for t in args.split(",")]
         if len(v) != 6:
             raise ValueError(f"dipole takes x1,y1,x2,y2,r1,r2, got {args!r}")
-        return bmo.dipole_field(domain, v[0:2], v[2:4], v[4], v[5],
-                                resolution, window)
+        return bmo.dipole_field(bmo.field_graph(domain, window, level),
+                                v[0:2], v[2:4], v[4], v[5])
     if name == "cellwise":
         depth = int(args or level)
         dec = build_whitney(domain, window, depth)
@@ -239,8 +239,8 @@ def cmd_decompose(args, domain: Domain, window: Window, out: Path):
 
 
 def cmd_geodesic(args, domain: Domain, window: Window, out: Path):
-    value, pl = qh_distance(domain, args.frm, args.to, args.resolution,
-                            window=window)
+    value, pl = qh_distance(build_metric_graph(domain, window, args.resolution),
+                            args.frm, args.to)
     row = (args.resolution, value, pl.qh_error, pl.euclidean_length, len(pl.points))
     write_csv(out / "geodesic.csv", "geodesic",
               ["resolution", "qh_length", "err_bound", "euclid_length",

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bmo import (GridFunction, MASK_INSIDE, MASK_OUTSIDE, NormReport,
-                  bmo_lambda_norm, cube_average, dipole_field,
-                  qh_distance_field, sample_grid_function,
-                  whitney_cellwise_field, _field_graph)
+                  bmo_lambda_norm, cube_average, dipole_field, field_graph,
+                  qh_distance_field, sample_grid_function, whitney_cellwise_field)
 from .domains import Domain, intro_lipschitz
 from .dyadic import (DyadicCube, N_DIM, SQRT_N, Window, box_distance,
                      resolution_level)
@@ -42,7 +41,7 @@ def max_extension_scale(epsilon: float, delta: float, n: int = N_DIM) -> float:
     """Largest cutoff with a bounded extension guarantee for the geometry."""
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -115,7 +114,7 @@ def plan_extension(dec: WhitneyDecomposition, mask, lam: float, epsilon: float,
     if mask.shape != (len(mask), len(mask)):
         raise ValueError("mask must be a square grid of cells")
     level = resolution_level(1.0 / len(mask))
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     scale_cap = max_extension_scale(epsilon, delta)
     if lam > scale_cap:
@@ -237,7 +236,7 @@ def make_suite(domain: Domain, window: Window, resolution: float,
     cube-wise functions with unit adjacent oscillation."""
     rng = np.random.default_rng(seed)
     level = resolution_level(resolution)
-    graph = _field_graph(domain, window, level)
+    graph = field_graph(domain, window, level)
     suite = []
     for k in range(n_const):
         c = (-2.0, 1.0, 0.5, 3.0)[k % 4]
@@ -254,14 +253,13 @@ def make_suite(domain: Domain, window: Window, resolution: float,
         if band.size == 0:
             band = np.arange(len(pos))
         a = pos[band[int(rng.integers(band.size))]]
-        suite.append((f"qh_{k}", qh_distance_field(domain, a, resolution,
-                                                   window, graph)))
+        suite.append((f"qh_{k}", qh_distance_field(graph, a)))
     for k in range(n_dipole):
         i, j = rng.integers(len(pos)), rng.integers(len(pos))
         r1 = float(rng.uniform(0.5, 3.0))
         r2 = float(rng.uniform(0.5, 3.0))
-        suite.append((f"dipole_{k}", dipole_field(domain, pos[int(i)], pos[int(j)],
-                                                  r1, r2, resolution, window, graph)))
+        suite.append((f"dipole_{k}", dipole_field(graph, pos[int(i)], pos[int(j)],
+                                                  r1, r2)))
     for k in range(n_random):
         suite.append((f"cellwise_{k}", whitney_cellwise_field(dec, level, rng)))
     return suite

@@ -179,7 +179,7 @@ def j_distance(domain: Domain, x, y) -> float:
     y = np.asarray(y, float)
     dx = domain.sd(x)
     dy = domain.sd(y)
-    if dx <= 0 or dy <= 0:
+    if not (dx > 0 and dy > 0):
         raise ValueError("both points must lie inside the domain")
     r = float(np.hypot(*(x - y)))
     return 0.5 * math.log((1.0 + r / dx) * (1.0 + r / dy))
@@ -191,9 +191,10 @@ def j_distance(domain: Domain, x, y) -> float:
 _OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MetricGraph:
-    """8-connected grid discretization with quasi-hyperbolic edge weights."""
+    """8-connected grid discretization with quasi-hyperbolic edge weights;
+    read-only. Queries read the domain, window and level from it."""
 
     domain: Domain
     window: Window
@@ -202,6 +203,11 @@ class MetricGraph:
     node_sd: np.ndarray
     node_grid: np.ndarray          # (N, N) int64 node index, -1 where absent
     adj: csr_matrix = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.node_pos, self.node_sd, self.node_grid,
+                  self.adj.data, self.adj.indices, self.adj.indptr):
+            a.flags.writeable = False
 
     @property
     def h(self) -> float:
@@ -400,22 +406,18 @@ def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
     return paths
 
 
-def qh_distance(domain: Domain, x, y, resolution: float,
-                window: Window | None = None, graph: MetricGraph | None = None,
-                refine: bool = True):
+def qh_distance(graph: MetricGraph, x, y, refine: bool = True):
     """Quasi-hyperbolic distance estimate and witness geodesic.
 
     Dijkstra on the grid graph, then curve shortening; the estimate is the
     quadrature length of an actual curve, hence an upper bound up to the
     returned quadrature error.
     """
+    domain = graph.domain
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    if domain.sd(x) <= 0 or domain.sd(y) <= 0:
+    if not (domain.sd(x) > 0 and domain.sd(y) > 0):
         raise ValueError("both endpoints must lie inside the domain")
-    if graph is None:
-        window = window or domain.default_window
-        graph = build_metric_graph(domain, window, resolution)
     if np.allclose(x, y):
         pl = Polyline(np.array([x, y]), qh_value=0.0, qh_error=0.0)
         return 0.0, pl
@@ -489,9 +491,7 @@ class InteriorDistance:
     raw_value: float        # grid sum of the unrefined path plus the snap leg
 
 
-def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
-                            window: Window | None = None,
-                            graph: MetricGraph | None = None,
+def qh_distance_to_interior(graph: MetricGraph, x, lam: float,
                             refine: bool = True) -> InteriorDistance:
     """Shortest quasi-hyperbolic access to {dist >= lam}.
 
@@ -499,15 +499,13 @@ def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
     nearest interior node, lowest index first among equals, ends the curve,
     and the reported distance is that curve's measured length.
     """
+    domain = graph.domain
     x = np.asarray(x, float)
-    if domain.sd(x) <= 0:
+    if not domain.sd(x) > 0:
         raise ValueError("x must lie inside the domain")
     if domain.sd(x) >= lam:
         pl = Polyline(np.array([x, x + 0.0]), qh_value=0.0, qh_error=0.0)
         return InteriorDistance(0.0, x, pl, 0.0)
-    if graph is None:
-        window = window or domain.default_window
-        graph = build_metric_graph(domain, window, resolution)
 
     targets = np.nonzero(graph.node_sd >= lam)[0]
     if targets.size == 0:
@@ -539,10 +537,7 @@ def qh_distance_to_interior(domain: Domain, x, lam: float, resolution: float,
                             float(dist[t_star] + leg_val[0]))
 
 
-def eta_lambda(domain: Domain, x, y, lam: float, resolution: float,
-               window: Window | None = None,
-               graph: MetricGraph | None = None) -> float:
+def eta_lambda(graph: MetricGraph, x, y, lam: float) -> float:
     """Sum of the interior-access distances of the two points."""
-    a = qh_distance_to_interior(domain, x, lam, resolution, window=window, graph=graph)
-    b = qh_distance_to_interior(domain, y, lam, resolution, window=window, graph=graph)
-    return a.value + b.value
+    return (qh_distance_to_interior(graph, x, lam).value
+            + qh_distance_to_interior(graph, y, lam).value)

@@ -367,7 +367,7 @@ def matching_cube(dec: WhitneyDecomposition, q: DyadicCube, epsilon: float,
     by coarser level then lexicographic coords. The guarantee regime is
     side(q) <= epsilon * delta / (16 n); outside it the search may fail.
     """
-    if not (0 < epsilon <= 1) or delta <= 0:
+    if not (0 < epsilon <= 1 and delta > 0):
         raise ValueError("need 0 < epsilon <= 1 and delta > 0")
     try:
         is_complement = dec.cubes["tag"][dec.index_of(q)] == TAG_COMPLEMENT
@@ -414,7 +414,7 @@ def find_interior_point(domain: Domain, q: DyadicCube, epsilon: float):
 def find_big_cube_near(dec: WhitneyDecomposition, x, epsilon: float, delta: float):
     """Nearest domain cube with side >= eps*delta/(320 n) within the reach
     bound delta * (1/eps + sqrt(n)); None when the window holds no witness."""
-    if not (0 < epsilon <= 1) or delta <= 0:
+    if not (0 < epsilon <= 1 and delta > 0):
         raise ValueError("need 0 < epsilon <= 1 and delta > 0")
     x = np.asarray(x, dtype=float)
     min_side = epsilon * delta / (320.0 * N_DIM)

@@ -13,11 +13,12 @@ import pytest
 from bmoext import (Window, disk, half_plane, intro_lipschitz, l_shape,
                     slit_disk, qh_distance)
 from bmoext.bmo import (adjacent_average_gap, bmo_homogeneous_norm,
-                        bmo_lambda_norm, cube_average, log_growth_ratio,
-                        qh_distance_field, sample_grid_function, _field_graph)
+                        bmo_lambda_norm, cube_average, field_graph, log_growth_ratio,
+                        qh_distance_field, sample_grid_function)
 from bmoext.cigar import classify, estimate_epsilon_delta
 from bmoext.dyadic import DyadicCube, SQRT_N
 from bmoext.errors import MatchingError
+from bmoext.qhyper import build_metric_graph
 from bmoext.extension import (counterexample_experiment, make_suite,
                               max_extension_scale, max_suite_ratio,
                               operator_norm_experiment)
@@ -80,15 +81,14 @@ def test_criterion_01_whitney_invariants():
 
 
 def test_criterion_02_qh_analytics(disk1):
-    hp = half_plane()
-    w = Window((-2.0, 0.0), 4.0)
-    v1, _ = qh_distance(hp, (0, 1), (0, 4), 1 / 512, window=w)
-    v2, _ = qh_distance(hp, (0, 1), (1, 1), 1 / 512, window=w)
+    hp_graph = build_metric_graph(half_plane(), Window((-2.0, 0.0), 4.0), 1 / 512)
+    v1, _ = qh_distance(hp_graph, (0, 1), (0, 4))
+    v2, _ = qh_distance(hp_graph, (0, 1), (1, 1))
     t1, t2 = math.log(4.0), math.acosh(1.5)
     r1 = abs(v1 / t1 - 1.0)
     r2 = abs(v2 / t2 - 1.0)
-    d1, _ = qh_distance(disk1, (-0.9, 0), (0.9, 0), 1 / 512, window=DISK_WINDOW)
-    d2, _ = qh_distance(disk1, (-0.9, 0), (0.9, 0), 1 / 1024, window=DISK_WINDOW)
+    d1, _ = qh_distance(build_metric_graph(disk1, DISK_WINDOW, 1 / 512), (-0.9, 0), (0.9, 0))
+    d2, _ = qh_distance(build_metric_graph(disk1, DISK_WINDOW, 1 / 1024), (-0.9, 0), (0.9, 0))
     r3 = abs(d1 - d2) / d2
     ok = r1 <= 0.03 and r2 <= 0.03 and r3 <= 0.02
     report(2, ok, f"log4 rel {r1:.4f} (<=0.03), acosh(1.5) rel {r2:.4f} "
@@ -121,11 +121,10 @@ def test_criterion_03_matching_cubes(disk10):
 
 
 def test_criterion_04_k_function_bmo(disk1):
-    graph = _field_graph(disk1, DISK_WINDOW, 9)
+    graph = field_graph(disk1, DISK_WINDOW, 9)
     vals = []
     for dist in (0.5, 0.1, 0.02):
-        f = qh_distance_field(disk1, (1.0 - dist, 0.0), 1 / 512, DISK_WINDOW,
-                              graph)
+        f = qh_distance_field(graph, (1.0 - dist, 0.0))
         vals.append(bmo_homogeneous_norm(f, disk1).value)
     ratios = [vals[i + 1] / vals[i] for i in range(2)]
     ok = all(v <= 10.0 for v in vals) and all(r <= 1.5 for r in ratios)
@@ -185,8 +184,8 @@ def test_criterion_07_intro_counterexample():
 
 def test_criterion_08_negative_geometry(disk_classification):
     slit = slit_disk(1.0, 0.5)
-    rep = estimate_epsilon_delta(slit, DELTA, 16, 1 / 128, seed=SEED,
-                                 window=DISK_WINDOW)
+    rep = estimate_epsilon_delta(build_metric_graph(slit, DISK_WINDOW, 1 / 128), DELTA, 16,
+                                 seed=SEED)
     tip_x = 0.5
     tips = [p for p in rep.pairs
             if p.kind == "adversarial" and p.x[1] * p.y[1] < 0
@@ -208,8 +207,8 @@ def test_criterion_09_uniformity_fit(disk1, disk_classification):
     c_f, d_f = disk_classification.cd_hat
     c_c, d_c = disk_classification.details["coarse_run"]["cd_hat"]
     # every observed sub-pair sits below the envelope a report is built with
-    coarse = estimate_epsilon_delta(disk1, DELTA, 24, 1 / 128, seed=SEED,
-                                    window=DISK_WINDOW)
+    coarse = estimate_epsilon_delta(build_metric_graph(disk1, DISK_WINDOW, 1 / 128), DELTA, 24,
+                                    seed=SEED)
     c2, d2 = coarse.cd_hat
     points = coarse.details["fit_points"]
     under = all(k <= c2 * j + d2 + 1e-9 for j, k in points)

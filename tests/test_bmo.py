@@ -12,8 +12,7 @@ from bmoext.bmo import (MASK_INSIDE, GridFunction, NormReport, adjacent_average_
                         bmo_homogeneous_norm, bmo_lambda_norm, bmo_local_norm, cube_average,
                         dipole_field, dyadic_abc_norm,
                         log_growth_ratio, qh_distance_field,
-                        log_plus, sample_grid_function, whitney_cellwise_field,
-                        _field_graph, _level_stats)
+                        log_plus, sample_grid_function, whitney_cellwise_field)
 from bmoext.dyadic import SQRT_N, DyadicCube, level_cell_centers
 from bmoext.qhyper import qh_distance
 from bmoext.whitney import TAG_DOMAIN, build_whitney
@@ -24,7 +23,7 @@ LAM = 0.25
 
 @pytest.fixture(scope="module")
 def field_graph(disk1):
-    return _field_graph(disk1, DISK_WINDOW, 8)
+    return bmo.field_graph(disk1, DISK_WINDOW, 8)
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +32,9 @@ def corpus(disk1, disk_dec, field_graph):
     return [
         ("const", sample_grid_function(disk1, DISK_WINDOW, 8,
                                        lambda p: np.full(len(p), 2.0))),
-        ("kfield", qh_distance_field(disk1, (0.3, 0.0), 1 / 256, DISK_WINDOW,
-                                     field_graph)),
-        ("kfield_near_bdry", qh_distance_field(disk1, (0.0, -0.9), 1 / 256,
-                                               DISK_WINDOW, field_graph)),
-        ("dipole", dipole_field(disk1, (-0.5, 0), (0.5, 0), 1.5, 1.0, 1 / 256,
-                                DISK_WINDOW, field_graph)),
+        ("kfield", qh_distance_field(field_graph, (0.3, 0.0))),
+        ("kfield_near_bdry", qh_distance_field(field_graph, (0.0, -0.9))),
+        ("dipole", dipole_field(field_graph, (-0.5, 0), (0.5, 0), 1.5, 1.0)),
         ("cellwise", whitney_cellwise_field(disk_dec, 8, rng)),
         ("linear", sample_grid_function(disk1, DISK_WINDOW, 8, lambda p: p[:, 1])),
     ]
@@ -48,14 +44,34 @@ def with_values(f, values):
     return GridFunction(f.window, f.level, values, f.mask.copy())
 
 
+def reference_level_stats(f, level, cells):
+    """(means, oscillations, counts) over the dyadic cubes at `level`, from
+    the whole grid at every level, the means spread back cell by cell."""
+    b = 1 << (f.level - level)
+    nb = 1 << level
+    counted = f.counted(cells)
+    v = np.where(counted, np.nan_to_num(f.values, nan=0.0), 0.0)
+    v4 = v.reshape(nb, b, nb, b)
+    c4 = counted.reshape(nb, b, nb, b)
+    counts = c4.sum(axis=(1, 3))
+    sums = v4.sum(axis=(1, 3))
+    with np.errstate(invalid="ignore"):
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    dev = np.abs(v - np.repeat(np.repeat(means, b, axis=0), b, axis=1))
+    dev = np.where(counted, dev, 0.0).reshape(nb, b, nb, b).sum(axis=(1, 3))
+    with np.errstate(invalid="ignore"):
+        osc = np.where(counts > 0, dev / np.maximum(counts, 1), np.nan)
+    return means, osc, counts
+
+
 def level_oscillation(f, q):
     """The oscillation over the inside cells of q that the norm sweeps use."""
-    return float(_level_stats(f, q.level, "inside")[1][q.coords])
+    return float(reference_level_stats(f, q.level, "inside")[1][q.coords])
 
 
 def cube_means_lookup(f, levels):
     """(means, counts) over the dyadic cubes of each level."""
-    return {lvl: _level_stats(f, lvl, "inside")[::2] for lvl in sorted(set(levels))}
+    return {lvl: reference_level_stats(f, lvl, "inside")[::2] for lvl in sorted(set(levels))}
 
 
 # -- independent summation oracle --------------------------------------------
@@ -145,7 +161,7 @@ def test_bmo_lambda_degenerate_scale(disk1):
 def test_bmo_lambda_two_resolution_agreement(disk1, field_graph):
     v = []
     for lvl in (7, 8):
-        f = qh_distance_field(disk1, (0.3, 0.0), 2.0 ** (-lvl), DISK_WINDOW)
+        f = qh_distance_field(bmo.field_graph(disk1, DISK_WINDOW, lvl), (0.3, 0.0))
         v.append(bmo_lambda_norm(f, disk1, LAM).value)
     assert abs(v[0] - v[1]) <= 0.15 * max(v)
 
@@ -244,7 +260,7 @@ def reference_sweep(f, domain, lam, cells, margin_factor=0.5 * SQRT_N):
     any_large = False
     for lvl in levels:
         side = f.window.cell_size(lvl)
-        means, osc, counts = _level_stats(f, lvl, cells)
+        means, osc, counts = reference_level_stats(f, lvl, cells)
         inside = reference_contained_mask(f, domain, lvl, margin_factor) & (counts > 0)
         if not inside.any():
             continue
@@ -334,7 +350,7 @@ def test_norm_reports_match_the_reference_sweep(dom, level, seed, lam_frac, ties
 # -- generators ----------------------------------------------------------
 
 def test_qh_field_zero_at_source(disk1, field_graph):
-    f = qh_distance_field(disk1, (0.3, 0.0), 1 / 256, DISK_WINDOW, field_graph)
+    f = qh_distance_field(field_graph, (0.3, 0.0))
     i, j = DISK_WINDOW.cell_of_point((0.3, 0.0), 8)
     # snap leg plus at most one edge of the source cell
     assert f.values[i, j] <= 3.0 * f.h / disk1.sd((0.3, 0.0))
@@ -342,14 +358,14 @@ def test_qh_field_zero_at_source(disk1, field_graph):
 
 def test_qh_field_halfplane_analytic(hp):
     w = Window((-2.0, 0.0), 8.0)
-    f = qh_distance_field(hp, (0.0, 1.0), 1 / 512, w)
+    f = qh_distance_field(bmo.field_graph(hp, w, 9), (0.0, 1.0))
     i, j = w.cell_of_point((0.0, 4.0), 9)
     assert f.values[i, j] == pytest.approx(math.log(4), rel=0.03)
 
 
-def test_qh_field_oscillation_on_whitney_cubes(disk1, disk_dec, field_graph):
+def test_qh_field_oscillation_on_whitney_cubes(disk_dec, field_graph):
     # clearance-comparable cubes see bounded metric oscillation
-    f = qh_distance_field(disk1, (0.3, 0.0), 1 / 256, DISK_WINDOW, field_graph)
+    f = qh_distance_field(field_graph, (0.3, 0.0))
     worst = 0.0
     for k in disk_dec.indices(TAG_DOMAIN):
         q = disk_dec.cube(k)
@@ -361,27 +377,25 @@ def test_qh_field_oscillation_on_whitney_cubes(disk1, disk_dec, field_graph):
     assert worst <= math.sqrt(2.0) + 0.35   # sqrt(n) plus estimator slack
 
 
-def test_dipole_zero_radii(disk1, field_graph):
-    f = dipole_field(disk1, (-0.5, 0), (0.5, 0), 0.0, 0.0, 1 / 256,
-                     DISK_WINDOW, field_graph)
+def test_dipole_zero_radii(field_graph):
+    f = dipole_field(field_graph, (-0.5, 0), (0.5, 0), 0.0, 0.0)
     ins = f.mask == MASK_INSIDE
     assert np.abs(f.values[ins]).max() == 0.0
 
 
-def test_dipole_peak_value(disk1, field_graph):
+def test_dipole_peak_value(disk_graph, field_graph):
     z1, z2 = (-0.5, 0.0), (0.5, 0.0)
-    k12, _ = qh_distance(disk1, z1, z2, 1 / 256)
+    k12, _ = qh_distance(disk_graph, z1, z2)
     r1 = 0.5 * k12      # below the separation: the second cone vanishes at z1
-    f = dipole_field(disk1, z1, z2, r1, r1, 1 / 256, DISK_WINDOW, field_graph)
+    f = dipole_field(field_graph, z1, z2, r1, r1)
     i, j = DISK_WINDOW.cell_of_point(z1, 8)
     assert f.values[i, j] == pytest.approx(r1, abs=0.05 * r1 + 2 * f.h)
 
 
-def test_dipole_support(disk1, field_graph):
+def test_dipole_support(field_graph):
     r1 = 1.0
-    f1 = qh_distance_field(disk1, (-0.5, 0), 1 / 256, DISK_WINDOW, field_graph)
-    f = dipole_field(disk1, (-0.5, 0), (0.5, 0), r1, 0.0, 1 / 256,
-                     DISK_WINDOW, field_graph)
+    f1 = qh_distance_field(field_graph, (-0.5, 0))
+    f = dipole_field(field_graph, (-0.5, 0), (0.5, 0), r1, 0.0)
     ins = f.mask == MASK_INSIDE
     pos = ins & (f.values > 0)
     assert (f1.values[pos] < r1).all()
@@ -453,8 +467,7 @@ def test_log_growth_envelope(disk1, disk_dec, corpus):
 
 def test_log_growth_plateaus_while_max_grows(disk1, disk_dec, field_graph):
     # deep dipole: raw averages grow toward the source, the ratio does not
-    f = dipole_field(disk1, (0.0, -0.93), (0.5, 0.5), 3.0, 1.0, 1 / 256,
-                     DISK_WINDOW, field_graph)
+    f = dipole_field(field_graph, (0.0, -0.93), (0.5, 0.5), 3.0, 1.0)
     idxs = [k for k in disk_dec.indices(TAG_DOMAIN)]
     lookup = cube_means_lookup(f, [disk_dec.cubes["level"][k] for k in idxs])
     raw = {}
@@ -528,7 +541,7 @@ def cubes_covering_curve(dec, pts: np.ndarray) -> list[int]:
     return seen
 
 
-def test_chain_cover_count_vs_integral(disk1, disk_dec, rng):
+def test_chain_cover_count_vs_integral(disk1, disk_dec, disk_graph, rng):
     # cube cover count of a curve is controlled by its weighted length
     worst = 0.0
     done = 0
@@ -537,7 +550,7 @@ def test_chain_cover_count_vs_integral(disk1, disk_dec, rng):
         y = rng.uniform(-0.85, 0.85, size=2)
         if disk1.sd(x) < 0.1 or disk1.sd(y) < 0.1:
             continue
-        v, pl = qh_distance(disk1, x, y, 1 / 256)
+        v, pl = qh_distance(disk_graph, x, y)
         m = len(cubes_covering_curve(disk_dec, pl.resample(400)))
         worst = max(worst, m / (v + 1.0))
         done += 1
@@ -568,9 +581,9 @@ def test_sample_grid_function_rejects_window_outside_bbox(disk1):
 
 def test_qh_distance_field_rejects_window_outside_bbox(disk1):
     with pytest.raises(ValueError, match="window must sit inside the domain bounding box"):
-        qh_distance_field(disk1, (0.0, 0.0), 1 / 16, OUTSIDE_BBOX)
+        qh_distance_field(bmo.field_graph(disk1, OUTSIDE_BBOX, 4), (0.0, 0.0))
 
 
 def test_dipole_field_rejects_window_outside_bbox(disk1):
     with pytest.raises(ValueError, match="window must sit inside the domain bounding box"):
-        dipole_field(disk1, (-0.5, 0), (0.5, 0), 1.0, 1.0, 1 / 16, OUTSIDE_BBOX)
+        dipole_field(bmo.field_graph(disk1, OUTSIDE_BBOX, 4), (-0.5, 0), (0.5, 0), 1.0, 1.0)

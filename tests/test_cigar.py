@@ -11,7 +11,7 @@ from bmoext.cigar import (classify, curve_constants, envelope_fit,
                           estimate_epsilon_delta, mirror_pairs,
                           _monotone_divergence, _uniform_pairs)
 from bmoext.errors import QuadratureError
-from bmoext.qhyper import qh_distance
+from bmoext.qhyper import build_metric_graph, qh_distance
 from tests.conftest import DISK_WINDOW, HP_WINDOW
 
 
@@ -80,7 +80,7 @@ def test_per_curve_consistency_with_ab(disk1, disk_graph, rng):
         y = rng.uniform(-0.9, 0.9, size=2)
         if disk1.sd(x) < 0.05 or disk1.sd(y) < 0.05 or np.hypot(*(x - y)) < 0.05:
             continue
-        _, pl = qh_distance(disk1, x, y, 1 / 256, graph=disk_graph)
+        _, pl = qh_distance(disk_graph, x, y)
         try:
             e, a, b = curve_constants(disk1, x, y, pl)
         except QuadratureError:
@@ -96,7 +96,7 @@ def test_upper_bound_dominates_curve_epsilon(disk1, disk_graph, rng):
         y = rng.uniform(-0.9, 0.9, size=2)
         if disk1.sd(x) < 0.05 or disk1.sd(y) < 0.05 or np.hypot(*(x - y)) < 0.05:
             continue
-        _, pl = qh_distance(disk1, x, y, 1 / 256, graph=disk_graph)
+        _, pl = qh_distance(disk_graph, x, y)
         try:
             e = curve_constants(disk1, x, y, pl)[0]
         except QuadratureError:
@@ -138,8 +138,7 @@ def test_monotone_divergence_detector():
 
 
 def test_estimate_halfplane_strong_epsilon(hp, hp_graph):
-    rep = estimate_epsilon_delta(hp, 0.5, 24, 1 / 256, seed=3, window=HP_WINDOW,
-                                 graph=hp_graph)
+    rep = estimate_epsilon_delta(hp_graph, 0.5, 24, seed=3)
     # geodesic arcs certify the half-plane as a strong cigar domain
     assert rep.epsilon_hat >= 0.5
     # brute-force oracle on the same pairs: straight segments alone
@@ -154,10 +153,10 @@ def test_estimate_halfplane_strong_epsilon(hp, hp_graph):
 
 
 def test_estimate_disk_two_resolutions(disk1):
-    reps = [estimate_epsilon_delta(disk1, 0.5, 200, 1 / 128, seed=11,
-                                   window=DISK_WINDOW)]
-    reps.append(estimate_epsilon_delta(disk1, 0.5, 200, 1 / 256, seed=11,
-                                       window=DISK_WINDOW, pairs=reps[0].pairs))
+    reps = [estimate_epsilon_delta(build_metric_graph(disk1, DISK_WINDOW, 1 / 128),
+                                   0.5, 200, seed=11)]
+    reps.append(estimate_epsilon_delta(build_metric_graph(disk1, DISK_WINDOW, 1 / 256),
+                                       0.5, 200, seed=11, pairs=reps[0].pairs))
     for rep in reps:
         assert rep.epsilon_hat > 0.1
     assert abs(reps[0].epsilon_hat - reps[1].epsilon_hat) <= \
@@ -166,8 +165,8 @@ def test_estimate_disk_two_resolutions(disk1):
 
 def test_estimate_slit_divergence(disk1):
     slit = slit_disk(1.0, 0.5)
-    rep = estimate_epsilon_delta(slit, 0.5, 16, 1 / 128, seed=7,
-                                 window=DISK_WINDOW)
+    rep = estimate_epsilon_delta(build_metric_graph(slit, DISK_WINDOW, 1 / 128),
+                                 0.5, 16, seed=7)
     assert rep.verdict == "evidence-against"
     vals = [v for _, v in rep.cap_scale_minima]
     assert all(vals[i + 1] <= vals[i] * 1.1 for i in range(len(vals) - 1))
@@ -176,9 +175,10 @@ def test_estimate_slit_divergence(disk1):
 
 def test_monotonicity_in_delta(disk1):
     l_dom = l_shape()
+    graph = build_metric_graph(l_dom, l_dom.default_window, 1 / 128)
     reps = {}
     for delta in (0.5, 0.25):
-        reps[delta] = estimate_epsilon_delta(l_dom, delta, 32, 1 / 128, seed=5)
+        reps[delta] = estimate_epsilon_delta(graph, delta, 32, seed=5)
     assert reps[0.25].epsilon_hat >= reps[0.5].epsilon_hat - 0.15
 
 
@@ -189,9 +189,8 @@ def test_envelope_fit_basics():
                                 pytest.approx(math.nan, nan_ok=True))
 
 
-def test_uniformity_fit_halfplane(hp, hp_graph):
-    rep = estimate_epsilon_delta(hp, 0.5, 16, 1 / 256, seed=3,
-                                 window=HP_WINDOW, graph=hp_graph)
+def test_uniformity_fit_halfplane(hp_graph):
+    rep = estimate_epsilon_delta(hp_graph, 0.5, 16, seed=3)
     c, d = rep.cd_hat
     # the report carries its envelope when built, not only through classify
     assert math.isfinite(c) and math.isfinite(d)
@@ -224,9 +223,8 @@ def test_prop_like_ratio_stable_on_disk(disk1):
     cs = []
     rep = None
     for res in (1 / 128, 1 / 256):
-        rep = estimate_epsilon_delta(disk1, 0.5, 24, res, seed=3,
-                                     window=DISK_WINDOW,
-                                     pairs=rep.pairs if rep else None)
+        rep = estimate_epsilon_delta(build_metric_graph(disk1, DISK_WINDOW, res), 0.5, 24,
+                                     seed=3, pairs=rep.pairs if rep else None)
         vals = [p.k_xy / (p.j_xy + 1.0) for p in rep.pairs
                 if p.k_xy is not None and p.j_xy is not None]
         cs.append(max(vals))
@@ -236,8 +234,8 @@ def test_prop_like_ratio_stable_on_disk(disk1):
 
 def test_uniformity_fit_slit_offsets_grow():
     slit = slit_disk(1.0, 0.5)
-    offs = estimate_epsilon_delta(slit, 0.5, 16, 1 / 128, seed=7,
-                                  window=DISK_WINDOW).fit_offsets
+    offs = estimate_epsilon_delta(build_metric_graph(slit, DISK_WINDOW, 1 / 128),
+                                  0.5, 16, seed=7).fit_offsets
     assert len(offs) >= 3
     vals = [v for _, v in sorted(offs)]
     assert vals[-1] > vals[0]              # pinching inflates the offsets
@@ -262,10 +260,11 @@ def _same_field(u, v) -> bool:
 
 def test_reused_pairs_keep_caps_and_leave_earlier_report_unchanged():
     slit = slit_disk(1.0, 0.5)
-    first = estimate_epsilon_delta(slit, 0.5, 6, 1 / 64, seed=7, window=DISK_WINDOW)
+    first = estimate_epsilon_delta(build_metric_graph(slit, DISK_WINDOW, 1 / 64), 0.5, 6,
+                                   seed=7)
     snapshot = copy.deepcopy(first.pairs)
-    second = estimate_epsilon_delta(slit, 0.5, 6, 1 / 128, seed=7,
-                                    window=DISK_WINDOW, pairs=first.pairs)
+    second = estimate_epsilon_delta(build_metric_graph(slit, DISK_WINDOW, 1 / 128), 0.5, 6,
+                                    seed=7, pairs=first.pairs)
     assert any(p.kind == "adversarial" for p in first.pairs)
     for p, old in zip(first.pairs, snapshot, strict=True):
         for f in dataclasses.fields(p):
@@ -310,9 +309,10 @@ def test_nonpositive_delta_is_rejected_before_any_graph(disk1, monkeypatch):
     def no_graph(*args, **kwargs):
         raise AssertionError("metric graph built for an invalid delta")
 
+    graph = build_metric_graph(disk1, DISK_WINDOW, 1 / 64)
     monkeypatch.setattr(cigar, "build_metric_graph", no_graph)
     for delta in (-0.5, 0.0, math.nan):
         with pytest.raises(ValueError, match="delta must be positive"):
-            estimate_epsilon_delta(disk1, delta, 4, 1 / 64, seed=0)
+            estimate_epsilon_delta(graph, delta, 4, seed=0)
         with pytest.raises(ValueError, match="delta must be positive"):
             classify(disk1, delta, 4, 1 / 64, seed=0)

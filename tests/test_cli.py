@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import math
 from unittest import mock
@@ -253,6 +254,14 @@ def test_classify_rejects_nonpositive_delta(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("usage error: delta must be positive")
 
 
+def test_extend_rejects_nan_delta(tmp_path, capsys):
+    assert run(["extend", "--domain", "disk:1", "--function", "const:2",
+                "--lambda", "0.1", "--epsilon", "0.3", "--delta", "nan",
+                "--resolution", "1/32", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: delta must be positive")
+    assert not (tmp_path / "extend_summary.csv").exists()
+
+
 def test_missing_csv_function_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "nosuch.csv"
     assert run(["norm", "--domain", "disk:1", f"--function=csv:{missing}",
@@ -339,3 +348,43 @@ def test_write_grid_matches_line_loop(tmp_path, chunk):
         write_grid(tmp_path / "got.csv", gf)
     reference_write_grid(tmp_path / "want.csv", gf)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# SHA-256 of every CSV each command writes, recorded before metric-graph
+# queries took the graph in place of its domain, resolution and window
+CLI_DIGESTS = {
+    "geodesic": (["geodesic", "--domain", "disk:1", "--from=-0.6,0.2", "--to=0.5,-0.3",
+                  "--resolution", "1/64"], {
+        "geodesic.csv": "95969a26702d2338e4fa97aeb977ee6adba143c4c0712734f4b7e0651b03b3c8",
+        "geodesic_points.csv": "5c920ff6d4cd54f6ee67dafe84a7da3abbba1b5099f691d014198b12db75492b",
+    }),
+    "classify": (["classify", "--domain", "l_shape", "--resolution", "1/64", "--pairs", "6",
+                  "--seed", "7"], {
+        "classify_pairs.csv": "223f2d812ea998b891c8c299fe0257ddab8da96d6fa9decc032819e8de2cbb7c",
+    }),
+    "norm_qh": (["norm", "--domain", "disk:1", "--function", "qh:0.3,0", "--lambda", "0.25",
+                 "--resolution", "1/64"], {
+        "function_grid.csv": "b066d19e483a51fbc2bd278798e114e00635cb3a9e95ba1f05691ded5af1a4e7",
+        "norm.csv": "253f55af6d33bc91688ea3d390a3170b5f99b7d07cb40fc83bd3ad93aca2990c",
+    }),
+    "norm_dipole": (["norm", "--domain", "disk:1", "--function", "dipole:-0.5,0,0.5,0,1.5,1",
+                     "--lambda", "0.25", "--resolution", "1/64"], {
+        "function_grid.csv": "64adb8358eee0ef72dd062d188132642ed380080e3931a6b861813fdab3ddb4d",
+        "norm.csv": "9cb2a2fb88296ff47426e5415b79f754706850a8c1a14a36bbe729a3aa8f6055",
+    }),
+    "extend_qh": (["extend", "--domain", "disk:1", "--function", "qh:0.3,0", "--lambda", "0.1",
+                   "--epsilon", "0.3", "--delta", "0.5", "--resolution", "1/64"], {
+        "assignment.csv": "cf00c687ce4323ec60a27dcb62fe032d7f8f673591ba2c35ebfe9debceb0c1e8",
+        "extend_grid.csv": "e18fc1cee5e042656dcdf0bb8cabaee956c71e0cbba706b5e00474988492db42",
+        "extend_summary.csv": "fc415335fe976feb367536c60a9610878c0381a4f8c8efda3501ee138577c5ce",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_DIGESTS))
+def test_cli_outputs_match_recorded_digests(tmp_path, case):
+    argv, want = CLI_DIGESTS[case]
+    assert run(argv + ["--outdir", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.glob("*.csv"))}
+    assert got == want

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmoext import DyadicCube, Window, cubes_adjacent
-from bmoext.bmo import qh_distance_field
 from bmoext.dyadic import box_distance, grid_centers, level_cell_centers, resolution_level
 from bmoext.extension import make_suite
 from bmoext.qhyper import build_metric_graph
@@ -131,8 +130,6 @@ def test_resolution_level():
 
 
 NON_DYADIC_CALLS = {
-    "qh_distance_field": lambda dom, dec: qh_distance_field(dom, (0.0, 0.0), 0.3,
-                                                            DISK_WINDOW),
     "make_suite": lambda dom, dec: make_suite(dom, DISK_WINDOW, 0.3, dec, seed=0),
     "build_metric_graph": lambda dom, dec: build_metric_graph(dom, DISK_WINDOW, 0.3),
 }

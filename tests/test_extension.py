@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from bmoext import DyadicCube, Window, disk, intro_lipschitz, l_shape, slit_disk
-from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, GridFunction, dyadic_abc_norm,
-                        log_plus, sample_grid_function, _level_stats)
+from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, GridFunction, classify_cells,
+                        dipole_field, dyadic_abc_norm, field_graph, log_plus,
+                        sample_grid_function, _counted_values, _level_stats)
+from bmoext.cigar import curve_constants, epsilon_from_ab
 from bmoext.dyadic import box_distance, resolution_level
 from bmoext.errors import ExtensionError
 from bmoext.extension import (GROWTH_CELL, GROWTH_DELTA, GROWTH_EPSILON,
                               counterexample_experiment, extend, make_suite,
                               max_extension_scale, max_suite_ratio,
                               operator_norm_experiment, plan_extension)
-from bmoext.whitney import TAG_COMPLEMENT, build_whitney
+from bmoext.qhyper import j_distance
+from bmoext.whitney import TAG_COMPLEMENT, build_whitney, find_big_cube_near, matching_cube
 from tests.conftest import DISK_WINDOW
 
 
@@ -45,6 +48,29 @@ def test_max_extension_scale_values():
         max_extension_scale(1.5, 1.0)
     with pytest.raises(ValueError):
         max_extension_scale(0.5, -1.0)
+
+
+# each guard reads `not x > 0`, so NaN fails it as zero and negatives do
+NAN_CALLS = {
+    "max_extension_scale": lambda dom, dec: max_extension_scale(0.3, math.nan),
+    "plan_extension": lambda dom, dec: plan_extension(
+        dec, classify_cells(dom, DISK_WINDOW, 8)[0], math.nan, 0.3, 0.5),
+    "matching_cube": lambda dom, dec: matching_cube(
+        dec, dec.cube(int(dec.indices(TAG_COMPLEMENT)[0])), 0.3, math.nan),
+    "find_big_cube_near": lambda dom, dec: find_big_cube_near(dec, (0.9, 0.0), 0.3, math.nan),
+    "j_distance": lambda dom, dec: j_distance(dom, (math.nan, 0.0), (0.0, 0.0)),
+    "epsilon_from_ab": lambda dom, dec: epsilon_from_ab(math.nan, 1.0),
+    "curve_constants": lambda dom, dec: curve_constants(
+        dom, (0.0, 0.0), (math.nan, 0.0), [(0.0, 0.0), (math.nan, 0.0)]),
+    "dipole_field": lambda dom, dec: dipole_field(
+        field_graph(dom, DISK_WINDOW, 4), (-0.5, 0.0), (0.5, 0.0), math.nan, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NAN_CALLS))
+def test_nan_is_rejected(call, disk1, disk_dec):
+    with pytest.raises(ValueError):
+        NAN_CALLS[call](disk1, disk_dec)
 
 
 def test_max_extension_scale_monotone():
@@ -214,7 +240,8 @@ def test_extension_average_growth_bound(disk_dec, suite, plan):
         tf = res.extended
         cubes = [disk_dec.cube(k) for k in range(len(disk_dec.cubes))]
         cubes = [q for q in cubes if q.level <= tf.level]
-        stats = {lvl: _level_stats(tf, lvl, "inside") for lvl in {q.level for q in cubes}}
+        counted, v = _counted_values(tf, "inside")
+        stats = {lvl: _level_stats(counted, v, lvl) for lvl in {q.level for q in cubes}}
         worst = 0.0
         for q in cubes:
             means, _, counts = stats[q.level]

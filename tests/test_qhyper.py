@@ -1,12 +1,13 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from bmoext import (Polyline, Window, l_shape, polygon, qh_distance, qh_length,
-                    qhyper, slit_disk)
+from bmoext import (Polyline, Window, bmo, cigar, l_shape, polygon, qh_distance,
+                    qh_length, qhyper, slit_disk)
 from bmoext.cli import main
 from bmoext.errors import (DisconnectedGraphError, EmptyInteriorError,
                            QuadratureError)
@@ -53,40 +54,40 @@ def test_polyline_requires_two_points():
 
 # -- distances ---------------------------------------------------------------
 
-def test_qh_distance_halfplane_values(hp, hp_graph):
-    v, pl = qh_distance(hp, (0, 1), (0, 4), 1 / 256, graph=hp_graph)
+def test_qh_distance_halfplane_values(hp_graph):
+    v, pl = qh_distance(hp_graph, (0, 1), (0, 4))
     assert v == pytest.approx(math.log(4), rel=0.03)
-    v2, _ = qh_distance(hp, (0, 1), (1, 1), 1 / 256, graph=hp_graph)
+    v2, _ = qh_distance(hp_graph, (0, 1), (1, 1))
     assert v2 == pytest.approx(math.acosh(1.5), rel=0.03)
     # estimates are quadrature lengths of actual curves: upper bounds
     assert v + pl.qh_error >= math.log(4) * (1 - 1e-9)
 
 
-def test_qh_distance_same_point(hp, hp_graph):
-    v, _ = qh_distance(hp, (0.5, 1), (0.5, 1), 1 / 256, graph=hp_graph)
+def test_qh_distance_same_point(hp_graph):
+    v, _ = qh_distance(hp_graph, (0.5, 1), (0.5, 1))
     assert v == 0.0
 
 
-def test_qh_distance_outside_domain_rejected(hp, hp_graph):
+def test_qh_distance_outside_domain_rejected(hp_graph):
     with pytest.raises(ValueError):
-        qh_distance(hp, (0, -1), (0, 1), 1 / 256, graph=hp_graph)
+        qh_distance(hp_graph, (0, -1), (0, 1))
 
 
-def test_refinement_never_hurts(disk1, disk_graph):
-    raw, _ = qh_distance(disk1, (-0.9, 0), (0.9, 0), 1 / 256,
-                         graph=disk_graph, refine=False)
-    ref, _ = qh_distance(disk1, (-0.9, 0), (0.9, 0), 1 / 256, graph=disk_graph)
+def test_refinement_never_hurts(disk_graph):
+    raw, _ = qh_distance(disk_graph, (-0.9, 0), (0.9, 0), refine=False)
+    ref, _ = qh_distance(disk_graph, (-0.9, 0), (0.9, 0))
     assert ref <= raw + 1e-9
 
 
 def test_resolution_monotonicity(disk1):
     # lattices at h and h/2 are not nested (cell centers shift by h/4), so
     # beyond the quadrature bound a small discretization allowance applies
-    coarse, plc = qh_distance(disk1, (-0.6, 0.2), (0.5, -0.3), 1 / 128)
-    fine, plf = qh_distance(disk1, (-0.6, 0.2), (0.5, -0.3), 1 / 256)
+    g_c, g_f = (build_metric_graph(disk1, disk1.default_window, r) for r in (1 / 128, 1 / 256))
+    coarse, plc = qh_distance(g_c, (-0.6, 0.2), (0.5, -0.3))
+    fine, plf = qh_distance(g_f, (-0.6, 0.2), (0.5, -0.3))
     assert fine <= coarse + plc.qh_error + 0.02 * coarse
-    raw_c, rc = qh_distance(disk1, (-0.6, 0.2), (0.5, -0.3), 1 / 128, refine=False)
-    raw_f, _ = qh_distance(disk1, (-0.6, 0.2), (0.5, -0.3), 1 / 256, refine=False)
+    raw_c, rc = qh_distance(g_c, (-0.6, 0.2), (0.5, -0.3), refine=False)
+    raw_f, _ = qh_distance(g_f, (-0.6, 0.2), (0.5, -0.3), refine=False)
     assert raw_f <= raw_c + rc.qh_error + 0.01 * raw_c
 
 
@@ -98,9 +99,9 @@ def test_triangle_inequality_on_disk(disk1, disk_graph, rng):
             pts.append(p)
     for k in range(3):
         x, y, z = pts[3 * k:3 * k + 3]
-        dxy, p1 = qh_distance(disk1, x, y, 1 / 256, graph=disk_graph)
-        dyz, p2 = qh_distance(disk1, y, z, 1 / 256, graph=disk_graph)
-        dxz, p3 = qh_distance(disk1, x, z, 1 / 256, graph=disk_graph)
+        dxy, p1 = qh_distance(disk_graph, x, y)
+        dyz, p2 = qh_distance(disk_graph, y, z)
+        dxz, p3 = qh_distance(disk_graph, x, z)
         slack = 2 * (p1.qh_error + p2.qh_error + p3.qh_error)
         assert dxz <= dxy + dyz + slack + 0.02 * dxz
 
@@ -112,7 +113,7 @@ def test_lower_bound_boundary_ratio(disk1, disk_graph, rng):
         y = rng.uniform(-0.9, 0.9, size=2)
         if disk1.sd(x) <= 0.05 or disk1.sd(y) <= 0.05:
             continue
-        v, pl = qh_distance(disk1, x, y, 1 / 256, graph=disk_graph)
+        v, pl = qh_distance(disk_graph, x, y)
         bound = abs(math.log(disk1.sd(x) / disk1.sd(y)))
         assert v + pl.qh_error >= bound * (1 - 1e-9)
 
@@ -134,13 +135,13 @@ def test_j_distance_symmetry(disk1, rng):
 
 # -- interior access ---------------------------------------------------------
 
-def test_interior_distance_already_inside(hp, hp_graph):
-    r = qh_distance_to_interior(hp, (0, 2), 1.0, 1 / 256, graph=hp_graph)
+def test_interior_distance_already_inside(hp_graph):
+    r = qh_distance_to_interior(hp_graph, (0, 2), 1.0)
     assert r.value == 0.0 and tuple(r.attaining) == (0, 2)
 
 
 def test_interior_distance_halfplane(hp, hp_graph):
-    r = qh_distance_to_interior(hp, (0, 0.25), 1.0, 1 / 256, graph=hp_graph)
+    r = qh_distance_to_interior(hp_graph, (0, 0.25), 1.0)
     assert r.value == pytest.approx(math.log(4), rel=0.03)
     assert hp.sd(r.attaining) >= 1.0 - hp_graph.h
 
@@ -157,7 +158,7 @@ def _check_against_multi_source_oracle(domain, graph, x, lam):
     node to the nearest interior node, solved independently from all
     interior nodes at once (edge weights are symmetric); attaining is such
     a nearest node, and no lower-index interior node is as near."""
-    r = qh_distance_to_interior(domain, x, lam, None, graph=graph, refine=False)
+    r = qh_distance_to_interior(graph, x, lam, refine=False)
     targets = np.nonzero(graph.node_sd >= lam)[0]
     src = graph.snap(x)
     leg, _, _ = segment_qh_batch(domain, x[None, :], graph.node_pos[src][None, :])
@@ -183,7 +184,7 @@ def test_interior_distance_matches_multi_source_oracle(disk1, disk_graph):
     _check_against_multi_source_oracle(slit, graph, np.array([-0.7965, -0.2831]), 0.16)
 
 
-def test_interior_distance_solves_once(disk1, disk_graph, monkeypatch):
+def test_interior_distance_solves_once(disk_graph, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -193,45 +194,42 @@ def test_interior_distance_solves_once(disk1, disk_graph, monkeypatch):
     monkeypatch.setattr(qhyper, "_sp_dijkstra", counted)
     for refine in (False, True):
         calls.clear()
-        qh_distance_to_interior(disk1, (0.05, -0.93), 0.5, 1 / 256,
-                                graph=disk_graph, refine=refine)
+        qh_distance_to_interior(disk_graph, (0.05, -0.93), 0.5, refine=refine)
         assert len(calls) == 1
 
 
 @pytest.mark.parametrize("lam", [0.2, 0.3, 0.5])
-def test_interior_distance_radial_access_on_disk(disk1, disk_graph, lam):
+def test_interior_distance_radial_access_on_disk(disk_graph, lam):
     # every curve from x to {dist >= lam} gains at least ln(lam / d(x)),
     # since the clearance is 1-Lipschitz; the radial segment attains it
     rng = np.random.default_rng(int(lam * 10))
     for x in _disk_access_points(rng, lam, 6):
         exact = math.log(lam / (1.0 - math.hypot(*x)))
         for refine in (False, True):
-            r = qh_distance_to_interior(disk1, x, lam, 1 / 256,
-                                        graph=disk_graph, refine=refine)
+            r = qh_distance_to_interior(disk_graph, x, lam, refine=refine)
             assert exact <= r.value + r.path.qh_error
 
 
 @pytest.mark.parametrize("refine", [False, True])
 def test_interior_distance_is_length_of_returned_path(disk1, disk_graph, refine):
     x = np.array([0.05, -0.93])
-    r = qh_distance_to_interior(disk1, x, 0.5, 1 / 256, graph=disk_graph,
-                                refine=refine)
+    r = qh_distance_to_interior(disk_graph, x, 0.5, refine=refine)
     assert r.value == r.path.qh_value
     assert r.path.qh_value == qh_length(disk1, r.path, tol=2e-3)[0]
 
 
-def test_interior_empty_raises(disk1, disk_graph):
+def test_interior_empty_raises(disk_graph):
     with pytest.raises(EmptyInteriorError):
-        qh_distance_to_interior(disk1, (0.0, 0.9), 3.0, 1 / 256, graph=disk_graph)
+        qh_distance_to_interior(disk_graph, (0.0, 0.9), 3.0)
 
 
 def test_eta_basics(hp, hp_graph):
-    assert eta_lambda(hp, (0, 2), (1, 3), 1.0, 1 / 256, graph=hp_graph) == 0.0
+    assert eta_lambda(hp_graph, (0, 2), (1, 3), 1.0) == 0.0
     w = Window((-2.0, 0.0), 8.0)
     g = build_metric_graph(hp, w, 1 / 512)
-    v = eta_lambda(hp, (0, 0.25), (3, 0.5), 1.0, 1 / 512, graph=g)
+    v = eta_lambda(g, (0, 0.25), (3, 0.5), 1.0)
     assert v == pytest.approx(math.log(4) + math.log(2), rel=0.03)
-    v2 = eta_lambda(hp, (3, 0.5), (0, 0.25), 1.0, 1 / 512, graph=g)
+    v2 = eta_lambda(g, (3, 0.5), (0, 0.25), 1.0)
     assert v2 == pytest.approx(v, rel=1e-12)
 
 
@@ -272,7 +270,7 @@ def test_disconnected_components_reported():
                        label="dumbbell")
     w = Window((-0.25, -1.25), 3.5)
     with pytest.raises(DisconnectedGraphError):
-        qh_distance(dumbbell, (0.5, 0.5), (2.5, 0.5), 1 / 32, window=w)
+        qh_distance(build_metric_graph(dumbbell, w, 1 / 32), (0.5, 0.5), (2.5, 0.5))
 
 
 def test_chain_length_comparable_to_distance(disk1, disk_dec, disk_graph, rng):
@@ -287,7 +285,7 @@ def test_chain_length_comparable_to_distance(disk1, disk_dec, disk_graph, rng):
         if disk1.sd(x) < 0.08 or disk1.sd(y) < 0.08:
             continue
         m = len(whitney_chain(disk_dec, x, y))
-        k, _ = qh_distance(disk1, x, y, 1 / 256, graph=disk_graph)
+        k, _ = qh_distance(disk_graph, x, y)
         ratios_mk.append(m / (k + 1.0))
         ratios_km.append(k / m)
     assert ratios_mk and max(ratios_mk) < 12.0
@@ -303,8 +301,7 @@ def polyline_in_domain(domain, pts) -> bool:
 
 
 def test_geodesic_polyline_stays_inside(disk1, disk_graph):
-    _, pl = qh_distance(disk1, (-0.8, 0.1), (0.7, -0.2), 1 / 256,
-                        graph=disk_graph)
+    _, pl = qh_distance(disk_graph, (-0.8, 0.1), (0.7, -0.2))
     assert polyline_in_domain(disk1, pl.points)
 
 
@@ -448,3 +445,20 @@ def test_bound_that_misses_the_target_solves_again(disk_graph, monkeypatch):
     monkeypatch.setattr(qhyper, "_walk_bound", lambda graph, src, dst: 0.5)
     assert np.array_equal(qhyper.grid_path(disk_graph, x, y), want)
     assert limits == [0.5, np.inf]
+
+
+# -- one handle per grid --------------------------------------------------------
+
+def test_graph_queries_take_nothing_the_graph_holds():
+    # a query reads the domain, window and level from its graph, so no
+    # argument can disagree with the grid the graph was built on
+    checked = set()
+    for module in (qhyper, cigar, bmo):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            if name.startswith("_") or fn.__module__ != module.__name__ or "graph" not in params:
+                continue
+            assert not {"domain", "resolution", "window"} & set(params), name
+            checked.add(name)
+    assert {"qh_distance", "qh_distance_to_interior", "eta_lambda", "estimate_epsilon_delta",
+            "evaluate_pair", "qh_distance_field", "dipole_field"} <= checked

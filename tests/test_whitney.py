@@ -114,6 +114,18 @@ def test_decomposition_is_read_only(disk_dec):
         disk_dec.cubes["level"][0] = 3
 
 
+def test_graph_is_read_only(disk_graph):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        disk_graph.level = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        disk_graph.node_pos = disk_graph.node_pos.copy()
+    adj = disk_graph.adj
+    for arr in (disk_graph.node_pos, disk_graph.node_sd, disk_graph.node_grid,
+                adj.data, adj.indices, adj.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[-1]
+
+
 def test_deep_build_beyond_int64_keys():
     # the window's corner touches the unit circle where the tangent is
     # diagonal, so only a few cells per level stay undecided and the build
