@@ -201,6 +201,8 @@ def _make_function(spec: str, domain, window, resolution, seed):
                                         lambda p: p[:, axis], everywhere=True)
     if name == "qh":
         a = [float(t) for t in args.split(",")]
+        if len(a) != 2:
+            raise ValueError(f"qh takes ax,ay, got {args!r}")
         return bmo.qh_distance_field(bmo.field_graph(domain, window, level), a)
     if name == "dipole":
         v = [float(t) for t in args.split(",")]

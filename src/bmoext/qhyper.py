@@ -29,9 +29,9 @@ EDGE_RTOL = 2e-2        # relative quadrature error of a graph edge weight
 QUAD_TOL = 2e-3         # relative quadrature error of a returned curve length
 REFINE_RTOL = 1e-4      # refinement stops when a round gains less than this
 REFINE_ROUNDS = 60      # ... or after this many rounds
-# finest graph level: the build holds several n x n arrays and grows about
-# fourfold per level (disk(1): 134 MB peak at level 9, 342 MB at level 10),
-# so level 12 would take several GB of a 7 GB host
+# finest graph level: the build's peak grows about threefold per level
+# (disk(1) in a fresh process: 101 MB RSS at level 9, 209 MB at level 10,
+# 582 MB at level 11), so level 12 would take well over 1 GB
 MAX_GRAPH_LEVEL = 11
 
 
@@ -188,7 +188,10 @@ def j_distance(domain: Domain, x, y) -> float:
 # ---------------------------------------------------------------------------
 # grid graph
 
-_OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1))
+# forward offsets (di, dj), each with the slot it fills in its source's and
+# in its target's row of the graph; slots 0-7 are the offsets (-1,-1)
+# (-1,0) (-1,1) (0,-1) (0,1) (1,-1) (1,0) (1,1), ascending node order
+_OFFSETS = ((1, 0, 6, 1), (0, 1, 4, 3), (1, 1, 7, 0), (1, -1, 5, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +251,19 @@ class MetricGraph:
         return np.bincount(labels, minlength=ncomp), labels
 
 
+def _graph_nodes(domain: Domain, window: Window, level: int, margin: float):
+    """(node_grid, node_pos, node_sd) of the level's cell centers whose
+    clearance exceeds `margin`, numbered in (i, j) cell order; the
+    whole-grid centers and clearances are gone when it returns."""
+    n = 1 << level
+    centers = grid_centers(window, level)
+    sd = domain.signed_distance(centers)
+    flat = np.nonzero(sd > margin)[0]
+    node_grid = np.full((n, n), -1, dtype=np.int64)
+    node_grid.ravel()[flat] = np.arange(flat.size)
+    return node_grid, centers[flat], sd[flat]
+
+
 def build_metric_graph(domain: Domain, window: Window, resolution: float,
                        node_margin: float = math.sqrt(2.0)) -> MetricGraph:
     """Build the grid graph at cell size `resolution * window.size`.
@@ -261,19 +277,16 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
         raise ValueError("graph resolution must be 1/2^k with "
                          f"1 <= k <= {MAX_GRAPH_LEVEL}, got {resolution}")
     n = 1 << level
-    h = window.cell_size(level)
-    centers = grid_centers(window, level)
-    sd = domain.signed_distance(centers)
-    is_node = sd > node_margin * h
-    node_grid = np.full((n, n), -1, dtype=np.int64)
-    flat = np.nonzero(is_node)[0]
-    node_grid.ravel()[flat] = np.arange(flat.size)
-    node_pos = centers[flat]
-    node_sd = sd[flat]
+    node_grid, node_pos, node_sd = _graph_nodes(domain, window, level,
+                                                node_margin * window.cell_size(level))
 
-    rows, cols, data = [], [], []
+    # a node's neighbours in ascending node order sit in slot order, so each
+    # edge's two entries go straight to their places in the sorted CSR rows
+    n_nodes = len(node_pos)
+    has = np.zeros((n_nodes, 8), dtype=bool)
+    edges = []
     floor = _SD_FLOOR_FRAC * window.size
-    for di, dj in _OFFSETS:
+    for di, dj, fs, ts in _OFFSETS:
         lo_i = max(0, -di)
         hi_i = n - max(0, di)
         lo_j = max(0, -dj)
@@ -287,19 +300,22 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
             continue
         w, _, valid = segment_qh_batch(domain, node_pos[f], node_pos[t],
                                        rtol=EDGE_RTOL, floor=floor)
-        f, t, w = f[valid], t[valid], w[valid]
-        rows.append(f)
-        cols.append(t)
-        data.append(w)
-        rows.append(t)
-        cols.append(f)
-        data.append(w)
+        f, t = f[valid].astype(np.int32), t[valid].astype(np.int32)
+        has[f, fs] = has[t, ts] = True
+        edges.append((f, t, w[valid], fs, ts))
 
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-    adj = csr_matrix((data, (rows, cols)), shape=(len(node_pos), len(node_pos)))
+    # nnz <= 8 * 4^MAX_GRAPH_LEVEL fits the int32 indices scipy would choose
+    rank = np.cumsum(has, axis=1, dtype=np.int8)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(rank[:, -1], out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for f, t, w, fs, ts in edges:
+        for a, b, slot in ((f, t, fs), (t, f, ts)):
+            at = indptr[a] + (rank[a, slot] - 1)
+            data[at] = w
+            indices[at] = b
+    adj = csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
     return MetricGraph(domain, window, level, node_pos, node_sd, node_grid, adj)
 
 
@@ -418,7 +434,7 @@ def qh_distance(graph: MetricGraph, x, y, refine: bool = True):
     y = np.asarray(y, float)
     if not (domain.sd(x) > 0 and domain.sd(y) > 0):
         raise ValueError("both endpoints must lie inside the domain")
-    if np.allclose(x, y):
+    if np.array_equal(x, y):
         pl = Polyline(np.array([x, y]), qh_value=0.0, qh_error=0.0)
         return 0.0, pl
 

@@ -61,7 +61,8 @@ class SvgCanvas:
         self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{MARKER_PX}" fill="{fill}"/>')
 
     def save(self, path):
-        body = "\n".join(self.parts)
+        """Write the document one part at a time: no copy of the whole
+        text is made."""
         defs = ('<defs><pattern id="hatch" width="6" height="6" '
                 'patternUnits="userSpaceOnUse" patternTransform="rotate(45)">'
                 '<line x1="0" y1="0" x2="0" y2="6" stroke="#808080" '
@@ -70,7 +71,12 @@ class SvgCanvas:
             fh.write(
                 f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.px}" '
                 f'height="{self.px}" viewBox="0 0 {self.px} {self.px}">\n{defs}\n'
-                f'<rect width="100%" height="100%" fill="white"/>\n{body}\n</svg>\n')
+                f'<rect width="100%" height="100%" fill="white"/>\n')
+            for k, part in enumerate(self.parts):
+                if k:
+                    fh.write("\n")
+                fh.write(part)
+            fh.write("\n</svg>\n")
 
 
 # corner offsets of a cell in the order its edges are walked: edge k runs

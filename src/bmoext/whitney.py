@@ -216,7 +216,7 @@ class WhitneyDecomposition:
         c = self.cubes
         n = len(c)
         is_domain = c["tag"] == TAG_DOMAIN
-        rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        pairs = [np.empty(0, np.int64)]
         for lo in range(0, n, _PROBE_CHUNK):
             cube = np.arange(lo, min(lo + _PROBE_CHUNK, n))
             level = np.repeat(c["level"][cube] + 2, len(_RING))
@@ -236,12 +236,12 @@ class WhitneyDecomposition:
             leaf = self.leaf_ids[pos]
             same = leaf < n
             same[same] = is_domain[leaf[same]] == is_domain[cube[same]]
-            rows.append(cube[same])
-            cols.append(leaf[same])
-        # same-family cubes in build order are in (level, i, j) order
-        pairs = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
-        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-        rows, cols = np.divmod(pairs, max(n, 1))
+            # same-family cubes in build order are in (level, i, j) order;
+            # chunks cover ascending cubes, so their sorted keys concatenate
+            # into one sorted whole
+            key = np.sort(cube[same] * n + leaf[same])
+            pairs.append(key[np.diff(key, prepend=-1) != 0])
+        rows, cols = np.divmod(np.concatenate(pairs), max(n, 1))
         return np.searchsorted(rows, np.arange(n + 1)), cols
 
     def adjacent(self, idx: int) -> np.ndarray:

@@ -167,6 +167,13 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("args", ["0.3", "0.3,0,1"])
+def test_qh_spec_arity_is_checked(tmp_path, capsys, args):
+    assert run(["norm", "--domain", "disk:1", f"--function=qh:{args}",
+                "--resolution", "1/32", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"usage error: qh takes ax,ay, got {args!r}\n"
+
+
 def test_malformed_polygon_is_a_usage_error(tmp_path, capsys):
     odd, bowtie = tmp_path / "odd.dom", tmp_path / "bowtie.dom"
     collinear = tmp_path / "collinear.dom"
@@ -351,16 +358,20 @@ def test_write_grid_matches_line_loop(tmp_path, chunk):
 
 
 # SHA-256 of every CSV each command writes, recorded before metric-graph
-# queries took the graph in place of its domain, resolution and window
+# queries took the graph in place of its domain, resolution and window; the
+# SVG digests and the decompose case were recorded before the graph's matrix,
+# the Whitney adjacency and the SVG writer were rebuilt to hold fewer copies
 CLI_DIGESTS = {
     "geodesic": (["geodesic", "--domain", "disk:1", "--from=-0.6,0.2", "--to=0.5,-0.3",
                   "--resolution", "1/64"], {
         "geodesic.csv": "95969a26702d2338e4fa97aeb977ee6adba143c4c0712734f4b7e0651b03b3c8",
+        "geodesic.svg": "bdbd7166f69838072e6e59528704ee122971c30cdafb730c1e608b445bb7f4ae",
         "geodesic_points.csv": "5c920ff6d4cd54f6ee67dafe84a7da3abbba1b5099f691d014198b12db75492b",
     }),
     "classify": (["classify", "--domain", "l_shape", "--resolution", "1/64", "--pairs", "6",
                   "--seed", "7"], {
         "classify_pairs.csv": "223f2d812ea998b891c8c299fe0257ddab8da96d6fa9decc032819e8de2cbb7c",
+        "worst_pairs.svg": "042b0f0e17b33c65f6c5fe2c6db35065d72c8ed861c8a45cea9b369a69d7b4eb",
     }),
     "norm_qh": (["norm", "--domain", "disk:1", "--function", "qh:0.3,0", "--lambda", "0.25",
                  "--resolution", "1/64"], {
@@ -375,8 +386,13 @@ CLI_DIGESTS = {
     "extend_qh": (["extend", "--domain", "disk:1", "--function", "qh:0.3,0", "--lambda", "0.1",
                    "--epsilon", "0.3", "--delta", "0.5", "--resolution", "1/64"], {
         "assignment.csv": "cf00c687ce4323ec60a27dcb62fe032d7f8f673591ba2c35ebfe9debceb0c1e8",
+        "extend.svg": "08476f13a64508f3e53557794eea38e18bb03d37e56c24dde0659ad6c8ba36a7",
         "extend_grid.csv": "e18fc1cee5e042656dcdf0bb8cabaee956c71e0cbba706b5e00474988492db42",
         "extend_summary.csv": "fc415335fe976feb367536c60a9610878c0381a4f8c8efda3501ee138577c5ce",
+    }),
+    "decompose": (["decompose", "--domain", "slit_disk", "--max-depth", "8"], {
+        "cubes.csv": "bf8217430c8d40b8531256da0033e91420c3c17e4278edf769f51fbc64e2819c",
+        "decomposition.svg": "402f6706fbf359da6f6eeaa6be189f55688efebd5c2593fe027c6e5e7b1b288c",
     }),
 }
 
@@ -386,5 +402,5 @@ def test_cli_outputs_match_recorded_digests(tmp_path, case):
     argv, want = CLI_DIGESTS[case]
     assert run(argv + ["--outdir", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(tmp_path.glob("*.csv"))}
+           for p in sorted(tmp_path.iterdir()) if p.suffix in (".csv", ".svg")}
     assert got == want

@@ -1,18 +1,23 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
+from hypothesis import given, settings
+from scipy.sparse import csgraph, csr_matrix
 
-from bmoext import (Polyline, Window, bmo, cigar, l_shape, polygon, qh_distance,
-                    qh_length, qhyper, slit_disk)
+from bmoext import (Polyline, Window, bmo, cigar, cusp, disk, half_plane, l_shape, polygon,
+                    qh_distance, qh_length, qhyper, slit_disk)
+from bmoext.dyadic import grid_centers, resolution_level
 from bmoext.cli import main
 from bmoext.errors import (DisconnectedGraphError, EmptyInteriorError,
                            QuadratureError)
-from bmoext.qhyper import (build_metric_graph, eta_lambda, j_distance,
+from bmoext.qhyper import (EDGE_RTOL, build_metric_graph, eta_lambda, j_distance,
                            qh_distance_to_interior, segment_qh_batch)
+from tests.conftest import HP_WINDOW
+from tests.test_cli import star_polygons
 
 
 # -- lengths -----------------------------------------------------------------
@@ -66,6 +71,15 @@ def test_qh_distance_halfplane_values(hp_graph):
 def test_qh_distance_same_point(hp_graph):
     v, _ = qh_distance(hp_graph, (0.5, 1), (0.5, 1))
     assert v == 0.0
+
+
+def test_qh_distance_of_close_distinct_points_is_measured(disk1):
+    # 4e-6 apart, 2e-6 from the boundary: not one point, and k = ln 3
+    g = build_metric_graph(disk1, Window((-1.25, -1.25), 2.5), 1 / 64)
+    x, y = (0.999998, 0.0), (0.999994, 0.0)
+    v, pl = qh_distance(g, x, y)
+    assert v >= j_distance(disk1, x, y) * (1 - 0.03)
+    assert pl.qh_error > 0.0
 
 
 def test_qh_distance_outside_domain_rejected(hp_graph):
@@ -247,6 +261,93 @@ def test_graph_level_cap_refuses_before_allocating(disk1, tmp_path, capsys, monk
     assert main(["norm", "--domain", "disk:1", "--function", "qh:0.3,0",
                  "--resolution", "1/8192", "--outdir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("usage error: graph resolution")
+
+
+def reference_adjacency(domain, window, resolution, node_margin=math.sqrt(2.0)):
+    """The graph's matrix assembled as COO: both directions of every valid
+    edge, offset by offset, converted and sorted by scipy."""
+    level = resolution_level(resolution)
+    n = 1 << level
+    h = window.cell_size(level)
+    centers = grid_centers(window, level)
+    sd = domain.signed_distance(centers)
+    node_grid = np.full((n, n), -1, dtype=np.int64)
+    flat = np.nonzero(sd > node_margin * h)[0]
+    node_grid.ravel()[flat] = np.arange(flat.size)
+    node_pos = centers[flat]
+    rows, cols, data = [], [], []
+    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        lo_i, hi_i = max(0, -di), n - max(0, di)
+        lo_j, hi_j = max(0, -dj), n - max(0, dj)
+        from_ids = node_grid[lo_i:hi_i, lo_j:hi_j]
+        to_ids = node_grid[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
+        ok = (from_ids >= 0) & (to_ids >= 0)
+        f, t = from_ids[ok], to_ids[ok]
+        if f.size == 0:
+            continue
+        w, _, valid = segment_qh_batch(domain, node_pos[f], node_pos[t], rtol=EDGE_RTOL,
+                                       floor=qhyper._SD_FLOOR_FRAC * window.size)
+        f, t, w = f[valid], t[valid], w[valid]
+        rows += [f, t]
+        cols += [t, f]
+        data += [w, w]
+    if rows:
+        rows, cols, data = map(np.concatenate, (rows, cols, data))
+    return csr_matrix((data, (rows, cols)), shape=(len(node_pos), len(node_pos)))
+
+
+def assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+    assert got.shape == want.shape
+
+
+SQUARE_HOLE = polygon([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (3, 1), (3, 3), (1, 3)]])
+# one row of nodes at y = 2.0625 of the 1/32 grid: only the (1, 0) offset has edges
+STRIP = polygon([(0.5, 1.8625), (3.5, 1.8625), (3.5, 2.2625), (0.5, 2.2625)], label="strip")
+
+
+@pytest.mark.parametrize("dom, window, resolution", [
+    (disk(1.0), None, 1 / 128),
+    (l_shape(), None, 1 / 64),
+    (half_plane(), HP_WINDOW, 1 / 256),
+    (slit_disk(1.0, 0.5), None, 1 / 128),
+    (cusp(4.0), None, 1 / 64),
+    (SQUARE_HOLE, None, 1 / 64),
+    (STRIP, Window((0.0, 0.0), 4.0), 1 / 32),
+    (disk(1.0), None, 1 / 2),
+], ids=["disk", "l_shape", "half_plane", "slit_disk", "cusp", "square_hole", "strip", "empty"])
+def test_csr_matches_coo_assembly(dom, window, resolution):
+    window = window or dom.default_window
+    g = build_metric_graph(dom, window, resolution)
+    assert_same_csr(g.adj, reference_adjacency(dom, window, resolution))
+    assert g.adj.has_sorted_indices
+    if dom is STRIP:
+        assert g.n_nodes > 0 and (g.node_pos[:, 1] == 2.0625).all()
+    if resolution == 1 / 2:
+        assert g.n_nodes == 0
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
+def test_csr_matches_coo_assembly_on_star_polygons(case):
+    dom = polygon(*case)
+    g = build_metric_graph(dom, dom.default_window, 1 / 32)
+    assert_same_csr(g.adj, reference_adjacency(dom, dom.default_window, 1 / 32))
+
+
+def test_graph_build_memory_is_bounded(hp):
+    # the COO assembly peaked at 113 MB here; the graph itself holds 35 MB
+    tracemalloc.start()
+    try:
+        g = build_metric_graph(hp, HP_WINDOW, 1 / 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.adj.nnz > 2_000_000
+    assert peak < 80 * 2**20
 
 
 def test_edge_weight_brackets(disk1, disk_graph, rng):

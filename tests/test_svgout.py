@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -82,6 +83,45 @@ def reference_render_decomposition(dec, path):
         reference_rect(canvas, lower, side, "url(#hatch)", opacity=0.9)
     draw_boundary(canvas, dec.domain)
     canvas.save(path)
+
+
+def reference_save(canvas, path):
+    """The whole document as one string: the parts joined by newlines
+    inside one f-string."""
+    body = "\n".join(canvas.parts)
+    defs = ('<defs><pattern id="hatch" width="6" height="6" '
+            'patternUnits="userSpaceOnUse" patternTransform="rotate(45)">'
+            '<line x1="0" y1="0" x2="0" y2="6" stroke="#808080" '
+            'stroke-width="1.2"/></pattern></defs>')
+    with open(path, "w") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.px}" '
+            f'height="{canvas.px}" viewBox="0 0 {canvas.px} {canvas.px}">\n{defs}\n'
+            f'<rect width="100%" height="100%" fill="white"/>\n{body}\n</svg>\n')
+
+
+@pytest.mark.parametrize("n_parts", [0, 1, 3])
+def test_save_matches_joined_document(tmp_path, n_parts):
+    canvas = SvgCanvas(Window((-1.0, -1.0), 2.0))
+    for k in range(n_parts):
+        canvas.circle((0.1 * k, -0.2 * k))
+    if n_parts == 3:
+        canvas.rects([0.0, 0.5], [0.0, -0.5], 0.25, ["#ff0000", "#00ff00"])
+    canvas.save(tmp_path / "got.svg")
+    reference_save(canvas, tmp_path / "want.svg")
+    assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
+
+
+def test_render_decomposition_memory_is_bounded(tmp_path):
+    # joining the parts into one document peaked at 64 MB over entry here
+    dec = build_whitney(disk(1.0), disk(1.0).default_window, 12)
+    tracemalloc.start()
+    try:
+        render_decomposition(dec, tmp_path / "dec.svg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 SQUARE_HOLE = polygon([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (3, 1), (3, 3), (1, 3)]])

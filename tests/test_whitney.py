@@ -1,13 +1,16 @@
 import dataclasses
 import heapq
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from bmoext import Window, cusp, disk, half_plane, intro_lipschitz, l_shape, slit_disk
+from bmoext import (Window, cusp, disk, half_plane, intro_lipschitz, l_shape, polygon,
+                    slit_disk, whitney)
 from bmoext.dyadic import DyadicCube, SQRT_N, box_distance
 from bmoext.errors import WhitneyInvariantError
 from bmoext.whitney import (ACCEPT_FACTOR, TAG_COMPLEMENT, TAG_DOMAIN,
@@ -16,6 +19,7 @@ from bmoext.whitney import (ACCEPT_FACTOR, TAG_COMPLEMENT, TAG_DOMAIN,
                             matching_cube, matching_distance_constant,
                             matching_size_bound, whitney_chain)
 from tests.conftest import DISK_WINDOW
+from tests.test_cli import star_polygons
 
 
 def cube_gap(q1, q2):
@@ -170,6 +174,68 @@ def test_neighbor_sidelength_ratio(disk_dec):
 def test_neighbor_count_bounded(disk_dec):
     worst = np.diff(disk_dec.adj_indptr).max()
     assert worst <= 24  # measured envelope for the planar dimension constant
+
+
+def reference_neighbor_indices(dec):
+    """Every cube's ring probes in one pass, then one global sort of the
+    (cube, leaf) keys and a pass that drops repeats."""
+    c = dec.cubes
+    n = len(c)
+    cube = np.arange(n)
+    level = np.repeat(c["level"] + 2, len(whitney._RING))
+    pi = (4 * c["i"][:, None] + whitney._RING[:, 0]).ravel()
+    pj = (4 * c["j"][:, None] + whitney._RING[:, 1]).ravel()
+    cube = np.repeat(cube, len(whitney._RING))
+    side = np.left_shift(1, level)
+    ok = (pi >= 0) & (pj >= 0) & (pi < side) & (pj < side)
+    cube, level, pi, pj = cube[ok], level[ok], pi[ok], pj[ok]
+    leaf = dec.leaf_ids[dec.leaf_containing(level, pi, pj)]
+    is_domain = c["tag"] == TAG_DOMAIN
+    same = leaf < n
+    same[same] = is_domain[leaf[same]] == is_domain[cube[same]]
+    pairs = np.sort(cube[same] * n + leaf[same])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    rows, cols = np.divmod(pairs, max(n, 1))
+    return np.searchsorted(rows, np.arange(n + 1)), cols
+
+
+def assert_same_adjacency(dec):
+    for got, want in zip(dec.neighbor_indices(), reference_neighbor_indices(dec)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dom, depth", [
+    (disk(1.0), 12), (slit_disk(1.0, 0.5), 11), (l_shape(), 9), (cusp(4.0), 9),
+    (intro_lipschitz(), 9),
+], ids=["disk", "slit_disk", "l_shape", "cusp", "intro_lipschitz"])
+def test_adjacency_matches_global_sort(dom, depth):
+    dec = build_whitney(dom, dom.default_window, depth)
+    assert_same_adjacency(dec)
+    assert np.array_equal(dec.adj_indptr, dec.neighbor_indices()[0])
+    assert np.array_equal(dec.adj_indices, dec.neighbor_indices()[1])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
+def test_adjacency_matches_global_sort_on_star_polygons(case):
+    dom = polygon(*case)
+    dec = build_whitney(dom, dom.default_window, 7)
+    # small chunks, so keys meet across many chunk boundaries
+    with mock.patch.object(whitney, "_PROBE_CHUNK", 97):
+        assert_same_adjacency(dec)
+
+
+def test_whitney_build_memory_is_bounded():
+    # sorting every raw ring probe at once peaked at 90 MB here
+    tracemalloc.start()
+    try:
+        dec = build_whitney(disk(1.0), DISK_WINDOW, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.cubes) > 80_000
+    assert peak < 64 * 2**20
 
 
 def test_neighbors_match_brute_force(disk_dec, rng):
