@@ -10,14 +10,15 @@ from scipy.sparse import csgraph, csr_matrix
 
 from bmoext import (Polyline, Window, bmo, cigar, cusp, disk, half_plane, l_shape, polygon,
                     qh_distance, qh_length, qhyper, slit_disk)
-from bmoext.dyadic import grid_centers, resolution_level
 from bmoext.cli import main
+from bmoext.dyadic import grid_centers, resolution_level
 from bmoext.errors import (DisconnectedGraphError, EmptyInteriorError,
                            QuadratureError)
 from bmoext.qhyper import (EDGE_RTOL, build_metric_graph, eta_lambda, j_distance,
                            qh_distance_to_interior, segment_qh_batch)
 from tests.conftest import HP_WINDOW
 from tests.test_cli import star_polygons
+from tests.test_svgout import SQUARE_HOLE
 
 
 # -- lengths -----------------------------------------------------------------
@@ -304,7 +305,6 @@ def assert_same_csr(got, want):
     assert got.shape == want.shape
 
 
-SQUARE_HOLE = polygon([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (3, 1), (3, 3), (1, 3)]])
 # one row of nodes at y = 2.0625 of the 1/32 grid: only the (1, 0) offset has edges
 STRIP = polygon([(0.5, 1.8625), (3.5, 1.8625), (3.5, 2.2625), (0.5, 2.2625)], label="strip")
 
@@ -339,7 +339,7 @@ def test_csr_matches_coo_assembly_on_star_polygons(case):
 
 
 def test_graph_build_memory_is_bounded(hp):
-    # the COO assembly peaked at 113 MB here; the graph itself holds 35 MB
+    # the COO assembly peaked at 113 MB here; the graph itself holds 33 MB
     tracemalloc.start()
     try:
         g = build_metric_graph(hp, HP_WINDOW, 1 / 512)
