@@ -19,9 +19,9 @@ import numpy as np
 from .domains import Domain
 from .dyadic import Window, grid_centers
 from .errors import GeometryError, QuadratureError
-from .qhyper import (EVAL_BUDGET, QUAD_TOL, MetricGraph, Polyline, _refine_paths,
-                     build_metric_graph, grid_path, j_distance, qh_length,
-                     segment_qh_batch)
+from .qhyper import (EVAL_BUDGET, QUAD_TOL, MetricGraph, Polyline, _curve_segments,
+                     _length_floor, _refine_paths, build_metric_graph, grid_path,
+                     j_distance)
 
 ENDPOINT_EXCLUSION = 1e-3  # arclength fraction dropped around each endpoint
 SQRT2 = math.sqrt(2.0)
@@ -320,13 +320,24 @@ def mirror_pairs(domain: Domain, window: Window, delta: float) -> list[PairSampl
 # ---------------------------------------------------------------------------
 # estimators
 
+def _measured(domain: Domain, curves: list) -> list[Polyline | None]:
+    """Each curve (point array) as a Polyline carrying its qh_length to
+    QUAD_TOL, or None where qh_length would raise; one segment_qh_batch
+    call for all of them."""
+    parts = _curve_segments(domain, curves, QUAD_TOL, [_length_floor(c) for c in curves])
+    return [Polyline(c, qh_value=float(v.sum()), qh_error=float(e.sum())) if ok.all() else None
+            for c, (v, e, ok) in zip(curves, parts)]
+
+
 def evaluate_pair(graph: MetricGraph, pairs: list[PairSample]):
     """Curve evidence on this graph for each pair. Its menu holds the
     straight segment when it stays inside, the raw grid geodesic and its
     shortened refinement, each measured to the quadrature tolerance of
     qh_distance; the grid geodesics come from one Dijkstra solve per pair
-    and are refined together. The menu curve with the best epsilon sets
-    eps_curve, a, b, curve and k_xy; with none the pair is flagged."""
+    and are refined together, and all of them are measured in one batch.
+    The menu curve with the best epsilon sets eps_curve, a, b, curve and
+    k_xy; with none the pair is flagged. A straight segment that wins is
+    measured then, in one batch for all pairs."""
     if not pairs:
         return pairs
     domain = graph.domain
@@ -341,32 +352,30 @@ def evaluate_pair(graph: MetricGraph, pairs: list[PairSample]):
         except (GeometryError, ValueError):
             pass
     refined = _refine_paths(domain, list(raws.values()), graph.h)
-    for (i, raw), ref in zip(raws.items(), refined):
-        for pts in (raw, ref):
-            try:
-                value, err = qh_length(domain, pts, tol=QUAD_TOL)
-                menus[i].append(Polyline(pts, qh_value=value, qh_error=err))
-            except (GeometryError, ValueError):
-                pass
+    curves = _measured(domain, [pts for raw, ref in zip(raws.values(), refined)
+                                for pts in (raw, ref)])
+    for n, i in enumerate(raws):
+        menus[i] += [c for c in curves[2 * n:2 * n + 2] if c is not None]
+    best = []
     for p, menu in zip(pairs, menus):
-        best = None
+        top = None
         for curve in menu:
             try:
                 e, a, b = curve_constants(domain, p.x, p.y, curve)
             except (GeometryError, ValueError):
                 continue
-            if best is None or e > best[0]:
-                best = (e, a, b, curve)
-        if best is None:
+            if top is None or e > top[0]:
+                top = (e, a, b, curve)
+        best.append(top)
+    segs = [i for i, top in enumerate(best) if top is not None and top[3].qh_value is None]
+    measured = dict(zip(segs, _measured(domain, [best[i][3].points for i in segs])))
+    for i, (p, top) in enumerate(zip(pairs, best)):
+        if top is None:
             p.flagged = True
             continue
-        p.eps_curve, p.a, p.b, p.curve = best
-        p.k_xy = best[3].qh_value
-        if p.k_xy is None:
-            try:
-                p.k_xy, _ = qh_length(domain, best[3], tol=QUAD_TOL)
-            except GeometryError:
-                p.k_xy = None
+        p.eps_curve, p.a, p.b, p.curve = top
+        curve = measured.get(i, top[3])
+        p.k_xy = None if curve is None else curve.qh_value
     return pairs
 
 
@@ -476,13 +485,13 @@ def estimate_epsilon_delta(graph: MetricGraph, delta: float, n_pairs: int, seed:
         details={"fit_points": fit_points})
 
 
-def _subpair_points(domain: Domain, pl: Polyline):
+def _subpair_points(domain: Domain, pl: Polyline, vals, ok):
     """(j, k) observations for sub-pairs along a geodesic, where k is the
-    quadrature length of the sub-curve (geodesic sub-curves are geodesics)."""
-    pts = pl.points
-    vals, _, ok = segment_qh_batch(domain, pts[:-1], pts[1:], rtol=1e-3)
+    quadrature length of the sub-curve (geodesic sub-curves are geodesics),
+    from the segment values, and their validity, of the curve."""
     if not ok.all():
         return []
+    pts = pl.points
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
     n = len(pts)
     idx = np.unique(np.linspace(0, n - 1, SUBPAIR_SAMPLES).astype(int))
@@ -523,10 +532,14 @@ def _uniformity_envelope(domain: Domain, pairs: list[PairSample]):
     pairs' curves, the (c, d) dominating k <= c j + d over them, and the
     per-scale envelope offsets of adversarial pairs, whose growth is the
     divergence signature of a pinched geometry."""
+    curves = [p.curve for p in pairs if p.kind == "uniform" and p.curve is not None]
+    # the segment values of every such curve from one batch, floor 0
+    parts = iter(_curve_segments(domain, [c.points for c in curves], 1e-3, [0.0] * len(curves)))
     points = []
     for p in pairs:
         if p.kind == "uniform" and p.curve is not None:
-            points.extend(_subpair_points(domain, p.curve))
+            vals, _, ok = next(parts)
+            points.extend(_subpair_points(domain, p.curve, vals, ok))
         if p.j_xy is not None and p.k_xy is not None:
             points.append((p.j_xy, p.k_xy))
     c_hat, d_hat = envelope_fit(points)

@@ -93,6 +93,10 @@ _BLOCK_PAIRS = 1 << 14
 _NEAR = 1.0 + 2.0 ** -40
 _TINY = np.finfo(float).tiny
 
+# A polygon of at most this many edges is as fast with every edge evaluated
+# for every point as with a run index (_RunIndex).
+_DENSE_EDGES = 8
+
 
 def _edge_columns(loops: list[np.ndarray]) -> tuple:
     """The constants of the edges of a set of loops as read-only (E, 1)
@@ -170,6 +174,129 @@ def _segment_distances(pts: np.ndarray, edges: tuple) -> np.ndarray:
             tied = (count > 2) | ~(m >= _TINY)
             if tied.any():
                 d[tied] = np.hypot(dx[:, tied], dy[:, tied]).min(axis=0)
+            out[lo:lo + step] = d
+    return out
+
+
+@dataclass(frozen=True)
+class _RunIndex:
+    """The edges of a polygon in runs of `size` consecutive edges (the last
+    run padded with copies of the last edge), each run with its first vertex
+    and the bounding box of its edges, widened by `slack` and stored as
+    offsets from that vertex."""
+
+    size: int
+    cols: np.ndarray      # (5 * size, R): _edge_columns of the runs' edges, by run
+    first: np.ndarray     # (2, R, 1) first vertex x, y of each run
+    box: np.ndarray       # (4, R, 1) box low x, high x, low y, high y minus the first vertex
+    slack: float          # absolute rounding slack of the bounds
+    far: float            # points at least this far from every run keep all runs
+
+
+def _run_index(loops: list[np.ndarray], edges: tuple) -> _RunIndex:
+    n_edges = len(edges[0])
+    # bounding a point costs a few operations per run and evaluating a kept
+    # run a few per edge, and a point keeps a few runs, so runs of about
+    # sqrt(E) / 2 edges balance the two: the power of two 2^k with
+    # 2^(2k + 1) <= E < 2^(2k + 3)
+    size = 1 << (n_edges.bit_length() - 2) // 2
+    n_runs = -(-n_edges // size)
+    pad = np.minimum(np.arange(n_runs * size), n_edges - 1)
+    cols = np.concatenate([c[pad, 0].reshape(n_runs, size).T for c in edges])
+    a = np.concatenate(loops)
+    b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+    lo = np.minimum(a, b)[pad].reshape(n_runs, size, 2).min(axis=1)
+    hi = np.maximum(a, b)[pad].reshape(n_runs, size, 2).max(axis=1)
+    first = a[pad[::size]]
+    big = float(np.abs(a).max())
+    slack = 2.0 ** -40 * big + 2.0 ** -500
+    box = np.stack([lo[:, 0] - first[:, 0] - 3 * slack, hi[:, 0] - first[:, 0] + 3 * slack,
+                    lo[:, 1] - first[:, 1] - 3 * slack, hi[:, 1] - first[:, 1] + 3 * slack])
+    out = _RunIndex(size, cols, first.T[:, :, None].copy(), box[:, :, None], slack,
+                    2.0 ** 500 / max(big, 1.0))
+    for arr in (out.cols, out.first, out.box):
+        arr.flags.writeable = False
+    return out
+
+
+def _kept_runs(px: np.ndarray, py: np.ndarray, index: _RunIndex):
+    """(run, point) index pairs, in run order, of the runs that can hold the
+    nearest edge of each point (px, py contiguous).
+
+    A point's distance to the first vertex of a run bounds its distance to
+    the boundary from above, and its distance to a run's box bounds its
+    distance to every edge of the run from below. Widened by a relative
+    2^-40 and the absolute slack (2^-40 times the largest vertex coordinate),
+    these bounds hold for the computed distances too, whose rounding errors
+    stay below 2^-48 of those terms. So a run whose box lies beyond the
+    nearest first vertex holds no edge whose computed distance is as small
+    as the least one, and is dropped. A point with a NaN bound, or one at
+    least `far` away, where products could overflow, keeps every run.
+    """
+    vx, vy = index.first
+    x_lo, x_hi, y_lo, y_hi = index.box
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # (runs, points) offsets from each run's first vertex
+        ox, oy = px - vx, py - vy
+        q = ox * ox
+        q += oy * oy
+        bound = np.sqrt(q.min(axis=0))
+        bound *= 1.0 + 2.0 ** -40
+        bound += index.slack
+        bound[~(bound < index.far)] = np.inf
+        bound *= bound
+        # squared distance to each run's box
+        gx = np.subtract(x_lo, ox, out=q)
+        np.maximum(gx, np.subtract(ox, x_hi, out=ox), out=gx)
+        np.maximum(gx, 0.0, out=gx)
+        gy = np.subtract(y_lo, oy, out=ox)
+        np.maximum(gy, np.subtract(oy, y_hi, out=oy), out=gy)
+        np.maximum(gy, 0.0, out=gy)
+        gx *= gx
+        gx += np.multiply(gy, gy, out=gy)
+        return np.divmod(np.flatnonzero(~(gx > bound)), len(px))
+
+
+def _run_distances(pts: np.ndarray, index: _RunIndex) -> np.ndarray:
+    """_segment_distances over the edges of a run index, evaluating for
+    each point only the edges of its kept runs (_kept_runs).
+
+    Every kept (point, edge) pair runs _segment_distances' expressions, so
+    it gets the same offsets, and the minimum over a set of edges that
+    holds the nearest ones is the same number. Hypot runs on the kept edges
+    within the 2^-40 margin of the point's least squared distance, or on
+    all of them where that least value is not a normal number.
+    """
+    out = np.empty(len(pts))
+    step = max(1, _BLOCK_PAIRS // index.cols.shape[1])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for lo in range(0, len(pts), step):
+            px, py = pts[lo:lo + step, 0].copy(), pts[lo:lo + step, 1].copy()
+            run, pt = _kept_runs(px, py, index)
+            # (size, pairs) edge columns of the kept pairs
+            ax, ay, abx, aby, den = np.repeat(
+                index.cols, np.bincount(run, minlength=index.cols.shape[1]),
+                axis=1).reshape(5, index.size, -1)
+            qx, qy = px[pt], py[pt]
+            apx, apy = qx - ax, qy - ay
+            t = apx * abx
+            t += np.multiply(apy, aby, out=apy)
+            t /= den
+            np.clip(t, 0.0, 1.0, out=t)
+            dx = np.multiply(t, abx, out=apx)
+            dx += ax
+            np.subtract(qx, dx, out=dx)
+            dy = np.multiply(t, aby, out=apy)
+            dy += ay
+            np.subtract(qy, dy, out=dy)
+            q = np.multiply(dx, dx, out=t)
+            q += dy * dy
+            m = np.full(len(px), np.inf)
+            np.minimum.at(m, pt, q.min(axis=0))
+            margin = np.where(m >= _TINY, m * _NEAR, np.inf)
+            near = np.flatnonzero(~(q > margin[pt]))
+            d = np.full(len(px), np.inf)
+            np.minimum.at(d, pt[near % len(pt)], np.hypot(dx.ravel()[near], dy.ravel()[near]))
             out[lo:lo + step] = d
     return out
 
@@ -316,9 +443,10 @@ def polygon(outer, holes=(), label: str = "polygon") -> Domain:
     _validate(loops)
     edges = _edge_columns(loops)
     index = _slab_index(loops)
+    runs = _run_index(loops, edges) if len(edges[0]) > _DENSE_EDGES else None
 
     def sd(pts):
-        d = _segment_distances(pts, edges)
+        d = _segment_distances(pts, edges) if runs is None else _run_distances(pts, runs)
         sign = np.where(_crossings_parity(pts, index), 1.0, -1.0)
         return sign * d
 

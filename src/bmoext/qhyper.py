@@ -36,25 +36,34 @@ MAX_GRAPH_LEVEL = 11
 
 
 def segment_qh_batch(domain: Domain, a, b, rtol: float = 1e-3,
-                     floor: float = 0.0):
+                     floor=0.0):
     """Integrate ds/dist over straight segments a[i] -> b[i].
 
     Midpoint refinement; the Lipschitz bracket per panel (clearance m,
     panel length L, m > L/2) gives a rigorous error bound, so segments are
     doubled until err <= rtol * value, up to 2^MAX_DOUBLINGS panels. Each
-    oracle call takes at most EVAL_BUDGET points. Returns (values, errors,
-    valid). Segments that touch or cross the boundary come back with
-    valid=False and value=inf; callers decide whether that is an error.
+    oracle call takes at most EVAL_BUDGET points. `floor` is one clearance
+    floor or one per segment. Returns (values, errors, valid). Segments
+    that touch or cross the boundary, or come within their floor of it,
+    come back with valid=False and value=inf; callers decide whether that
+    is an error. A segment of zero length has value 0 when its point's
+    clearance exceeds its floor.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     m = len(a)
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), (m,))
     seg_len = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-    vals = np.zeros(m)
-    errs = np.zeros(m)
-    valid = np.ones(m, dtype=bool)
+    # inf until a segment brackets; a segment of NaN or inf length never does
+    vals = np.where(seg_len == 0.0, 0.0, np.inf)
+    errs = vals.copy()
+    valid = np.isfinite(seg_len)
 
-    active = np.nonzero(seg_len > 0.0)[0]
+    point = np.nonzero(seg_len == 0.0)[0]
+    if point.size:
+        valid[point] = domain.signed_distance(a[point]) > floor[point]
+        vals[point] = errs[point] = np.where(valid[point], 0.0, np.inf)
+    active = np.nonzero(valid & (seg_len > 0.0))[0]
     panels = 1
     while active.size and panels <= (1 << MAX_DOUBLINGS):
         chunk = max(1, EVAL_BUDGET // panels)
@@ -70,7 +79,7 @@ def segment_qh_batch(domain: Domain, a, b, rtol: float = 1e-3,
                 for tl in range(0, panels, EVAL_BUDGET)], axis=1)
             lp = seg_len[act] / panels
 
-            dead = (sd <= floor).any(axis=1)
+            dead = (sd <= floor[act, None]).any(axis=1)
             bracketable = (sd > 0.5 * lp[:, None]).all(axis=1) & ~dead
             done = np.zeros(act.size, dtype=bool)
             if bracketable.any():
@@ -162,15 +171,35 @@ def qh_length(domain: Domain, gamma, tol: float = 1e-6):
     touches or leaves the domain.
     """
     pts = gamma.points if isinstance(gamma, Polyline) else np.atleast_2d(np.asarray(gamma, float))
-    scale = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
     vals, errs, valid = segment_qh_batch(domain, pts[:-1], pts[1:], rtol=tol,
-                                         floor=_SD_FLOOR_FRAC * scale)
+                                         floor=_length_floor(pts))
     if not valid.all():
         k = int(np.nonzero(~valid)[0][0])
         raise QuadratureError(
             f"unbounded integrand on segment {k} "
             f"({pts[k]} -> {pts[k + 1]}): curve touches the boundary")
     return float(vals.sum()), float(errs.sum())
+
+
+def _length_floor(pts: np.ndarray) -> float:
+    """The clearance floor qh_length puts under a curve's segments: a
+    fraction _SD_FLOOR_FRAC of the curve's extent, or of 1 if that is more."""
+    return _SD_FLOOR_FRAC * max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
+
+
+def _curve_segments(domain: Domain, curves: list, rtol: float, floors) -> list[tuple]:
+    """segment_qh_batch over the segments of many curves (point arrays) in
+    one call, with one floor per curve; each curve's (values, errors,
+    valid) slices, which are the arrays a call for that curve alone gives."""
+    if not curves:
+        return []
+    n_seg = [len(c) - 1 for c in curves]
+    vals, errs, valid = segment_qh_batch(
+        domain, np.concatenate([c[:-1] for c in curves]),
+        np.concatenate([c[1:] for c in curves]), rtol=rtol,
+        floor=np.repeat(np.asarray(floors, dtype=float), n_seg))
+    ends = np.cumsum(n_seg)
+    return [(vals[e - n:e], errs[e - n:e], valid[e - n:e]) for n, e in zip(n_seg, ends)]
 
 
 def j_distance(domain: Domain, x, y) -> float:
@@ -230,7 +259,17 @@ class MetricGraph:
             raise DisconnectedGraphError("no graph node in the window; "
                                          "resolution too coarse for this domain")
         # nodes are numbered in (i, j) cell order, so the first minimum
-        # breaks ties by cell index
+        # breaks ties by cell index. Every node outside the 3x3 block of
+        # cells around p lies at least 1.5 h away, so a block node nearer
+        # than that, with a margin for rounding, is the nearest of all.
+        i, j = self.window.cell_of_point(p, self.level)
+        block = self.node_grid[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2].ravel()
+        block = block[block >= 0]              # in (i, j) order, so ascending
+        if block.size:
+            d2 = ((self.node_pos[block] - p) ** 2).sum(axis=1)
+            k = int(np.argmin(d2))
+            if d2[k] < (1.5 * self.h) ** 2 * (1.0 - 1e-9):
+                return int(block[k])
         return int(np.argmin(((self.node_pos - p) ** 2).sum(axis=1)))
 
     def shortest_paths(self, src: int, limit: float = np.inf):
@@ -322,31 +361,36 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
 # ---------------------------------------------------------------------------
 # geodesic refinement
 
-def _split_long(p: np.ndarray, max_len: float) -> np.ndarray:
-    """The path with every segment longer than max_len cut into equal parts."""
+def _split_long(p: np.ndarray, max_len: float) -> tuple[np.ndarray, np.ndarray]:
+    """The path with every segment longer than max_len cut into equal parts,
+    and for each of its segments the segment of p it copies, or -1 for the
+    parts of a cut one."""
     d = np.hypot(*(p[1:] - p[:-1]).T)
     if (d <= max_len).all():
-        return p
+        return p, np.arange(len(p) - 1)
     out = [p[0]]
+    src = []
     for k in range(len(p) - 1):
         if d[k] > max_len:
             m = int(math.ceil(d[k] / max_len))
             for t in range(1, m):
                 out.append(p[k] + (p[k + 1] - p[k]) * (t / m))
+            src += [-1] * m
+        else:
+            src.append(k)
         out.append(p[k + 1])
-    return np.asarray(out)
+    return np.asarray(out), np.array(src)
 
 
-def _path_totals(domain: Domain, paths: list, floors: np.ndarray) -> list[float]:
-    """Panel-cost length of each path, inf where a segment is not certified;
-    one oracle call for all of them."""
-    n_seg = np.array([len(p) - 1 for p in paths])
-    v, ok = _panel_cost(domain, np.concatenate([p[:-1] for p in paths]),
-                        np.concatenate([p[1:] for p in paths]),
-                        floor=np.repeat(floors, n_seg))
-    ends = np.cumsum(n_seg)
-    return [math.inf if not ok[e - n:e].all() else float(v[e - n:e].sum())
-            for n, e in zip(n_seg, ends)]
+def _segment_costs(domain: Domain, ends: list, floors: np.ndarray) -> list[np.ndarray]:
+    """_panel_cost of the segments a[i] -> b[i] of each (a, b) in `ends`,
+    with one floor per entry, inf where a segment is not certified; one
+    oracle call for all of them."""
+    n_seg = [len(a) for a, _ in ends]
+    v, _ = _panel_cost(domain, np.concatenate([a for a, _ in ends]),
+                       np.concatenate([b for _, b in ends]), floor=np.repeat(floors, n_seg))
+    stops = np.cumsum(n_seg)
+    return [v[e - n:e] for n, e in zip(n_seg, stops)]
 
 
 def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
@@ -359,24 +403,39 @@ def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
     neighbour segments at once. A path stops when a full round improves its
     total by less than REFINE_RTOL (relative), or after REFINE_ROUNDS
     rounds; its floor comes from its own extent.
+
+    Every path keeps the _panel_cost of each of its segments, so a round's
+    total is their sum and only segments that _split_long cuts are scored
+    again. The "stay" candidate's two segments are the vertex's own, so its
+    cost is the kept one; and a vertex that chose to stay, with neither
+    neighbour moved since, would choose it again, so it is not scored. The
+    paths are those that scoring every candidate each pass gives.
     """
     paths = [np.array(p, dtype=float) for p in paths]
     if not paths:
         return []
     floors = np.array([_SD_FLOOR_FRAC * max(np.ptp(p[:, 0]), np.ptp(p[:, 1]), h)
                        for p in paths])
-    paths = [_split_long(p, 2.0 * h) for p in paths]
+    paths = [_split_long(p, 2.0 * h)[0] for p in paths]
+    costs = _segment_costs(domain, [(p[:-1], p[1:]) for p in paths], floors)
+    # settled[k][i]: vertex i chose to stay and neither neighbour moved since
+    settled = [np.zeros(len(p), dtype=bool) for p in paths]
     live = list(range(len(paths)))
-    prev = _path_totals(domain, paths, floors)
+    prev = [float(c.sum()) for c in costs]
     for _ in range(REFINE_ROUNDS):
         for parity in (1, 0):
-            moves = [(k, np.arange(2 - parity, len(paths[k]) - 1, 2)) for k in live
-                     if len(paths[k]) > 3 - parity]
+            moves = []
+            for k in live:
+                idx = np.arange(2 - parity, len(paths[k]) - 1, 2)
+                idx = idx[~settled[k][idx]]
+                if idx.size:
+                    moves.append((k, idx))
             if not moves:
                 continue
             p_prev = np.concatenate([paths[k][idx - 1] for k, idx in moves])
             p_next = np.concatenate([paths[k][idx + 1] for k, idx in moves])
             cur = np.concatenate([paths[k][idx] for k, idx in moves])
+            stay = np.concatenate([costs[k][idx - 1] + costs[k][idx] for k, idx in moves])
             fl = np.repeat(floors[[k for k, _ in moves]], [idx.size for _, idx in moves])
             mid = 0.5 * (p_prev + p_next)
             chord = p_next - p_prev
@@ -395,23 +454,49 @@ def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
                 cur - 0.25 * amp * nrm,
             ])                                  # (K, m, 2)
             k_c, m_c, _ = cands.shape
-            a = np.broadcast_to(p_prev, (k_c, m_c, 2)).reshape(-1, 2)
-            b = cands.reshape(-1, 2)
-            c = np.broadcast_to(p_next, (k_c, m_c, 2)).reshape(-1, 2)
-            v, ok = _panel_cost(domain, np.concatenate([a, b]), np.concatenate([b, c]),
-                                floor=np.tile(fl, 2 * k_c))
-            n = k_c * m_c
-            cost = np.where(ok[:n] & ok[n:], v[:n] + v[n:], np.inf).reshape(k_c, m_c)
+            # every candidate but "stay", both neighbour segments
+            a = np.broadcast_to(p_prev, (k_c - 1, m_c, 2)).reshape(-1, 2)
+            b = cands[1:].reshape(-1, 2)
+            c = np.broadcast_to(p_next, (k_c - 1, m_c, 2)).reshape(-1, 2)
+            v, _ = _panel_cost(domain, np.concatenate([a, b]), np.concatenate([b, c]),
+                               floor=np.tile(fl, 2 * (k_c - 1)))
+            n = (k_c - 1) * m_c
+            left, right = v[:n].reshape(k_c - 1, m_c), v[n:].reshape(k_c - 1, m_c)
+            cost = np.vstack([stay[None], left + right])
             best = np.argmin(cost, axis=0)      # first minimum: 'stay' wins ties
-            moved = cands[best, np.arange(m_c)]
+            at = np.arange(m_c)
+            moved = cands[best, at]
+            pick = np.maximum(best - 1, 0)
+            left, right = left[pick, at], right[pick, at]
             lo = 0
             for k, idx in moves:
+                go = best[lo:lo + idx.size] > 0
                 paths[k][idx] = moved[lo:lo + idx.size]
+                costs[k][idx[go] - 1] = left[lo:lo + idx.size][go]
+                costs[k][idx[go]] = right[lo:lo + idx.size][go]
+                settled[k][idx] = ~go
+                settled[k][idx[go] - 1] = settled[k][idx[go] + 1] = False
                 lo += idx.size
+        cut = []
         for k in live:
-            paths[k] = _split_long(paths[k], 2.0 * h)
+            paths[k], src = _split_long(paths[k], 2.0 * h)
+            parts = np.nonzero(src < 0)[0]
+            if parts.size:
+                kept = src >= 0
+                costs[k] = costs[k][np.maximum(src, 0)]
+                # a vertex stays settled when both its segments are kept
+                inner = np.zeros(len(paths[k]), dtype=bool)
+                inner[1:-1] = kept[:-1] & kept[1:] & settled[k][np.maximum(src[1:], 0)]
+                settled[k] = inner
+                cut.append((k, parts))
+        if cut:
+            fresh = _segment_costs(domain, [(paths[k][j], paths[k][j + 1]) for k, j in cut],
+                                   floors[[k for k, _ in cut]])
+            for (k, j), v in zip(cut, fresh):
+                costs[k][j] = v
         still = []
-        for k, total in zip(live, _path_totals(domain, [paths[k] for k in live], floors[live])):
+        for k in live:
+            total = float(costs[k].sum())
             stuck = not (math.isfinite(total) or math.isfinite(prev[k]))
             if not stuck and prev[k] - total > REFINE_RTOL * max(abs(total), 1e-12):
                 prev[k] = total

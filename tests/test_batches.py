@@ -11,13 +11,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bmoext import cusp, disk, l_shape, slit_disk
-from bmoext.cigar import (CAP_SLACK, SQRT2, _uniform_pairs, epsilon_upper_bound,
+from bmoext import cusp, disk, l_shape, polygon, qhyper, slit_disk
+from bmoext.cigar import (CAP_SLACK, SQRT2, _measured, _uniform_pairs, epsilon_upper_bound,
                           mirror_pairs)
-from bmoext.qhyper import (REFINE_ROUNDS, REFINE_RTOL, _SD_FLOOR_FRAC, _panel_cost,
-                           _refine_paths, build_metric_graph, grid_path)
+from bmoext.errors import QuadratureError
+from bmoext.qhyper import (QUAD_TOL, REFINE_ROUNDS, REFINE_RTOL, _SD_FLOOR_FRAC,
+                           _curve_segments, _panel_cost, _refine_paths, build_metric_graph,
+                           grid_path, qh_length, segment_qh_batch)
 
 
 def reference_refine_path(domain, pts, h):
@@ -130,7 +132,9 @@ def reference_epsilon_upper_bound(domain, x, y):
 
 
 DOMAINS = {"l_shape": l_shape(), "slit_disk": slit_disk(1.0, 0.5),
-           "cusp(4)": cusp(4.0), "disk": disk(1.0)}
+           "cusp(4)": cusp(4.0), "disk": disk(1.0),
+           "square_hole": polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)],
+                                  holes=[[(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]])}
 _GRAPHS = {}
 
 
@@ -168,6 +172,8 @@ def test_fixed_paths_stop_where_intended():
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(DOMAINS)), st.integers(0, 2**32 - 1),
        st.lists(st.sampled_from(["grid", "segment", "jitter"]), min_size=1, max_size=5))
+@example("cusp(4)", 5, ["grid", "jitter", "grid", "segment"])
+@example("square_hole", 6, ["grid", "jitter", "jitter", "grid"])
 def test_refine_paths_match_one_path_loop(name, seed, kinds):
     dom, graph = DOMAINS[name], _graph(name)
     rng = np.random.default_rng(seed)
@@ -188,6 +194,74 @@ def test_refine_paths_match_one_path_loop(name, seed, kinds):
     assert len(got) == len(paths)
     for p, g in zip(paths, got):
         assert np.array_equal(g, reference_refine_path(dom, p, h)[0])
+
+
+def test_refine_paths_split_mid_run_match_one_path_loop(monkeypatch):
+    # chords of the disk near its boundary with vertices 1.9 h apart: moving
+    # a vertex inward stretches its segments past 2 h, so _split_long cuts
+    # them after a round; with them, grid paths of the cusp and the square
+    # with a hole
+    dom = DOMAINS["disk"]
+    chords = []
+    for y in (0.8, 0.88, 0.93):
+        n = int(0.8 / (1.9 * H_DISK)) + 1
+        chords.append(np.column_stack([np.linspace(-0.4, 0.4, n), np.full(n, y)]))
+    cuts = []
+    split_long = qhyper._split_long
+
+    def spy(p, max_len):
+        out, src = split_long(p, max_len)
+        cuts.append(int((src < 0).sum()))
+        return out, src
+
+    monkeypatch.setattr(qhyper, "_split_long", spy)
+    got = _refine_paths(dom, chords, H_DISK)
+    # the first len(chords) calls split the inputs; later ones run mid-run
+    assert sum(cuts[len(chords):]) > 0
+    for p, g in zip(chords, got):
+        assert np.array_equal(g, reference_refine_path(dom, p, H_DISK)[0])
+    for name in ("cusp(4)", "square_hole"):
+        dom, graph = DOMAINS[name], _graph(name)
+        rng = np.random.default_rng(7)
+        paths = [grid_path(graph, _inside_point(dom, rng), _inside_point(dom, rng))
+                 for _ in range(4)]
+        for p, g in zip(paths, _refine_paths(dom, paths, graph.h)):
+            assert np.array_equal(g, reference_refine_path(dom, p, graph.h)[0])
+
+
+def _menu_curves(name):
+    """Raw and refined grid paths of random pairs, a straight segment that
+    crosses the boundary, and a curve that stops at one point outside."""
+    dom, graph = DOMAINS[name], _graph(name)
+    rng = np.random.default_rng(9)
+    raws = [grid_path(graph, _inside_point(dom, rng), _inside_point(dom, rng)) for _ in range(6)]
+    w = dom.default_window
+    corner = np.asarray(w.origin)
+    return raws + _refine_paths(dom, raws, graph.h) + [
+        np.array([raws[0][0], corner + w.size]), np.array([corner, corner])]
+
+
+@pytest.mark.parametrize("name", ["cusp(4)", "square_hole", "l_shape"])
+def test_batched_menu_lengths_match_qh_length(name):
+    dom = DOMAINS[name]
+    curves = _menu_curves(name)
+    got = _measured(dom, curves)
+    failed = 0
+    for c, pl in zip(curves, got):
+        try:
+            want = qh_length(dom, c, tol=QUAD_TOL)
+        except QuadratureError:
+            assert pl is None
+            failed += 1
+            continue
+        assert (pl.qh_value, pl.qh_error) == want
+        assert np.array_equal(pl.points, c)
+    assert failed >= 2
+    # the sub-pair batch: floor 0, rtol 1e-3, per-curve arrays
+    for c, (v, e, ok) in zip(curves, _curve_segments(dom, curves, 1e-3, [0.0] * len(curves))):
+        want = segment_qh_batch(dom, c[:-1], c[1:], rtol=1e-3)
+        for w_, g_ in zip(want, (v, e, ok)):
+            assert np.array_equal(w_, g_)
 
 
 def test_refine_paths_leave_inputs_alone():

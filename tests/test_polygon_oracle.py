@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bmoext import cusp, domains, l_shape, polygon
-from bmoext.domains import (_crossings_parity, _edge_columns, _first_crossing,
-                            _segment_distances, _slab_index)
+from bmoext.domains import (_crossings_parity, _edge_columns, _first_crossing, _kept_runs,
+                            _run_index, _segment_distances, _slab_index)
 from bmoext.errors import PolygonError
 
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
@@ -25,9 +25,11 @@ SQUARE_HOLE = [(1, 1), (3, 1), (3, 3), (1, 3)]
 L_LOOP = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
 
-def reference_distances(pts, seg_a, seg_b, chunk=4096):
-    """Min distance from each point to a set of segments; chunked over points."""
+def reference_distances(pts, seg_a, seg_b, pairs=1 << 20):
+    """Min distance from each point to a set of segments; chunked over
+    points, about `pairs` (point, segment) pairs at a time."""
     out = np.empty(len(pts))
+    chunk = max(1, pairs // len(seg_a))
     ab = seg_b - seg_a                       # (M, 2)
     den = np.maximum(np.einsum("md,md->m", ab, ab), 1e-300)
     for lo in range(0, len(pts), chunk):
@@ -40,9 +42,10 @@ def reference_distances(pts, seg_a, seg_b, chunk=4096):
     return out
 
 
-def reference_parity(pts, loops, chunk=4096):
+def reference_parity(pts, loops, pairs=1 << 20):
     """Even-odd point-in-polygon over all loops (holes flip parity)."""
     inside = np.zeros(len(pts), dtype=bool)
+    chunk = max(1, pairs // sum(len(lp) for lp in loops))
     for lo in range(0, len(pts), chunk):
         p = pts[lo:lo + chunk]
         cnt = np.zeros(len(p), dtype=np.int64)
@@ -166,6 +169,84 @@ def test_star_polygons_match_reference_and_are_lipschitz(case):
     y = x + rng.normal(scale=0.3, size=x.shape)
     gap = np.hypot(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1])
     assert (np.abs(dom.signed_distance(x) - dom.signed_distance(y)) <= gap + 1e-12).all()
+
+
+def bits(a):
+    """The bit patterns of a float array: -0.0 differs from 0.0 and NaNs compare."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def star_loop(n, rng, centre=(0.0, 0.0), r_lo=0.5, r_hi=1.0):
+    """A star-shaped loop of n >= 5 vertices: sorted angles with gaps below
+    pi/2 and radii in [r_lo, r_hi], so it is simple."""
+    th = 2 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
+    r = rng.uniform(r_lo, r_hi, n)
+    return np.asarray(centre) + np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+@st.composite
+def many_edge_stars(draw):
+    """A star of 9 to about 3000 edges (log-uniform) around a random
+    centre, with a star hole of 5 to 200 edges inside its inner disk or
+    none, drawn from one seed."""
+    n = int(2.0 ** draw(st.floats(3.17, 11.55)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    centre = rng.uniform(-2.0, 2.0, 2)
+    r_min = rng.uniform(0.2, 0.9)
+    loops = [star_loop(n, rng, centre, r_min)]
+    if draw(st.booleans()):
+        loops.append(star_loop(draw(st.integers(5, 200)), rng, centre, 0.1 * r_min, 0.6 * r_min))
+    return loops, seed
+
+
+def run_probes(loops, window, rng):
+    """Random points of the window and a margin around it, every vertex, a
+    random point on every edge, points at random pairs of vertex
+    coordinates, points far outside, NaN points, and points about 1e-170
+    and 1e-310 off random edges, whose squares underflow."""
+    verts = np.concatenate(loops)
+    ends = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+    o, s = np.asarray(window.origin), window.size
+    random = o + rng.uniform(-0.25, 1.25, size=(1_000, 2)) * s
+    on_edges = verts + rng.uniform(0.0, 1.0, (len(verts), 1)) * (ends - verts)
+    lattice = np.column_stack([rng.choice(verts[:, 0], 300), rng.choice(verts[:, 1], 300)])
+    far = np.array([[1e200, 0.5], [-3e200, 2e200], [0.5, -1e200], [1e6, 0.0],
+                    [-1e300, 1e300], [3e8, verts[0, 1]]])
+    nan = np.array([[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]])
+    k = rng.choice(len(verts), 100)
+    d = ends[k] - verts[k]
+    normal = np.column_stack([-d[:, 1], d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    mids = 0.5 * (verts[k] + ends[k])
+    near = np.concatenate([mids + s * normal for s in (1e-170, -3e-171, 1e-310)])
+    return np.concatenate([random, verts, on_edges, lattice, far, nan, near, verts + 1e-170])
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(many_edge_stars())
+@example(([star_loop(3000, np.random.default_rng(4))], 4))
+def test_run_index_matches_reference_on_many_edge_stars(case):
+    loops, seed = case
+    dom = polygon(loops[0], holes=loops[1:])
+    pts = run_probes(loops, dom.default_window, np.random.default_rng(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = dom.signed_distance(pts)
+    assert np.array_equal(bits(got), bits(reference_sd(loops, pts)))
+
+
+def test_run_index_work_grows_sublinearly():
+    # per point, one bound per run and then every edge of each kept run:
+    # sixteen times the edges should cost about four times the work
+    work = {}
+    for n in (256, 4096):
+        loops = [star_loop(n, np.random.default_rng(n))]
+        index = _run_index(loops, _edge_columns(loops))
+        pts = polygon(loops[0]).default_window.origin + np.random.default_rng(1).uniform(
+            0.0, 3.0, size=(4_000, 2))
+        run, _ = _kept_runs(pts[:, 0].copy(), pts[:, 1].copy(), index)
+        work[n] = index.cols.shape[1] + len(run) * index.size / len(pts)
+    assert work[4096] < 16 ** 0.75 * work[256]
 
 
 def test_oracle_memory_is_bounded():

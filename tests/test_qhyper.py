@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
 from bmoext import (Polyline, Window, bmo, cigar, cusp, disk, half_plane, l_shape, polygon,
@@ -51,6 +51,26 @@ def test_qh_length_leaves_polyline_unchanged(hp):
 def test_qh_length_boundary_contact_fails(hp):
     with pytest.raises(QuadratureError):
         qh_length(hp, [(0, 1), (0, -1)])
+
+
+def test_degenerate_curve_outside_fails(disk1):
+    with pytest.raises(QuadratureError):
+        qh_length(disk1, [(5, 5), (5, 5)])
+    # zero-length segments at a boundary point, at an inside point, and at
+    # an inside point below its floor
+    at = [[1.0, 0.0], [0.5, 0.0], [0.5, 0.0]]
+    vals, errs, valid = segment_qh_batch(disk1, at, at, floor=[0.0, 0.0, 0.6])
+    assert valid.tolist() == [False, True, False]
+    assert vals.tolist() == errs.tolist() == [math.inf, 0.0, math.inf]
+
+
+def test_segment_that_never_brackets_fails(hp):
+    # clearance 1e-9 along a unit segment: even 2^22 panels are longer than
+    # twice the clearance, so no panel brackets; a NaN end fails at once
+    vals, errs, valid = segment_qh_batch(hp, [[0.0, 1e-9], [0.0, 1.0]],
+                                         [[1.0, 1e-9], [math.nan, 1.0]])
+    assert valid.tolist() == [False, False]
+    assert vals.tolist() == errs.tolist() == [math.inf, math.inf]
 
 
 def test_polyline_requires_two_points():
@@ -425,6 +445,27 @@ def test_snap_ties_go_to_the_lower_cell(disk_graph):
         d2 = ((g.node_pos - p) ** 2).sum(axis=1)
         want = min(range(g.n_nodes), key=lambda n: (d2[n], *cells[n]))
         assert g.snap(p) == want
+
+
+H_256 = 2.5 / 256
+# offsets within a cell: on its edges, at its centre, just inside and outside
+CELL_OFFSETS = [0.0, 0.5, 1.0, 1e-9, 1.0 - 1e-9, 0.25, 0.75]
+ON_CELLS = st.tuples(st.integers(0, 256), st.integers(0, 256), st.sampled_from(CELL_OFFSETS),
+                     st.sampled_from(CELL_OFFSETS)).map(
+    lambda c: (-1.25 + min((c[0] + c[2]) * H_256, 2.5), -1.25 + min((c[1] + c[3]) * H_256, 2.5)))
+# near the circle, where the nodes stop at clearance sqrt(2) h
+NEAR_CIRCLE = st.tuples(st.floats(0.0, 2.0 * math.pi),
+                        st.sampled_from([1.0 - 3 * H_256, 1.0 - 1.5 * H_256, 1.0, 1.0 + H_256])).map(
+    lambda c: (c[1] * math.cos(c[0]), c[1] * math.sin(c[0])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(ON_CELLS, NEAR_CIRCLE))
+def test_snap_matches_the_full_scan(disk_graph, p):
+    g = disk_graph
+    assert g.h == H_256
+    want = int(np.argmin(((g.node_pos - np.asarray(p)) ** 2).sum(axis=1)))
+    assert g.snap(p) == want
 
 
 def test_snap_without_nodes_is_disconnected(disk1):
