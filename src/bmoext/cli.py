@@ -144,10 +144,12 @@ def read_grid(path) -> bmo.GridFunction:
     if (window is None or n is None or n < 1 or n & (n - 1) or len(values) != n
             or len(masks) != n or any(len(row) != n for row in values + masks)):
         raise ValueError(f"malformed grid file {path}")
-    level = resolution_level(1.0 / n)
+    codes = [[int(v) for v in row] for row in masks]
+    if not {c for row in codes for c in row} <= {0, 1, 2}:
+        raise ValueError(f"malformed grid file {path}")
     vals = np.array([[float(v) for v in row] for row in values])
-    mask = np.array([[int(v) for v in row] for row in masks], dtype=np.int8)
-    return bmo.GridFunction(window, level, vals, mask)
+    return bmo.GridFunction(window, resolution_level(1.0 / n), vals,
+                            np.array(codes, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,11 @@ def _make_function(spec: str, domain, window, resolution, seed):
         dec = build_whitney(domain, window, depth)
         return bmo.whitney_cellwise_field(dec, level, np.random.default_rng(seed))
     if name == "csv":
-        return read_grid(args)
+        f = read_grid(args)
+        if (f.window, f.level) != (window, level):
+            raise ValueError(f"grid file {args} holds {f.window} at {f.n_cells} cells per "
+                             f"side; the command asks for {window} at {1 << level}")
+        return f
     raise ValueError(f"unknown function spec {spec!r}")
 
 

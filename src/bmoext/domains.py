@@ -89,7 +89,7 @@ _BLOCK_PAIRS = 1 << 14
 
 
 # Relative margin on squared distances within which two edges count as
-# equally near; see _segment_distances.
+# equally near; see _nearest.
 _NEAR = 1.0 + 2.0 ** -40
 _TINY = np.finfo(float).tiny
 
@@ -98,12 +98,17 @@ _TINY = np.finfo(float).tiny
 _DENSE_EDGES = 8
 
 
+def _edge_ends(loops: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end vertex of every edge of a set of loops, numbering
+    the edges of all loops in turn: two (E, 2) arrays."""
+    return np.concatenate(loops), np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+
+
 def _edge_columns(loops: list[np.ndarray]) -> tuple:
     """The constants of the edges of a set of loops as read-only (E, 1)
     columns: start x, y, direction x, y and squared length (at least
     1e-300)."""
-    seg_a = np.concatenate(loops)
-    seg_b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+    seg_a, seg_b = _edge_ends(loops)
     ax, ay = seg_a[:, 0:1].copy(), seg_a[:, 1:2].copy()
     abx, aby = seg_b[:, 0:1] - ax, seg_b[:, 1:2] - ay
     den = np.maximum(abx * abx + aby * aby, 1e-300)
@@ -113,68 +118,67 @@ def _edge_columns(loops: list[np.ndarray]) -> tuple:
     return cols
 
 
+def _pair_offsets(px, py, ax, ay, abx, aby, den):
+    """(dx, dy, q) of (point, edge) pairs: the offset from the point to its
+    nearest point on the edge and q = dx^2 + dy^2, for points px, py
+    broadcast against edge columns (_edge_columns). These are the reference
+    kernel's expressions (tests/test_polygon_oracle.py), in place."""
+    apx, apy = px - ax, py - ay
+    t = apx * abx
+    t += np.multiply(apy, aby, out=apy)
+    t /= den
+    np.clip(t, 0.0, 1.0, out=t)
+    dx = np.multiply(t, abx, out=apx)
+    dx += ax
+    np.subtract(px, dx, out=dx)
+    dy = np.multiply(t, aby, out=apy)
+    dy += ay
+    np.subtract(py, dy, out=dy)
+    q = np.multiply(dx, dx, out=t)
+    q += dy * dy
+    return dx, dy, q
+
+
+def _nearest(dx, dy, q, pt: np.ndarray, n: int) -> np.ndarray:
+    """The distance from each of n points to its nearest edge, given
+    _pair_offsets arrays whose column c holds pairs of point pt[c]: the
+    minimum of hypot(dx, dy) over its pairs.
+
+    hypot, the costly step, runs only on the pairs whose q lies within a
+    relative 2^-40 of the point's least q, m. Why that is the same minimum:
+    with u = 2^-53, when no product overflows and m is a normal number,
+    every q >= m is within 4u of the exact dx^2 + dy^2 (absolute underflow
+    errors of a single square are below u * tiny <= u * q), and hypot is
+    within a few ulps of the exact length. So a pair with q > m * (1 +
+    2^-40) has an exact squared length above the nearest pair's by a factor
+    of more than 1 + 2^-41, and its hypot exceeds the nearest pair's hypot.
+    Where m is not a normal number (zero, subnormal, or a NaN coordinate)
+    every pair of the point runs hypot, and a margin that overflows puts
+    every pair within it.
+    """
+    m = np.full(n, np.inf)
+    np.minimum.at(m, pt, q.min(axis=0))
+    margin = np.where(m >= _TINY, m * _NEAR, np.inf)
+    near = np.flatnonzero(~(q > margin[pt]))
+    d = np.full(n, np.inf)
+    np.minimum.at(d, pt[near % len(pt)], np.hypot(dx.ravel()[near], dy.ravel()[near]))
+    return d
+
+
 def _segment_distances(pts: np.ndarray, edges: tuple) -> np.ndarray:
-    """Min distance from each point to a set of segments (_edge_columns).
+    """Min distance from each point to a set of segments (_edge_columns),
+    every edge evaluated for every point.
 
     Arrays are (edges, points), so every ufunc runs along points and the
-    minimum over edges is an elementwise reduction across rows. The value
-    is the minimum over edges of hypot(dx, dy), dx, dy the offsets from a
-    point to its nearest point on the edge; hypot, the costly step, runs
-    only on each point's nearest edge by squared distance q = dx^2 + dy^2.
-
-    Why that is the same minimum: with u = 2^-53, when no product
-    overflows and the smallest q, m, is a normal number, every q >= m is
-    within 4u of the exact dx^2 + dy^2 (absolute underflow errors of a
-    single square are below u * tiny <= u * q), and hypot is within a few
-    ulps of the exact length. So an edge with q > m * (1 + 2^-40) has an
-    exact squared length above the nearest edge's by a factor of more than
-    1 + 2^-41, and its hypot exceeds the nearest edge's hypot. Points with
-    exactly two edges within that margin take the smaller of their two
-    hypots; points with more, or whose m is not a normal number (zero,
-    subnormal, or a NaN coordinate), take the hypot minimum over all edges.
-    A margin that overflows puts every edge within it.
+    minimum over edges is a reduction across rows (_nearest).
     """
-    ax, ay, abx, aby, den = edges
-    n_edges = len(ax)
     out = np.empty(len(pts))
-    step = max(1, _BLOCK_PAIRS // n_edges)
-    # per point: how many edges lie within the margin, and the sums of
-    # their indices and squared indices, which name the edges when 1 or 2 do
-    moments = np.vstack([np.arange(n_edges, dtype=float) ** k for k in range(3)])
-    with np.errstate(over="ignore", under="ignore"):
+    step = max(1, _BLOCK_PAIRS // len(edges[0]))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for lo in range(0, len(pts), step):
             px, py = pts[lo:lo + step, 0], pts[lo:lo + step, 1]
-            # the reference kernel's expressions (tests/test_polygon_oracle.py), in place
-            apx, apy = px - ax, py - ay
-            t = apx * abx
-            t += np.multiply(apy, aby, out=apy)
-            t /= den
-            np.clip(t, 0.0, 1.0, out=t)
-            dx = np.multiply(t, abx, out=apx)
-            dx += ax
-            np.subtract(px, dx, out=dx)
-            dy = np.multiply(t, aby, out=apy)
-            dy += ay
-            np.subtract(py, dy, out=dy)
-            q = np.multiply(dx, dx, out=t)
-            q += dy * dy
-            m = q.min(axis=0)
-            count, s1, s2 = moments @ (q <= m * _NEAR)
-            cols = np.arange(len(px))
-            pick = np.minimum(s1, n_edges - 1).astype(np.intp) * len(px) + cols
-            d = np.hypot(dx.take(pick), dy.take(pick))
-            two = np.nonzero((count == 2) & (m >= _TINY))[0]
-            if two.size:
-                # edges i < j: i + j = s1 and j - i = sqrt(2 s2 - s1^2)
-                gap = np.sqrt(2.0 * s2[two] - s1[two] ** 2)
-                i = (0.5 * (s1[two] - gap)).astype(np.intp) * len(px) + two
-                j = (0.5 * (s1[two] + gap)).astype(np.intp) * len(px) + two
-                d[two] = np.minimum(np.hypot(dx.take(i), dy.take(i)),
-                                    np.hypot(dx.take(j), dy.take(j)))
-            tied = (count > 2) | ~(m >= _TINY)
-            if tied.any():
-                d[tied] = np.hypot(dx[:, tied], dy[:, tied]).min(axis=0)
-            out[lo:lo + step] = d
+            dx, dy, q = _pair_offsets(px, py, *edges)
+            out[lo:lo + step] = _nearest(dx, dy, q, np.arange(len(px)), len(px))
     return out
 
 
@@ -203,8 +207,7 @@ def _run_index(loops: list[np.ndarray], edges: tuple) -> _RunIndex:
     n_runs = -(-n_edges // size)
     pad = np.minimum(np.arange(n_runs * size), n_edges - 1)
     cols = np.concatenate([c[pad, 0].reshape(n_runs, size).T for c in edges])
-    a = np.concatenate(loops)
-    b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+    a, b = _edge_ends(loops)
     lo = np.minimum(a, b)[pad].reshape(n_runs, size, 2).min(axis=1)
     hi = np.maximum(a, b)[pad].reshape(n_runs, size, 2).max(axis=1)
     first = a[pad[::size]]
@@ -261,11 +264,9 @@ def _run_distances(pts: np.ndarray, index: _RunIndex) -> np.ndarray:
     """_segment_distances over the edges of a run index, evaluating for
     each point only the edges of its kept runs (_kept_runs).
 
-    Every kept (point, edge) pair runs _segment_distances' expressions, so
-    it gets the same offsets, and the minimum over a set of edges that
-    holds the nearest ones is the same number. Hypot runs on the kept edges
-    within the 2^-40 margin of the point's least squared distance, or on
-    all of them where that least value is not a normal number.
+    Every kept (point, edge) pair runs the same _pair_offsets, and the
+    minimum over a set of edges that holds the nearest ones is the same
+    number (_nearest).
     """
     out = np.empty(len(pts))
     step = max(1, _BLOCK_PAIRS // index.cols.shape[1])
@@ -274,30 +275,10 @@ def _run_distances(pts: np.ndarray, index: _RunIndex) -> np.ndarray:
             px, py = pts[lo:lo + step, 0].copy(), pts[lo:lo + step, 1].copy()
             run, pt = _kept_runs(px, py, index)
             # (size, pairs) edge columns of the kept pairs
-            ax, ay, abx, aby, den = np.repeat(
-                index.cols, np.bincount(run, minlength=index.cols.shape[1]),
-                axis=1).reshape(5, index.size, -1)
-            qx, qy = px[pt], py[pt]
-            apx, apy = qx - ax, qy - ay
-            t = apx * abx
-            t += np.multiply(apy, aby, out=apy)
-            t /= den
-            np.clip(t, 0.0, 1.0, out=t)
-            dx = np.multiply(t, abx, out=apx)
-            dx += ax
-            np.subtract(qx, dx, out=dx)
-            dy = np.multiply(t, aby, out=apy)
-            dy += ay
-            np.subtract(qy, dy, out=dy)
-            q = np.multiply(dx, dx, out=t)
-            q += dy * dy
-            m = np.full(len(px), np.inf)
-            np.minimum.at(m, pt, q.min(axis=0))
-            margin = np.where(m >= _TINY, m * _NEAR, np.inf)
-            near = np.flatnonzero(~(q > margin[pt]))
-            d = np.full(len(px), np.inf)
-            np.minimum.at(d, pt[near % len(pt)], np.hypot(dx.ravel()[near], dy.ravel()[near]))
-            out[lo:lo + step] = d
+            cols = np.repeat(index.cols, np.bincount(run, minlength=index.cols.shape[1]),
+                             axis=1).reshape(5, index.size, -1)
+            dx, dy, q = _pair_offsets(px[pt], py[pt], *cols)
+            out[lo:lo + step] = _nearest(dx, dy, q, pt, len(px))
     return out
 
 
@@ -317,8 +298,7 @@ class _SlabIndex:
 
 
 def _slab_index(loops: list[np.ndarray]) -> _SlabIndex:
-    a = np.concatenate(loops + [np.zeros((1, 2))])
-    b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops] + [np.zeros((1, 2))])
+    a, b = _edge_ends(loops + [np.zeros((1, 2))])
     heights = np.unique(a[:-1, 1])
     # slab s holds the heights y with exactly s vertex heights <= y, so an
     # edge with (ya <= y) != (yb <= y) spans slabs lo <= s < hi
@@ -370,8 +350,7 @@ def _first_crossing(loops: list[np.ndarray]):
     Returns None when no pair crosses. Consecutive edges of a loop never
     count: the orientation of their shared endpoint is exactly 0, since
     x * y - y * x is."""
-    a = np.concatenate(loops)
-    b = np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+    a, b = _edge_ends(loops)
     n = len(a)
     j = np.arange(n)
     step = max(1, _BLOCK_PAIRS // n)

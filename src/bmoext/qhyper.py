@@ -35,100 +35,82 @@ REFINE_ROUNDS = 60      # ... or after this many rounds
 MAX_GRAPH_LEVEL = 11
 
 
+def _panel_pass(domain: Domain, a, b, floor, rows, panels: int):
+    """Midpoint sums of the segments a[i] -> b[i], i in `rows`, each cut
+    into `panels` equal panels, one oracle call of at most EVAL_BUDGET
+    points at a time (a call holds one segment once its panels outgrow the
+    budget). Yields per call (act, ok, dead, v, e): the call's rows; ok
+    where every midpoint clearance exceeds half the panel length and the
+    row's floor, which certifies the segment inside the domain; dead where
+    one is at or below the floor; and, finite where ok, the midpoint sum of
+    1/dist and its Lipschitz error bound."""
+    t = (np.arange(panels) + 0.5) / panels
+    chunk = max(1, EVAL_BUDGET // panels)
+    for lo in range(0, rows.size, chunk):
+        act = rows[lo:lo + chunk]
+        seg = b[act] - a[act]
+        sd = np.concatenate([domain.signed_distance(
+            (a[act, None, :] + t[None, tl:tl + EVAL_BUDGET, None] * seg[:, None, :])
+            .reshape(-1, 2)).reshape(act.size, -1)
+            for tl in range(0, panels, EVAL_BUDGET)], axis=1)
+        lp = np.hypot(seg[:, 0], seg[:, 1])[:, None] / panels
+        dead = (sd <= floor[act, None]).any(axis=1)
+        ok = (sd > 0.5 * lp).all(axis=1) & ~dead
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v = (lp / sd).sum(axis=1)
+            e = (lp * (0.5 * lp) / (sd * (sd - 0.5 * lp))).sum(axis=1)
+        yield act, ok, dead, v, e
+
+
 def segment_qh_batch(domain: Domain, a, b, rtol: float = 1e-3,
                      floor=0.0):
     """Integrate ds/dist over straight segments a[i] -> b[i].
 
     Midpoint refinement; the Lipschitz bracket per panel (clearance m,
     panel length L, m > L/2) gives a rigorous error bound, so segments are
-    doubled until err <= rtol * value, up to 2^MAX_DOUBLINGS panels. Each
-    oracle call takes at most EVAL_BUDGET points. `floor` is one clearance
-    floor or one per segment. Returns (values, errors, valid). Segments
-    that touch or cross the boundary, or come within their floor of it,
-    come back with valid=False and value=inf; callers decide whether that
-    is an error. A segment of zero length has value 0 when its point's
-    clearance exceeds its floor.
+    doubled until err <= rtol * value, up to 2^MAX_DOUBLINGS panels
+    (_panel_pass). `floor` is one clearance floor or one per segment.
+    Returns (values, errors, valid). Segments that touch or cross the
+    boundary, or come within their floor of it, come back with valid=False
+    and value=inf; callers decide whether that is an error. A segment of
+    zero length has value 0 when its point's clearance exceeds its floor.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    m = len(a)
-    floor = np.broadcast_to(np.asarray(floor, dtype=float), (m,))
-    seg_len = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), (len(a),))
     # inf until a segment brackets; a segment of NaN or inf length never does
-    vals = np.where(seg_len == 0.0, 0.0, np.inf)
+    vals = np.full(len(a), np.inf)
     errs = vals.copy()
-    valid = np.isfinite(seg_len)
-
-    point = np.nonzero(seg_len == 0.0)[0]
-    if point.size:
-        valid[point] = domain.signed_distance(a[point]) > floor[point]
-        vals[point] = errs[point] = np.where(valid[point], 0.0, np.inf)
-    active = np.nonzero(valid & (seg_len > 0.0))[0]
+    active = np.flatnonzero(np.isfinite(np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])))
     panels = 1
     while active.size and panels <= (1 << MAX_DOUBLINGS):
-        chunk = max(1, EVAL_BUDGET // panels)
-        t = (np.arange(panels) + 0.5) / panels
         next_active = []
-        for lo in range(0, active.size, chunk):
-            act = active[lo:lo + chunk]
-            seg = b[act] - a[act]
-            # a chunk holds one segment once its panels outgrow the budget
-            sd = np.concatenate([domain.signed_distance(
-                (a[act, None, :] + t[None, tl:tl + EVAL_BUDGET, None] * seg[:, None, :])
-                .reshape(-1, 2)).reshape(act.size, -1)
-                for tl in range(0, panels, EVAL_BUDGET)], axis=1)
-            lp = seg_len[act] / panels
-
-            dead = (sd <= floor[act, None]).any(axis=1)
-            bracketable = (sd > 0.5 * lp[:, None]).all(axis=1) & ~dead
-            done = np.zeros(act.size, dtype=bool)
-            if bracketable.any():
-                rows = np.nonzero(bracketable)[0]
-                sdr = sd[rows]
-                lpr = lp[rows, None]
-                v = (lpr / sdr).sum(axis=1)
-                e = (lpr * (0.5 * lpr) / (sdr * (sdr - 0.5 * lpr))).sum(axis=1)
-                vals[act[rows]] = v
-                errs[act[rows]] = e
-                done[rows] = e <= rtol * np.maximum(v, 1e-300)
-            if dead.any():
-                vals[act[dead]] = np.inf
-                errs[act[dead]] = np.inf
-                valid[act[dead]] = False
+        for act, ok, dead, v, e in _panel_pass(domain, a, b, floor, active, panels):
+            vals[act[ok]], errs[act[ok]] = v[ok], e[ok]
+            vals[act[dead]] = errs[act[dead]] = np.inf
+            done = ok & (e <= rtol * np.maximum(v, 1e-300))
             next_active.append(act[~(dead | done)])
-        active = np.concatenate(next_active) if next_active else np.empty(0, dtype=int)
+        active = np.concatenate(next_active)
         panels *= 2
-
-    if active.size:
-        # segments that never bracketed are boundary contacts; the rest keep
-        # their best value with the achieved (looser than rtol) error bound
-        hard = active[~np.isfinite(vals[active])]
-        vals[hard] = np.inf
-        errs[hard] = np.inf
-        valid[hard] = False
-    return vals, errs, valid
+    # a segment that never bracketed is a boundary contact; the rest keep
+    # their best value with the achieved (looser than rtol) error bound
+    return vals, errs, np.isfinite(vals)
 
 
 def _panel_cost(domain: Domain, a, b, floor=0.0):
-    """Cheap fixed-panel midpoint estimate used for candidate comparison.
-
-    valid requires clearance > panel length / 2 (and above `floor`, one
-    value or one per segment) at every panel midpoint, which certifies the
-    whole segment stays inside the domain.
-    """
+    """Cheap fixed-panel midpoint estimate used for candidate comparison:
+    one _panel_pass of CANDIDATE_PANELS panels. Returns (estimates, ok),
+    the estimate inf where ok is False; ok requires clearance above half
+    the panel length and above `floor` (one value or one per segment) at
+    every panel midpoint, which certifies the segment inside the domain."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    seg_len = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-    t = (np.arange(CANDIDATE_PANELS) + 0.5) / CANDIDATE_PANELS
-    pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-    sd = domain.signed_distance(pts.reshape(-1, 2)).reshape(len(a), CANDIDATE_PANELS)
-    lp = seg_len / CANDIDATE_PANELS
-    ok = (sd > np.maximum(0.5 * lp, floor)[:, None]).all(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = (lp[:, None] / sd).sum(axis=1)
-    est = np.where(seg_len == 0.0, 0.0, est)
-    ok |= seg_len == 0.0
-    return np.where(ok, est, np.inf), ok
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), (len(a),))
+    est = np.full(len(a), np.inf)
+    for act, ok, _, v, _ in _panel_pass(domain, a, b, floor, np.arange(len(a)),
+                                        CANDIDATE_PANELS):
+        est[act[ok]] = v[ok]
+    return est, np.isfinite(est)
 
 
 @dataclass
@@ -187,6 +169,12 @@ def _length_floor(pts: np.ndarray) -> float:
     return _SD_FLOOR_FRAC * max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
 
 
+def _groups(seq, sizes) -> list:
+    """seq cut into consecutive pieces of the given sizes."""
+    ends = np.cumsum(sizes, dtype=np.intp)
+    return [seq[e - n:e] for n, e in zip(sizes, ends)]
+
+
 def _curve_segments(domain: Domain, curves: list, rtol: float, floors) -> list[tuple]:
     """segment_qh_batch over the segments of many curves (point arrays) in
     one call, with one floor per curve; each curve's (values, errors,
@@ -194,12 +182,11 @@ def _curve_segments(domain: Domain, curves: list, rtol: float, floors) -> list[t
     if not curves:
         return []
     n_seg = [len(c) - 1 for c in curves]
-    vals, errs, valid = segment_qh_batch(
+    out = segment_qh_batch(
         domain, np.concatenate([c[:-1] for c in curves]),
         np.concatenate([c[1:] for c in curves]), rtol=rtol,
         floor=np.repeat(np.asarray(floors, dtype=float), n_seg))
-    ends = np.cumsum(n_seg)
-    return [(vals[e - n:e], errs[e - n:e], valid[e - n:e]) for n, e in zip(n_seg, ends)]
+    return list(zip(*(_groups(x, n_seg) for x in out)))
 
 
 def j_distance(domain: Domain, x, y) -> float:
@@ -389,8 +376,7 @@ def _segment_costs(domain: Domain, ends: list, floors: np.ndarray) -> list[np.nd
     n_seg = [len(a) for a, _ in ends]
     v, _ = _panel_cost(domain, np.concatenate([a for a, _ in ends]),
                        np.concatenate([b for _, b in ends]), floor=np.repeat(floors, n_seg))
-    stops = np.cumsum(n_seg)
-    return [v[e - n:e] for n, e in zip(n_seg, stops)]
+    return _groups(v, n_seg)
 
 
 def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
@@ -436,7 +422,8 @@ def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
             p_next = np.concatenate([paths[k][idx + 1] for k, idx in moves])
             cur = np.concatenate([paths[k][idx] for k, idx in moves])
             stay = np.concatenate([costs[k][idx - 1] + costs[k][idx] for k, idx in moves])
-            fl = np.repeat(floors[[k for k, _ in moves]], [idx.size for _, idx in moves])
+            sizes = [idx.size for _, idx in moves]
+            fl = np.repeat(floors[[k for k, _ in moves]], sizes)
             mid = 0.5 * (p_prev + p_next)
             chord = p_next - p_prev
             clen = np.hypot(chord[:, 0], chord[:, 1])
@@ -468,15 +455,13 @@ def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
             moved = cands[best, at]
             pick = np.maximum(best - 1, 0)
             left, right = left[pick, at], right[pick, at]
-            lo = 0
-            for k, idx in moves:
-                go = best[lo:lo + idx.size] > 0
-                paths[k][idx] = moved[lo:lo + idx.size]
-                costs[k][idx[go] - 1] = left[lo:lo + idx.size][go]
-                costs[k][idx[go]] = right[lo:lo + idx.size][go]
+            for (k, idx), go, to, lc, rc in zip(moves, *(_groups(x, sizes) for x in (
+                    best > 0, moved, left, right))):
+                paths[k][idx] = to
+                costs[k][idx[go] - 1] = lc[go]
+                costs[k][idx[go]] = rc[go]
                 settled[k][idx] = ~go
                 settled[k][idx[go] - 1] = settled[k][idx[go] + 1] = False
-                lo += idx.size
         cut = []
         for k in live:
             paths[k], src = _split_long(paths[k], 2.0 * h)

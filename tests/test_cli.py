@@ -290,6 +290,36 @@ def test_read_grid_rejects_malformed_size(tmp_path, cells, width):
         read_grid(path)
 
 
+@pytest.mark.parametrize("code", ["7", "-3"])
+def test_read_grid_rejects_unknown_mask_codes(tmp_path, code):
+    # a mask cell is 0 outside, 1 inside or 2 straddling; nothing else
+    masks = [",".join(["1"] * 8)] * 7 + [",".join(["0"] * 7 + [code])]
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["# bmoext-grid v1", "# window: 0.0 0.0 1.0", "# cells: 8",
+                               "# block: values", *[",".join(["0.0"] * 8)] * 8,
+                               "# block: mask", *masks]) + "\n")
+    with pytest.raises(ValueError, match="malformed grid file"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("command", ["norm", "extend"])
+def test_csv_function_must_match_the_command_grid(tmp_path, capsys, command):
+    dom = disk(1.0)
+    path = tmp_path / "grid.csv"
+    write_grid(path, sample_grid_function(dom, dom.default_window, 3, lambda p: p[:, 0]))
+    extra = ["--lambda", "0.1"] + (["--epsilon", "0.3", "--delta", "0.5"]
+                                   if command == "extend" else [])
+    base = [command, "--domain", "disk:1", f"--function=csv:{path}", *extra,
+            "--outdir", str(tmp_path / "out")]
+    for wrong in (["--resolution", "1/16"], ["--resolution", "1/8", "--window=-1,-1,2"]):
+        assert run(base + wrong) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: grid file ") and "grid.csv" in err
+    assert not (tmp_path / "out" / f"{command}.csv").exists()
+    assert not (tmp_path / "out" / "extend_summary.csv").exists()
+    assert run(base + ["--resolution", "1/8"]) == 0
+
+
 def test_grid_roundtrip_with_polygon_window(tmp_path):
     # polygon windows are built from numpy reductions; the header must still
     # round-trip through plain floats

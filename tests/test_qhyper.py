@@ -64,6 +64,16 @@ def test_degenerate_curve_outside_fails(disk1):
     assert vals.tolist() == errs.tolist() == [math.inf, 0.0, math.inf]
 
 
+def test_panel_cost_certifies_no_point_outside(disk1):
+    # a zero-length segment is scored by its point's clearance like any other
+    est, ok = qhyper._panel_cost(disk1, [[5, 5]], [[5, 5]])
+    assert (est.tolist(), ok.tolist()) == ([math.inf], [False])
+    at = [[5.0, 5.0], [1.0, 0.0], [0.5, 0.0], [0.5, 0.0]]
+    est, ok = qhyper._panel_cost(disk1, at, at, floor=[0.0, 0.0, 0.0, 0.6])
+    assert ok.tolist() == [False, False, True, False]
+    assert est.tolist() == [math.inf, math.inf, 0.0, math.inf]
+
+
 def test_segment_that_never_brackets_fails(hp):
     # clearance 1e-9 along a unit segment: even 2^22 panels are longer than
     # twice the clearance, so no panel brackets; a NaN end fails at once
@@ -475,14 +485,16 @@ def test_snap_without_nodes_is_disconnected(disk1):
         g.snap((3.5, 3.5))
 
 
-def test_segment_values_do_not_depend_on_the_budget(disk1, monkeypatch):
+@pytest.mark.parametrize("batch, n", [(segment_qh_batch, 40), (qhyper._panel_cost, 200)])
+def test_segment_values_do_not_depend_on_the_budget(disk1, monkeypatch, batch, n):
     rng = np.random.default_rng(5)
-    a = rng.uniform(-0.6, 0.6, size=(40, 2))
-    b = rng.uniform(-0.6, 0.6, size=(40, 2))
+    a = rng.uniform(-0.6, 0.6, size=(n, 2))
+    b = rng.uniform(-0.6, 0.6, size=(n, 2))
     # ends near the circle need up to 2^20 panels, so at a budget of 1024
-    # points one segment spans many oracle calls
+    # points one segment spans many oracle calls; 200 segments of 8 fixed
+    # panels span two calls
     b[:8] = 0.9995 * b[:8] / np.hypot(b[:8, 0], b[:8, 1])[:, None]
-    want = segment_qh_batch(disk1, a, b)
+    want = batch(disk1, a, b)
     sizes = []
 
     def sd_func(pts):
@@ -490,7 +502,7 @@ def test_segment_values_do_not_depend_on_the_budget(disk1, monkeypatch):
         return disk1.sd_func(pts)
 
     monkeypatch.setattr(qhyper, "EVAL_BUDGET", 1024)
-    got = segment_qh_batch(dataclasses.replace(disk1, sd_func=sd_func), a, b)
+    got = batch(dataclasses.replace(disk1, sd_func=sd_func), a, b)
     assert max(sizes) == 1024
     for w, v in zip(want, got):
         assert np.array_equal(w, v)
