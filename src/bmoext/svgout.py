@@ -3,6 +3,10 @@ boundary contour traced by marching squares."""
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 
 from .domains import Domain
@@ -17,11 +21,57 @@ CURVE_COLORS = ("#c02020", "#2020c0", "#20a020", "#c0a000")
 CHUNK_ROWS = 1 << 14            # rows, squares or grid values formatted per pass
 
 
+class _Parts:
+    """The open document's body: `append` writes a part to the file at once,
+    after a newline unless it is the first."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.empty = True
+
+    def append(self, part: str):
+        if not self.empty:
+            self.fh.write("\n")
+        self.fh.write(part)
+        self.empty = False
+
+
 class SvgCanvas:
-    def __init__(self, window: Window, px: int = FIGURE_PX):
+    """An SVG document written to its file as it is drawn: the header when
+    the canvas opens, each part when it is made, the closing tag when `save`
+    closes the file. The text goes to the target's name plus ".part" (to a
+    temporary file when no target is given until `save`), and `save` renames
+    it into place. Used as a context manager, the canvas saves itself on a
+    clean exit and removes its file when drawing raises, so a failed figure
+    leaves no file behind."""
+
+    def __init__(self, window: Window, px: int = FIGURE_PX, path=None):
         self.window = window
         self.px = px
-        self.parts: list[str] = []
+        self.path = path
+        if path is None:
+            fd, self._file = tempfile.mkstemp(suffix=".svg.part")
+            fh = os.fdopen(fd, "w")
+        else:
+            self._file = f"{path}.part"
+            fh = open(self._file, "w")
+        defs = ('<defs><pattern id="hatch" width="6" height="6" '
+                'patternUnits="userSpaceOnUse" patternTransform="rotate(45)">'
+                '<line x1="0" y1="0" x2="0" y2="6" stroke="#808080" '
+                'stroke-width="1.2"/></pattern></defs>')
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{px}" '
+                 f'height="{px}" viewBox="0 0 {px} {px}">\n{defs}\n'
+                 f'<rect width="100%" height="100%" fill="white"/>\n')
+        self.parts = _Parts(fh)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.save()
+        else:
+            self.discard()
 
     def _xy(self, p):
         s = self.px / self.window.size
@@ -60,23 +110,17 @@ class SvgCanvas:
         x, y = self._xy(p)
         self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{MARKER_PX}" fill="{fill}"/>')
 
-    def save(self, path):
-        """Write the document one part at a time: no copy of the whole
-        text is made."""
-        defs = ('<defs><pattern id="hatch" width="6" height="6" '
-                'patternUnits="userSpaceOnUse" patternTransform="rotate(45)">'
-                '<line x1="0" y1="0" x2="0" y2="6" stroke="#808080" '
-                'stroke-width="1.2"/></pattern></defs>')
-        with open(path, "w") as fh:
-            fh.write(
-                f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.px}" '
-                f'height="{self.px}" viewBox="0 0 {self.px} {self.px}">\n{defs}\n'
-                f'<rect width="100%" height="100%" fill="white"/>\n')
-            for k, part in enumerate(self.parts):
-                if k:
-                    fh.write("\n")
-                fh.write(part)
-            fh.write("\n</svg>\n")
+    def save(self, path=None):
+        """Write the closing tag and move the file to `path`, by default the
+        target the canvas was opened with."""
+        self.parts.fh.write("\n</svg>\n")
+        self.parts.fh.close()
+        shutil.move(self._file, self.path if path is None else path)
+
+    def discard(self):
+        """Close the file and remove it."""
+        self.parts.fh.close()
+        os.remove(self._file)
 
 
 # corner offsets of a cell in the order its edges are walked: edge k runs
@@ -119,33 +163,30 @@ def render_decomposition(dec, path):
     from .whitney import TAG_DOMAIN
 
     w = dec.window
-    canvas = SvgCanvas(w, DECOMPOSITION_PX)
     c, fr = dec.cubes, dec.frontier
-    side = w.cell_sizes(c["level"])
-    canvas.rects(w.origin[0] + c["i"] * side, w.origin[1] + c["j"] * side, side,
-                 np.where(c["tag"] == TAG_DOMAIN, "#7fbf7f", "#7f9fff"),
-                 stroke="#404040", opacity=0.8, stroke_width=0.3)
-    side = w.cell_size(dec.max_depth)
-    canvas.rects(w.origin[0] + fr[:, 1] * side, w.origin[1] + fr[:, 2] * side, side,
-                 "url(#hatch)", opacity=0.9)
-    draw_boundary(canvas, dec.domain)
-    canvas.save(path)
+    with SvgCanvas(w, DECOMPOSITION_PX, path) as canvas:
+        side = w.cell_sizes(c["level"])
+        canvas.rects(w.origin[0] + c["i"] * side, w.origin[1] + c["j"] * side, side,
+                     np.where(c["tag"] == TAG_DOMAIN, "#7fbf7f", "#7f9fff"),
+                     stroke="#404040", opacity=0.8, stroke_width=0.3)
+        side = w.cell_size(dec.max_depth)
+        canvas.rects(w.origin[0] + fr[:, 1] * side, w.origin[1] + fr[:, 2] * side, side,
+                     "url(#hatch)", opacity=0.9)
+        draw_boundary(canvas, dec.domain)
 
 
 def render_curves(domain: Domain, window: Window, curves, path):
-    canvas = SvgCanvas(window)
-    draw_boundary(canvas, domain)
-    for k, pl in enumerate(curves):
-        pts = pl.points if hasattr(pl, "points") else np.asarray(pl)
-        canvas.polyline(pts, stroke=CURVE_COLORS[k % len(CURVE_COLORS)], width=1.8)
-        canvas.circle(pts[0], fill="#202020")
-        canvas.circle(pts[-1], fill="#202020")
-    canvas.save(path)
+    with SvgCanvas(window, path=path) as canvas:
+        draw_boundary(canvas, domain)
+        for k, pl in enumerate(curves):
+            pts = pl.points if hasattr(pl, "points") else np.asarray(pl)
+            canvas.polyline(pts, stroke=CURVE_COLORS[k % len(CURVE_COLORS)], width=1.8)
+            canvas.circle(pts[0], fill="#202020")
+            canvas.circle(pts[-1], fill="#202020")
 
 
 def render_grid(gf, domain: Domain | None, path):
     """Grayscale heatmap of a grid function (downsampled for large grids)."""
-    canvas = SvgCanvas(gf.window)
     n = gf.n_cells
     step = max(1, n // HEATMAP_BLOCKS)
     vals = gf.values
@@ -167,7 +208,7 @@ def render_grid(gf, domain: Domain | None, path):
             x0.append(gf.window.origin[0] + i * gf.h)
             y0.append(gf.window.origin[1] + j * gf.h)
             fill.append(f"rgb({g},{128 + g // 2},{255 - g})")
-    canvas.rects(x0, y0, gf.h * step, fill)
-    if domain is not None:
-        draw_boundary(canvas, domain)
-    canvas.save(path)
+    with SvgCanvas(gf.window, path=path) as canvas:
+        canvas.rects(x0, y0, gf.h * step, fill)
+        if domain is not None:
+            draw_boundary(canvas, domain)

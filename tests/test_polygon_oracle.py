@@ -249,6 +249,7 @@ def test_run_index_work_grows_sublinearly():
     assert work[4096] < 16 ** 0.75 * work[256]
 
 
+@pytest.mark.memory
 def test_oracle_memory_is_bounded():
     dom = cusp(4.0)
     pts = np.random.default_rng(5).uniform(-0.25, 1.0, size=(200_000, 2))

@@ -368,6 +368,7 @@ def test_csr_matches_coo_assembly_on_star_polygons(case):
     assert_same_csr(g.adj, reference_adjacency(dom, dom.default_window, 1 / 32))
 
 
+@pytest.mark.memory
 def test_graph_build_memory_is_bounded(hp):
     # the COO assembly peaked at 113 MB here; the graph itself holds 33 MB
     tracemalloc.start()

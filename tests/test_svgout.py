@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -8,8 +9,9 @@ from bmoext import (Window, build_whitney, cusp, disk, half_plane, intro_lipschi
                     polygon, slit_disk, square, svgout)
 from bmoext.bmo import GridFunction
 from bmoext.svgout import (DECOMPOSITION_PX, SvgCanvas, boundary_segments, draw_boundary,
-                           render_decomposition, render_grid)
+                           render_curves, render_decomposition, render_grid)
 from bmoext.whitney import TAG_DOMAIN
+from tests.conftest import DISK_WINDOW
 
 
 def reference_boundary_segments(domain, window, n=256):
@@ -102,16 +104,52 @@ def reference_save(canvas, path):
 
 @pytest.mark.parametrize("n_parts", [0, 1, 3])
 def test_save_matches_joined_document(tmp_path, n_parts):
-    canvas = SvgCanvas(Window((-1.0, -1.0), 2.0))
+    # the streamed file against the parts it was sent, joined by the reference
+    got = tmp_path / "got.svg"
+    canvas = SvgCanvas(Window((-1.0, -1.0), 2.0), path=got)
+    sent = SimpleNamespace(px=canvas.px, parts=[])
+    write = canvas.parts.append
+    canvas.parts.append = lambda part: (sent.parts.append(part), write(part))
     for k in range(n_parts):
         canvas.circle((0.1 * k, -0.2 * k))
     if n_parts == 3:
         canvas.rects([0.0, 0.5], [0.0, -0.5], 0.25, ["#ff0000", "#00ff00"])
-    canvas.save(tmp_path / "got.svg")
-    reference_save(canvas, tmp_path / "want.svg")
-    assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
+    canvas.save()
+    reference_save(sent, tmp_path / "want.svg")
+    assert got.read_bytes() == (tmp_path / "want.svg").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["got.svg", "want.svg"]
 
 
+def test_canvas_writes_parts_as_they_are_drawn(tmp_path):
+    canvas = SvgCanvas(Window((-1.0, -1.0), 2.0), path=tmp_path / "fig.svg")
+    with mock.patch.object(svgout, "CHUNK_ROWS", 10):
+        canvas.rects(np.zeros(30), 0.0, 0.5, "#ff0000")
+    canvas.parts.fh.flush()
+    assert (tmp_path / "fig.svg.part").read_text().count("<rect ") == 31
+    assert not (tmp_path / "fig.svg").exists()
+    canvas.save()
+    assert (tmp_path / "fig.svg").read_text().endswith('fill-opacity="1.0"/>\n</svg>\n')
+    assert not (tmp_path / "fig.svg.part").exists()
+
+
+@pytest.mark.parametrize("figure", ["decomposition", "curves", "grid"])
+def test_failed_render_leaves_no_file(tmp_path, figure):
+    dom = disk(1.0)
+    render = {
+        "decomposition": lambda path: render_decomposition(
+            build_whitney(dom, dom.default_window, 5), path),
+        "curves": lambda path: render_curves(dom, dom.default_window, [[(0, 0), (0.5, 0)]], path),
+        "grid": lambda path: render_grid(
+            GridFunction(dom.default_window, 3, np.ones((8, 8)), np.ones((8, 8), np.int8)),
+            dom, path),
+    }[figure]
+    with mock.patch.object(svgout, "boundary_segments", side_effect=RuntimeError("halfway")):
+        with pytest.raises(RuntimeError, match="halfway"):
+            render(tmp_path / "fig.svg")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.memory
 def test_render_decomposition_memory_is_bounded(tmp_path):
     # joining the parts into one document peaked at 64 MB over entry here
     dec = build_whitney(disk(1.0), disk(1.0).default_window, 12)
@@ -122,6 +160,20 @@ def test_render_decomposition_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.memory
+def test_render_decomposition_streams_its_text(tmp_path):
+    # holding the formatted parts until the save peaked at 21.2 MiB here;
+    # streamed, one chunk of text is held at a time
+    dec = build_whitney(disk(1.0), DISK_WINDOW, 12)
+    tracemalloc.start()
+    try:
+        render_decomposition(dec, tmp_path / "dec.svg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 SQUARE_HOLE = polygon([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (3, 1), (3, 3), (1, 3)]])

@@ -224,6 +224,7 @@ def test_adjacency_matches_global_sort_on_star_polygons(case):
         assert_same_adjacency(dec.neighbor_indices(), dec)
 
 
+@pytest.mark.memory
 def test_whitney_build_memory_is_bounded():
     # sorting every raw ring probe at once peaked at 90 MB here
     tracemalloc.start()
@@ -234,6 +235,62 @@ def test_whitney_build_memory_is_bounded():
         tracemalloc.stop()
     assert len(dec.cubes) > 80_000
     assert peak < 64 * 2**20
+
+
+@pytest.mark.memory
+def test_whitney_build_peak_stays_near_its_result():
+    # the adjacency's copies at the end of neighbor_indices, a side-ratio pass
+    # over it in check_invariants and the build's last level, all alive at
+    # once, peaked at 48.4 MiB here; the decomposition itself holds 15 MiB
+    tracemalloc.start()
+    try:
+        build_whitney(disk(1.0), DISK_WINDOW, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20
+
+
+@pytest.mark.parametrize("fine, raises", [(3, False), (4, True)])
+def test_touching_leaves_more_than_two_levels_apart_raise(fine, raises):
+    # level-1 cubes in three quadrants of the unit window and level-`fine`
+    # cubes filling the fourth, so the cube at (0, 0) touches leaves
+    # fine - 1 levels finer
+    m = 1 << (fine - 1)
+    cells = [(1, 0, 0), (1, 0, 1), (1, 1, 1)] + [(fine, m + i, j) for i in range(m)
+                                                   for j in range(m)]
+    cubes = np.array([(TAG_DOMAIN, *cell, 0.0, 0.0) for cell in cells], dtype=whitney.CUBE_DTYPE)
+    args = (disk(1.0), Window((0.0, 0.0), 1.0), fine, cubes, np.empty((0, 3), np.int64))
+    if raises:
+        with pytest.raises(WhitneyInvariantError, match=r"side ratio outside \[1/4, 4\]"):
+            whitney.WhitneyDecomposition(*args)
+    else:
+        assert whitney.WhitneyDecomposition(*args).adjacent(0).tolist() == [1, 2, 3, 4, 5, 6]
+
+
+def reference_cell_rows(dec, level):
+    """Every level-`level` cell's leaf by one Morton lookup."""
+    n = 1 << level
+    pos = dec.leaf_containing(level, *np.indices((n, n)).reshape(2, -1))
+    ids = dec.leaf_ids[pos]
+    held = (dec.leaf_levels[pos] <= level) & (ids < len(dec.cubes))
+    return np.where(held, ids, -1).reshape(n, n)
+
+
+CELL_ROW_DOMAINS = [disk(1.0), slit_disk(1.0, 0.5), l_shape(), cusp(4.0), intro_lipschitz()]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(CELL_ROW_DOMAINS), st.integers(0, 8), st.integers(-3, 2),
+       st.sampled_from([1.0, 0.5, 0.3]))
+def test_cell_rows_match_leaf_lookup(dom, depth, offset, scale):
+    w = dom.default_window
+    window = Window(np.asarray(w.origin) + (1.0 - scale) * w.size / 2, scale * w.size)
+    dec = build_whitney(dom, window, depth)
+    level = max(0, depth + offset)
+    got, want = dec.cell_rows(level), reference_cell_rows(dec, level)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_neighbors_match_brute_force(disk_dec, rng):
