@@ -71,7 +71,8 @@ class SvgCanvas:
         if exc_type is None:
             self.save()
         else:
-            self.discard()
+            self.parts.fh.close()
+            os.remove(self._file)
 
     def _xy(self, p):
         s = self.px / self.window.size
@@ -116,11 +117,6 @@ class SvgCanvas:
         self.parts.fh.write("\n</svg>\n")
         self.parts.fh.close()
         shutil.move(self._file, self.path if path is None else path)
-
-    def discard(self):
-        """Close the file and remove it."""
-        self.parts.fh.close()
-        os.remove(self._file)
 
 
 # corner offsets of a cell in the order its edges are walked: edge k runs
