@@ -137,20 +137,15 @@ def _level_stats(counted: np.ndarray, v: np.ndarray, level: int):
     return means, osc, counts
 
 
-def _contained_mask(f: GridFunction, domain: Domain | None, level: int,
-                    margin_factor: float = 0.5 * SQRT_N):
-    """Conservative test for 'cube inside the domain' at a sweep level.
-
-    margin_factor is the required clearance at the cube center in units of
-    the side; the default covers the cube itself, sqrt(n) covers its
-    concentric double.
-    """
+def _contained_mask(f: GridFunction, domain: Domain | None, level: int):
+    """Conservative test for 'cube inside the domain' at a sweep level: the
+    clearance at the cube center is at least half the cube's diagonal."""
     nb = 1 << level
     if domain is None:
         return np.ones((nb, nb), dtype=bool)
     sd = domain.signed_distance(grid_centers(f.window, level)).reshape(nb, nb)
     side = f.window.cell_size(level)
-    return sd >= margin_factor * side - 1e-12 * f.window.size
+    return sd >= 0.5 * SQRT_N * side - 1e-12 * f.window.size
 
 
 @dataclass
@@ -166,7 +161,6 @@ class NormReport:
     degenerate: bool = False
     excluded_volume_fraction: float = 0.0
     subsampled: bool = False
-    surrogate: bool = False
 
 
 def require_defined(f: GridFunction, cells: str):
@@ -178,9 +172,7 @@ def require_defined(f: GridFunction, cells: str):
                          "the function is not defined on the requested cells")
 
 
-def _norm_report(f: GridFunction, domain: Domain | None, lam: float | None,
-                 margin_factor: float = 0.5 * SQRT_N,
-                 surrogate: bool = False) -> NormReport:
+def _norm_report(f: GridFunction, domain: Domain | None, lam: float | None) -> NormReport:
     """Dyadic sweep: the oscillation supremum below sidelength lam and the
     |average| supremum at and above it, over the cubes inside the domain
     (all window cubes when domain is None); lam None sweeps the oscillation
@@ -199,7 +191,7 @@ def _norm_report(f: GridFunction, domain: Domain | None, lam: float | None,
     counted, v = _counted_values(f, cells)
     for lvl in levels:
         # the oracle call before the level's stats keeps its peak memory low
-        inside = _contained_mask(f, domain, lvl, margin_factor)
+        inside = _contained_mask(f, domain, lvl)
         means, osc, counts = _level_stats(counted, v, lvl)
         inside &= counts > 0
         if not inside.any():
@@ -214,7 +206,7 @@ def _norm_report(f: GridFunction, domain: Domain | None, lam: float | None,
                       s_at if small >= large else l_at, s_at, l_at,
                       degenerate=lam is not None and l_at is None,
                       excluded_volume_fraction=f.straddling_fraction,
-                      subsampled=subsampled, surrogate=surrogate)
+                      subsampled=subsampled)
 
 
 def bmo_lambda_norm(f: GridFunction, domain: Domain | None, lam: float) -> NormReport:
@@ -227,14 +219,6 @@ def bmo_lambda_norm(f: GridFunction, domain: Domain | None, lam: float) -> NormR
 def bmo_homogeneous_norm(f: GridFunction, domain: Domain | None) -> NormReport:
     """Oscillation supremum over every dyadic cube inside the domain."""
     return _norm_report(f, domain, None)
-
-
-def bmo_local_norm(f: GridFunction, domain: Domain) -> NormReport:
-    """Oscillation supremum over dyadic cubes whose concentric double stays
-    inside the domain: the cube surrogate of the ball-based local seminorm
-    (doubles in place of doubled balls; constants differ only by dimensional
-    factors). Reports carry surrogate=True."""
-    return _norm_report(f, domain, None, margin_factor=SQRT_N, surrogate=True)
 
 
 def dyadic_abc_norm(f: GridFunction, lam: float) -> NormReport:

@@ -347,6 +347,14 @@ def cmd_extend(args, domain: Domain, window: Window, out: Path):
     return 0
 
 
+# schema -> (column, reduction, note label, note when the column is all NA)
+REPORT_NOTES = {
+    "extend-summary": ("ratio", max, "max_ratio", "all NA"),
+    "classify-pairs": ("eps_cap", min, "min_cap", ""),
+    "norm-report": ("value", max, "max_value", ""),
+}
+
+
 def cmd_report(args, out: Path):
     results = Path(args.results)
     lines = []
@@ -360,18 +368,15 @@ def cmd_report(args, out: Path):
             continue
         entry = [str(p.relative_to(results)), schema, len(rows)]
         note = ""
-        if schema == "extend-summary" and rows:
-            idx = header.index("ratio")
-            vals = [float(r[idx]) for r in rows if r[idx] != "NA"]
-            note = f"max_ratio={_fmt(max(vals))}" if vals else "all NA"
-        elif schema == "classify-pairs" and rows:
-            idx = header.index("eps_cap")
-            vals = [float(r[idx]) for r in rows if r[idx] != "NA"]
-            note = f"min_cap={_fmt(min(vals))}" if vals else ""
-        elif schema == "norm-report" and rows:
-            idx = header.index("value")
-            vals = [float(r[idx]) for r in rows if r[idx] != "NA"]
-            note = f"max_value={_fmt(max(vals))}" if vals else ""
+        if schema in REPORT_NOTES and rows:
+            col, pick, label, empty = REPORT_NOTES[schema]
+            try:
+                idx = header.index(col)
+                vals = [float(r[idx]) for r in rows if r[idx] != "NA"]
+            except (ValueError, IndexError):
+                raise ValueError(f"{p}: schema {schema} needs a numeric {col!r} "
+                                 "column in every row") from None
+            note = f"{label}={_fmt(pick(vals))}" if vals else empty
         summary.append(entry + [note])
         lines.append(f"{entry[0]}: schema={schema} rows={len(rows)} {note}")
     write_csv(out / "summary.csv", "report-summary",

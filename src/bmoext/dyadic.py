@@ -1,4 +1,5 @@
-"""Dyadic cube arithmetic: identity, geometry, hierarchy and adjacency.
+"""Dyadic cube arithmetic: the window, the cube value type, box distance
+and the resolution parser.
 
 All cubes live in a square world window subdivided in powers of two, so
 every cube of every experiment embeds in one dyadic tree and sidelength
@@ -82,56 +83,8 @@ class DyadicCube:
     def center(self) -> np.ndarray:
         return self.lower + 0.5 * self.side
 
-    @property
-    def corners(self) -> np.ndarray:
-        lo = self.lower
-        s = self.side
-        return np.array([lo, lo + [s, 0.0], lo + [0.0, s], lo + [s, s]])
-
-    @property
-    def measure(self) -> float:
-        return self.side ** N_DIM
-
     def sort_key(self):
         return (self.level, self.coords[0], self.coords[1])
-
-    def parent(self) -> DyadicCube:
-        if self.level == 0:
-            raise ValueError("root cube has no parent")
-        return DyadicCube(self.level - 1, (self.coords[0] // 2, self.coords[1] // 2), self.window)
-
-    def children(self) -> list[DyadicCube]:
-        i, j = self.coords
-        lv = self.level + 1
-        return [DyadicCube(lv, (2 * i + di, 2 * j + dj), self.window)
-                for dj in (0, 1) for di in (0, 1)]
-
-    def int_box(self, at_level: int) -> tuple[int, int, int, int]:
-        """Closed integer extent (ilo, ihi, jlo, jhi) in level-`at_level` cells."""
-        if at_level < self.level:
-            raise ValueError("at_level must be at least the cube level")
-        f = 1 << (at_level - self.level)
-        i, j = self.coords
-        return (i * f, (i + 1) * f, j * f, (j + 1) * f)
-
-    def contains_point(self, p) -> bool:
-        lo = self.lower
-        s = self.side
-        return lo[0] <= p[0] <= lo[0] + s and lo[1] <= p[1] <= lo[1] + s
-
-
-def cubes_adjacent(q1: DyadicCube, q2: DyadicCube) -> bool:
-    """True iff the closed boxes intersect (works across levels).
-
-    Integer arithmetic at the finer of the two levels, hence exact.
-    Identical cubes count as adjacent.
-    """
-    if q1.window != q2.window:
-        raise ValueError("cubes from different windows are not comparable")
-    lv = max(q1.level, q2.level)
-    a = q1.int_box(lv)
-    b = q2.int_box(lv)
-    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
 
 
 def box_distance(lo1, hi1, lo2, hi2) -> np.ndarray:

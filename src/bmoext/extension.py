@@ -123,7 +123,7 @@ def plan_extension(dec: WhitneyDecomposition, mask, lam: float, epsilon: float,
                       stacklevel=2)
 
     window = dec.window
-    comp = np.flatnonzero(dec.cubes["tag"] == TAG_COMPLEMENT)
+    comp = dec.indices(TAG_COMPLEMENT)
     keys = np.column_stack([dec.cubes[name][comp] for name in ("level", "i", "j")])
     lvl, i, j = keys.T
     subcell = lvl > level

@@ -492,7 +492,7 @@ def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
     return paths
 
 
-def qh_distance(graph: MetricGraph, x, y, refine: bool = True):
+def qh_distance(graph: MetricGraph, x, y):
     """Quasi-hyperbolic distance estimate and witness geodesic.
 
     Dijkstra on the grid graph, then curve shortening; the estimate is the
@@ -508,9 +508,7 @@ def qh_distance(graph: MetricGraph, x, y, refine: bool = True):
         pl = Polyline(np.array([x, y]), qh_value=0.0, qh_error=0.0)
         return 0.0, pl
 
-    pts = grid_path(graph, x, y)
-    if refine:
-        pts = _refine_paths(domain, [pts], graph.h)[0]
+    pts = _refine_paths(domain, [grid_path(graph, x, y)], graph.h)[0]
     value, err = qh_length(domain, pts, tol=QUAD_TOL)
     return value, Polyline(pts, qh_value=value, qh_error=err)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import tempfile
 
 import numpy as np
 
@@ -39,22 +38,17 @@ class _Parts:
 class SvgCanvas:
     """An SVG document written to its file as it is drawn: the header when
     the canvas opens, each part when it is made, the closing tag when `save`
-    closes the file. The text goes to the target's name plus ".part" (to a
-    temporary file when no target is given until `save`), and `save` renames
-    it into place. Used as a context manager, the canvas saves itself on a
-    clean exit and removes its file when drawing raises, so a failed figure
-    leaves no file behind."""
+    closes the file. The text goes to the target's name plus ".part", and
+    `save` renames it into place. Used as a context manager, the canvas
+    saves itself on a clean exit and removes its file when drawing raises,
+    so a failed figure leaves no file behind."""
 
-    def __init__(self, window: Window, px: int = FIGURE_PX, path=None):
+    def __init__(self, window: Window, px: int = FIGURE_PX, *, path):
         self.window = window
         self.px = px
         self.path = path
-        if path is None:
-            fd, self._file = tempfile.mkstemp(suffix=".svg.part")
-            fh = os.fdopen(fd, "w")
-        else:
-            self._file = f"{path}.part"
-            fh = open(self._file, "w")
+        self._file = f"{path}.part"
+        fh = open(self._file, "w")
         defs = ('<defs><pattern id="hatch" width="6" height="6" '
                 'patternUnits="userSpaceOnUse" patternTransform="rotate(45)">'
                 '<line x1="0" y1="0" x2="0" y2="6" stroke="#808080" '
@@ -111,12 +105,12 @@ class SvgCanvas:
         x, y = self._xy(p)
         self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{MARKER_PX}" fill="{fill}"/>')
 
-    def save(self, path=None):
-        """Write the closing tag and move the file to `path`, by default the
-        target the canvas was opened with."""
+    def save(self):
+        """Write the closing tag and move the file to the target the canvas
+        was opened with."""
         self.parts.fh.write("\n</svg>\n")
         self.parts.fh.close()
-        shutil.move(self._file, self.path if path is None else path)
+        shutil.move(self._file, self.path)
 
 
 # corner offsets of a cell in the order its edges are walked: edge k runs
@@ -160,7 +154,7 @@ def render_decomposition(dec, path):
 
     w = dec.window
     c, fr = dec.cubes, dec.frontier
-    with SvgCanvas(w, DECOMPOSITION_PX, path) as canvas:
+    with SvgCanvas(w, DECOMPOSITION_PX, path=path) as canvas:
         side = w.cell_sizes(c["level"])
         canvas.rects(w.origin[0] + c["i"] * side, w.origin[1] + c["j"] * side, side,
                      np.where(c["tag"] == TAG_DOMAIN, "#7fbf7f", "#7f9fff"),

@@ -190,7 +190,9 @@ class WhitneyDecomposition:
         return out
 
     def index_of(self, q: DyadicCube) -> int:
-        if q.level <= self.depth:
+        """Row of the cube q; KeyError when q is not a cube of this
+        decomposition, including a cube of another window."""
+        if q.window == self.window and q.level <= self.depth:
             shift = self.depth - q.level
             key = _morton(q.coords[0] << shift, q.coords[1] << shift, self.depth)
             pos = np.searchsorted(self.leaf_keys, key, side="right") - 1
@@ -269,10 +271,6 @@ class WhitneyDecomposition:
 
     def adjacent(self, idx: int) -> np.ndarray:
         return self.adj_indices[self.adj_indptr[idx]:self.adj_indptr[idx + 1]]
-
-    def neighbors(self, q: DyadicCube) -> list[DyadicCube]:
-        """Same-family cubes whose closed boxes intersect q (q excluded)."""
-        return [self.cube(k) for k in self.adjacent(self.index_of(q))]
 
 
 def build_whitney(domain: Domain, window: Window, max_depth: int) -> WhitneyDecomposition:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bmoext import Window, bmo, disk, l_shape, slit_disk
 from bmoext.bmo import (MASK_INSIDE, GridFunction, NormReport, adjacent_average_gap,
-                        bmo_homogeneous_norm, bmo_lambda_norm, bmo_local_norm, cube_average,
+                        bmo_homogeneous_norm, bmo_lambda_norm, cube_average,
                         dipole_field, dyadic_abc_norm,
                         log_growth_ratio, qh_distance_field,
                         log_plus, sample_grid_function, whitney_cellwise_field)
@@ -232,9 +232,9 @@ def test_abc_requires_defined_values(disk1):
         dyadic_abc_norm(f, LAM)
 
 
-# -- the sweep against the three-wrapper reference ------------------------
+# -- the sweep against the two-wrapper reference --------------------------
 
-def reference_contained_mask(f, domain, level, margin_factor):
+def reference_contained_mask(f, domain, level):
     nb = 1 << level
     if domain is None:
         return np.ones((nb, nb), dtype=bool)
@@ -242,10 +242,10 @@ def reference_contained_mask(f, domain, level, margin_factor):
     centers = level_cell_centers(f.window, level, ij.reshape(-1, 2))
     sd = domain.signed_distance(centers).reshape(nb, nb)
     side = f.window.cell_size(level)
-    return sd >= margin_factor * side - 1e-12 * f.window.size
+    return sd >= 0.5 * SQRT_N * side - 1e-12 * f.window.size
 
 
-def reference_sweep(f, domain, lam, cells, margin_factor=0.5 * SQRT_N):
+def reference_sweep(f, domain, lam, cells):
     """Oscillation and |average| envelopes split at sidelength lam, one
     sweep per norm, as the norms were computed before one report builder."""
     levels = list(range(0, f.level + 1))
@@ -261,7 +261,7 @@ def reference_sweep(f, domain, lam, cells, margin_factor=0.5 * SQRT_N):
     for lvl in levels:
         side = f.window.cell_size(lvl)
         means, osc, counts = reference_level_stats(f, lvl, cells)
-        inside = reference_contained_mask(f, domain, lvl, margin_factor) & (counts > 0)
+        inside = reference_contained_mask(f, domain, lvl) & (counts > 0)
         if not inside.any():
             continue
         if lam is None or side < lam:
@@ -298,15 +298,6 @@ def reference_homogeneous_norm(f, domain):
                       excluded_volume_fraction=f.straddling_fraction, subsampled=subs)
 
 
-def reference_local_norm(f, domain):
-    bmo.require_defined(f, "inside")
-    small, s_at, _, _, _, subs = reference_sweep(f, domain, None, "inside",
-                                                 margin_factor=SQRT_N)
-    return NormReport(small, small, 0.0, None, s_at, s_at, None,
-                      excluded_volume_fraction=f.straddling_fraction, subsampled=subs,
-                      surrogate=True)
-
-
 def same_bits(a, b):
     if isinstance(a, float) and isinstance(b, float):
         return struct.pack("<d", a) == struct.pack("<d", b)
@@ -338,7 +329,6 @@ def test_norm_reports_match_the_reference_sweep(dom, level, seed, lam_frac, ties
         if lam is not None:
             pairs.append((bmo_lambda_norm, reference_lambda_norm, (f, domain, lam)))
         pairs.append((bmo_homogeneous_norm, reference_homogeneous_norm, (f, domain)))
-    pairs.append((bmo_local_norm, reference_local_norm, (f, dom)))
     with mock.patch.object(bmo, "SWEEP_BUDGET", budget):
         for got_fn, want_fn, args in pairs:
             got, want = got_fn(*args), want_fn(*args)
@@ -555,18 +545,6 @@ def test_chain_cover_count_vs_integral(disk1, disk_dec, disk_graph, rng):
         worst = max(worst, m / (v + 1.0))
         done += 1
     assert worst <= 5.0   # measured envelope, dimension-driven
-
-
-def test_local_oscillation_controls_full_norm(disk1, corpus):
-    # the doubled-cube local seminorm controls the full oscillation norm
-    # with a measured dimensional constant (surrogate for doubled balls)
-    for name, f in corpus:
-        full = bmo_homogeneous_norm(f, disk1).value
-        rep = bmo_local_norm(f, disk1)
-        assert rep.surrogate
-        assert rep.value <= full + 1e-12, name       # fewer cubes, smaller sup
-        if full > 0:
-            assert full <= 3.0 * rep.value, name     # measured envelope
 
 
 # -- windows outside the bounding box ---------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import math
 from unittest import mock
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bmoext
 from bmoext import Window, disk, svgout
 from bmoext.bmo import GridFunction, sample_grid_function
 from bmoext.cli import main, read_csv, read_grid, write_csv, write_grid
@@ -52,6 +54,14 @@ def reference_write_grid(path, gf):
 
 def run(args):
     return main(args)
+
+
+def test_package_all_lists_exactly_what_the_package_binds():
+    assert len(set(bmoext.__all__)) == len(bmoext.__all__)
+    assert [name for name in bmoext.__all__ if not hasattr(bmoext, name)] == []
+    bound = {name for name, value in vars(bmoext).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert bound == set(bmoext.__all__)
 
 
 def test_decompose_smoke(tmp_path):
@@ -149,6 +159,20 @@ def test_report_aggregates_and_recomputes(tmp_path):
             idx = h2.index("value")
             vals = [float(r[idx]) for r in r2 if r[idx] != "NA"]
             assert float(note.split("=")[1]) == pytest.approx(max(vals), rel=1e-9)
+
+
+@pytest.mark.parametrize("schema, header, row, column", [
+    ("extend-summary", "lam,ratio", "0.1", "ratio"),       # a short row
+    ("norm-report", "lam,norm", "0.1,2.0", "value"),      # no such column
+])
+def test_report_on_a_malformed_file_is_a_usage_error(tmp_path, capsys, schema, header,
+                                                      row, column):
+    results = tmp_path / "res"
+    results.mkdir()
+    (results / "bad.csv").write_text(f"# bmoext-csv v1 schema={schema}\n{header}\n{row}\n")
+    assert run(["report", "--results", str(results), "--outdir", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "bad.csv" in err and repr(column) in err
 
 
 def test_bad_config_exit_codes(tmp_path, capsys):

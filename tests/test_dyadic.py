@@ -1,11 +1,10 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmoext import DyadicCube, Window, cubes_adjacent
+from bmoext import DyadicCube, Window
 from bmoext.dyadic import box_distance, grid_centers, level_cell_centers, resolution_level
 from bmoext.extension import make_suite
 from bmoext.qhyper import build_metric_graph
@@ -14,85 +13,11 @@ from tests.conftest import DISK_WINDOW
 UNIT = Window((0.0, 0.0), 1.0)
 
 
-def exact_boxes_intersect(q1, q2):
-    """Interval-intersection oracle in exact rational arithmetic."""
-    def bounds(q):
-        w = Fraction(q.window.size)
-        o = (Fraction(q.window.origin[0]), Fraction(q.window.origin[1]))
-        s = w / 2 ** q.level
-        return [(o[k] + q.coords[k] * s, o[k] + (q.coords[k] + 1) * s) for k in (0, 1)]
-
-    b1, b2 = bounds(q1), bounds(q2)
-    return all(a0 <= b1_ and b0 <= a1 for (a0, a1), (b0, b1_) in zip(b1, b2))
-
-
-def contains_cube(q, other):
-    """True iff `other` is q or one of its descendants."""
-    if other.level < q.level:
-        return False
-    f = 1 << (other.level - q.level)
-    return (other.coords[0] // f, other.coords[1] // f) == q.coords
-
-
 def test_unit_window_geometry():
     q = DyadicCube(0, (0, 0), UNIT)
     assert tuple(q.center) == (0.5, 0.5) and q.side == 1.0
     q = DyadicCube(1, (1, 0), UNIT)
     assert tuple(q.center) == (0.75, 0.25) and q.side == 0.5
-
-
-def test_corner_center_identity_level3():
-    q = DyadicCube(3, (5, 2), UNIT)
-    c, side, corners = q.center, q.side, q.corners
-    rebuilt = np.array([c + [dx * side / 2, dy * side / 2]
-                        for dx in (-1, 1) for dy in (-1, 1)])
-    assert np.abs(np.sort(rebuilt, axis=0) - np.sort(corners, axis=0)).max() < 1e-15
-
-
-def test_adjacency_examples():
-    assert cubes_adjacent(DyadicCube(1, (0, 0), UNIT), DyadicCube(1, (1, 0), UNIT))
-    q = DyadicCube(1, (0, 0), UNIT)
-    assert cubes_adjacent(q, q)  # reflexive
-    # cross-level touch along the shared face x = 0.5
-    assert cubes_adjacent(DyadicCube(1, (0, 0), UNIT), DyadicCube(2, (2, 1), UNIT))
-
-
-def test_adjacency_gap():
-    w = Window((0.0, 0.0), 4.0)
-    assert not cubes_adjacent(DyadicCube(2, (0, 0), w), DyadicCube(2, (2, 0), w))
-
-
-def test_adjacency_random_vs_exact_oracle(rng):
-    w = Window((-1.3, 0.7), 2.5)
-    for _ in range(2000):
-        l1, l2 = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-        q1 = DyadicCube(l1, tuple(int(v) for v in rng.integers(0, 1 << l1, 2)), w)
-        q2 = DyadicCube(l2, tuple(int(v) for v in rng.integers(0, 1 << l2, 2)), w)
-        assert cubes_adjacent(q1, q2) == exact_boxes_intersect(q1, q2)
-        assert cubes_adjacent(q1, q2) == cubes_adjacent(q2, q1)
-
-
-def test_different_windows_rejected():
-    with pytest.raises(ValueError):
-        cubes_adjacent(DyadicCube(0, (0, 0), UNIT),
-                       DyadicCube(0, (0, 0), Window((0.0, 0.0), 2.0)))
-
-
-def test_children_tile_exactly():
-    q = DyadicCube(2, (1, 3), Window((-2.0, -2.0), 4.0))
-    kids = q.children()
-    assert sum(k.measure for k in kids) == pytest.approx(q.measure, rel=1e-15)
-    for k in kids:
-        assert k.parent() == q
-        assert contains_cube(q, k)
-        assert not contains_cube(k, q)
-    boxes = [k.int_box(3) for k in kids]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            ba, bb = boxes[a], boxes[b]
-            ix = min(ba[1], bb[1]) - max(ba[0], bb[0])
-            jx = min(ba[3], bb[3]) - max(ba[2], bb[2])
-            assert min(ix, jx) <= 0  # interiors disjoint
 
 
 def test_box_gaps():
@@ -118,8 +43,6 @@ def test_box_gaps():
 def test_invalid_cubes_rejected():
     with pytest.raises(ValueError):
         DyadicCube(1, (2, 0), UNIT)
-    with pytest.raises(ValueError):
-        DyadicCube(0, (0, 0), UNIT).parent()
 
 
 def test_resolution_level():

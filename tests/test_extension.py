@@ -155,7 +155,7 @@ def test_frontier_fill_takes_nearest_painted_cube(disk_dec, plan):
     cubes = [q for q in cubes if q.level <= plan.level]
     lows = np.array([q.lower for q in cubes])
     sides = np.array([q.side for q in cubes])[:, None]
-    corner = [q.int_box(plan.level)[::2] for q in cubes]
+    corner = [tuple(c << (plan.level - q.level) for c in q.coords) for q in cubes]
     filled = np.argwhere((plan.mask == MASK_OUTSIDE) & (disk_dec.cell_rows(plan.level) < 0))
     assert len(filled) == plan.frontier_filled > 0
     h = DISK_WINDOW.cell_size(plan.level)

@@ -14,8 +14,8 @@ from bmoext.cli import main
 from bmoext.dyadic import grid_centers, resolution_level
 from bmoext.errors import (DisconnectedGraphError, EmptyInteriorError,
                            QuadratureError)
-from bmoext.qhyper import (EDGE_RTOL, build_metric_graph, eta_lambda, j_distance,
-                           qh_distance_to_interior, segment_qh_batch)
+from bmoext.qhyper import (EDGE_RTOL, QUAD_TOL, build_metric_graph, eta_lambda, grid_path,
+                           j_distance, qh_distance_to_interior, segment_qh_batch)
 from tests.conftest import HP_WINDOW
 from tests.test_cli import star_polygons
 from tests.test_svgout import SQUARE_HOLE
@@ -119,7 +119,8 @@ def test_qh_distance_outside_domain_rejected(hp_graph):
 
 
 def test_refinement_never_hurts(disk_graph):
-    raw, _ = qh_distance(disk_graph, (-0.9, 0), (0.9, 0), refine=False)
+    raw, _ = qh_length(disk_graph.domain, grid_path(disk_graph, (-0.9, 0), (0.9, 0)),
+                       tol=QUAD_TOL)
     ref, _ = qh_distance(disk_graph, (-0.9, 0), (0.9, 0))
     assert ref <= raw + 1e-9
 
@@ -131,9 +132,9 @@ def test_resolution_monotonicity(disk1):
     coarse, plc = qh_distance(g_c, (-0.6, 0.2), (0.5, -0.3))
     fine, plf = qh_distance(g_f, (-0.6, 0.2), (0.5, -0.3))
     assert fine <= coarse + plc.qh_error + 0.02 * coarse
-    raw_c, rc = qh_distance(g_c, (-0.6, 0.2), (0.5, -0.3), refine=False)
-    raw_f, _ = qh_distance(g_f, (-0.6, 0.2), (0.5, -0.3), refine=False)
-    assert raw_f <= raw_c + rc.qh_error + 0.01 * raw_c
+    raw_c, rc_err = qh_length(disk1, grid_path(g_c, (-0.6, 0.2), (0.5, -0.3)), tol=QUAD_TOL)
+    raw_f, _ = qh_length(disk1, grid_path(g_f, (-0.6, 0.2), (0.5, -0.3)), tol=QUAD_TOL)
+    assert raw_f <= raw_c + rc_err + 0.01 * raw_c
 
 
 def test_triangle_inequality_on_disk(disk1, disk_graph, rng):

@@ -72,7 +72,7 @@ def reference_rect(canvas, lower, side, fill, stroke="none", opacity=1.0, stroke
 def reference_render_decomposition(dec, path):
     """One `reference_rect` per cube, then one per frontier cell."""
     w = dec.window
-    canvas = SvgCanvas(w, DECOMPOSITION_PX)
+    canvas = SvgCanvas(w, DECOMPOSITION_PX, path=path)
     for tag, level, i, j, _, _ in dec.cubes.tolist():
         side = w.cell_size(level)
         lower = (w.origin[0] + i * side, w.origin[1] + j * side)
@@ -84,7 +84,7 @@ def reference_render_decomposition(dec, path):
         lower = (w.origin[0] + i * side, w.origin[1] + j * side)
         reference_rect(canvas, lower, side, "url(#hatch)", opacity=0.9)
     draw_boundary(canvas, dec.domain)
-    canvas.save(path)
+    canvas.save()
 
 
 def reference_save(canvas, path):
@@ -192,7 +192,7 @@ def test_decomposition_svg_matches_rect_loop(tmp_path, dom):
 
 def reference_render_grid(gf, domain, path):
     """The heatmap with one `reference_rect` per block."""
-    canvas = SvgCanvas(gf.window)
+    canvas = SvgCanvas(gf.window, path=path)
     n = gf.n_cells
     step = max(1, n // svgout.HEATMAP_BLOCKS)
     vals = gf.values
@@ -211,7 +211,7 @@ def reference_render_grid(gf, domain, path):
             reference_rect(canvas, lower, gf.h * step, f"rgb({g},{128 + g // 2},{255 - g})")
     if domain is not None:
         draw_boundary(canvas, domain)
-    canvas.save(path)
+    canvas.save()
 
 
 @pytest.mark.parametrize("blocks", [256, 4])

@@ -28,6 +28,11 @@ def cube_gap(q1, q2):
                               q2.lower, q2.lower + q2.side))
 
 
+def cube_gap_to_point(q, p):
+    """Distance from a point to the closed box of a cube (0 inside it)."""
+    return float(box_distance(q.lower, q.lower + q.side, p, p))
+
+
 def built_families(dec):
     """{(level, i, j): tag} over the cubes of a decomposition."""
     return {(lvl, i, j): tag for tag, lvl, i, j, _, _ in dec.cubes.tolist()}
@@ -148,10 +153,10 @@ def test_deep_build_beyond_int64_keys():
     p = (a + 1e-11, a + 2e-11)
     kind, idx = dec.locate(p)
     assert kind == TAG_COMPLEMENT and dec.cube(idx).level > 31
-    assert dec.cube(idx).contains_point(p)
+    assert cube_gap_to_point(dec.cube(idx), p) == 0.0
     for p in a + 0.5 * np.random.default_rng(3).uniform(size=(20, 2)):
         kind, idx = dec.locate(p)
-        assert kind == TAG_COMPLEMENT and dec.cube(idx).contains_point(p)
+        assert kind == TAG_COMPLEMENT and cube_gap_to_point(dec.cube(idx), p) == 0.0
 
 
 def test_neighbors_interior_cube(disk_dec):
@@ -305,6 +310,21 @@ def test_neighbors_match_brute_force(disk_dec, rng):
         assert brute == disk_dec.adjacent(idx).tolist()
 
 
+def test_cube_of_another_window_is_a_caller_error():
+    # same (level, i, j) as a complement cube, but in a shifted window: not
+    # a cube of this decomposition, so a KeyError and not a MatchingError
+    dom = disk(1.0)
+    dec = build_whitney(dom, dom.default_window, 7)
+    q = DyadicCube(6, (2, 24), dom.default_window)
+    assert dec.cubes["tag"][dec.index_of(q)] == TAG_COMPLEMENT
+    matching_cube(dec, q, 0.5, 0.5)
+    other = DyadicCube(6, (2, 24), Window((10.0, 10.0), 2.5))
+    with pytest.raises(KeyError):
+        dec.index_of(other)
+    with pytest.raises(KeyError, match="not a complement cube"):
+        matching_cube(dec, other, 0.5, 0.5)
+
+
 def test_matching_constant_value():
     assert matching_distance_constant(0.5) == pytest.approx(
         5.0 * math.sqrt(2.0) + 64.0, rel=1e-12)
@@ -441,7 +461,8 @@ def test_find_interior_point_center(disk_dec):
 def test_find_interior_point_straddling_cube(disk1):
     # cube straddling the circle; dense-grid oracle confirms the threshold
     q = DyadicCube(4, (14, 8), DISK_WINDOW)
-    assert disk1.signed_distance(q.corners).min() < 0 < disk1.sd(q.lower)
+    corners = q.lower + q.side * np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+    assert disk1.signed_distance(corners).min() < 0 < disk1.sd(q.lower)
     z = find_interior_point(disk1, q, 0.5)
     target = 0.5 * q.side / 32.0
     g = np.linspace(0, q.side, 100)
@@ -503,7 +524,7 @@ def test_whitney_chain_basics(disk_dec):
     q = disk_dec.cube(idx)
     c = q.center
     assert len(whitney_chain(disk_dec, c, c + 1e-4)) == 1
-    nb = disk_dec.neighbors(q)[0]
+    nb = disk_dec.cube(int(disk_dec.adjacent(idx)[0]))
     chain = whitney_chain(disk_dec, c, nb.center)
     assert len(chain) == 2
 
