@@ -16,7 +16,8 @@ import numpy as np
 from .domains import Domain
 from .dyadic import DyadicCube, SQRT_N, Window, grid_centers
 from .errors import DisconnectedGraphError
-from .qhyper import MetricGraph, build_metric_graph, segment_qh_batch
+from .qhyper import MetricGraph, _solve_from, build_metric_graph
+from .whitney import TAG_DOMAIN
 
 MASK_OUTSIDE = 0
 MASK_INSIDE = 1
@@ -274,11 +275,7 @@ def qh_distance_field(graph: MetricGraph, a) -> GridFunction:
         raise ValueError("source point must lie inside the domain")
     domain.check_window(window)
     mask, _, _ = classify_cells(domain, window, level)
-    src = graph.snap(a)
-    leg, _, leg_ok = segment_qh_batch(domain, a[None, :], graph.node_pos[src][None, :])
-    if not leg_ok[0]:
-        raise ValueError("source too close to the boundary for this resolution")
-    dist, _ = graph.shortest_paths(src)
+    leg, dist, _ = _solve_from(graph, a)
 
     n = 1 << level
     vals = np.full((n, n), np.nan)
@@ -286,7 +283,7 @@ def qh_distance_field(graph: MetricGraph, a) -> GridFunction:
     if ((mask == MASK_INSIDE) & ~node_cells).any():
         raise ValueError("the graph has no node at some inside cells; "
                          "build it with field_graph")
-    vals[node_cells] = dist[graph.node_grid[node_cells]] + leg[0]
+    vals[node_cells] = dist[graph.node_grid[node_cells]] + leg
     unreachable = (mask == MASK_INSIDE) & ~np.isfinite(vals)
     if unreachable.any():
         raise DisconnectedGraphError(
@@ -311,8 +308,6 @@ def whitney_cellwise_field(dec, grid_level: int, rng) -> GridFunction:
     """Random function constant on each domain Whitney cube, so adjacent
     averages differ by at most 2 * CELLWISE_AMPLITUDE; inside cells not
     covered by a cube inherit the nearest filled neighbor."""
-    from .whitney import TAG_DOMAIN
-
     window = dec.window
     n = 1 << grid_level
     mask, _, _ = classify_cells(dec.domain, window, grid_level)
@@ -346,8 +341,6 @@ def whitney_cellwise_field(dec, grid_level: int, rng) -> GridFunction:
 def _domain_cube_means(f: GridFunction, dec):
     """Mean of f over each domain Whitney cube no finer than the grid; NaN
     for the other cubes and for cubes without inside cells."""
-    from .whitney import TAG_DOMAIN
-
     c = dec.cubes
     out = np.full(len(c), np.nan)
     rows = np.flatnonzero((c["tag"] == TAG_DOMAIN) & (c["level"] <= f.level))

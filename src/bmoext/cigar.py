@@ -19,7 +19,7 @@ import numpy as np
 from .domains import Domain
 from .dyadic import Window, grid_centers
 from .errors import GeometryError, QuadratureError
-from .qhyper import (EVAL_BUDGET, QUAD_TOL, MetricGraph, Polyline, _curve_segments, _groups,
+from .qhyper import (EVAL_BUDGET, QUAD_TOL, MetricGraph, Polyline, _curve_segments,
                      _length_floor, _refine_paths, build_metric_graph, grid_path,
                      j_distance)
 
@@ -354,7 +354,7 @@ def evaluate_pair(graph: MetricGraph, pairs: list[PairSample]):
     refined = _refine_paths(domain, list(raws.values()), graph.h)
     curves = _measured(domain, [pts for raw, ref in zip(raws.values(), refined)
                                 for pts in (raw, ref)])
-    for i, both in zip(raws, _groups(curves, [2] * len(raws))):
+    for i, both in zip(raws, zip(curves[::2], curves[1::2])):
         menus[i] += [c for c in both if c is not None]
     best = []
     for p, menu in zip(pairs, menus):

@@ -37,15 +37,13 @@ GROWTH_EPSILON = 0.3
 GROWTH_DELTA = 0.5
 
 
-def max_extension_scale(epsilon: float, delta: float, n: int = N_DIM) -> float:
+def max_extension_scale(epsilon: float, delta: float) -> float:
     """Largest cutoff with a bounded extension guarantee for the geometry."""
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    return epsilon ** 2 * delta / (320.0 * n * (1.0 + math.sqrt(n) * epsilon))
+    return epsilon ** 2 * delta / (320.0 * N_DIM * (1.0 + SQRT_N * epsilon))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +126,7 @@ def plan_extension(dec: WhitneyDecomposition, mask, lam: float, epsilon: float,
     lvl, i, j = keys.T
     subcell = lvl > level
     last = np.left_shift(1, lvl) - 1
-    sides = np.ldexp(window.size, -lvl)
+    sides = window.cell_sizes(lvl)
     zero = ~subcell & ((sides > lam + 1e-12 * window.size)
                        | (i == 0) | (j == 0) | (i == last) | (j == last))
 

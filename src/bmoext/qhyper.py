@@ -169,12 +169,6 @@ def _length_floor(pts: np.ndarray) -> float:
     return _SD_FLOOR_FRAC * max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
 
 
-def _groups(seq, sizes) -> list:
-    """seq cut into consecutive pieces of the given sizes."""
-    ends = np.cumsum(sizes, dtype=np.intp)
-    return [seq[e - n:e] for n, e in zip(sizes, ends)]
-
-
 def _curve_segments(domain: Domain, curves: list, rtol: float, floors) -> list[tuple]:
     """segment_qh_batch over the segments of many curves (point arrays) in
     one call, with one floor per curve; each curve's (values, errors,
@@ -186,7 +180,7 @@ def _curve_segments(domain: Domain, curves: list, rtol: float, floors) -> list[t
         domain, np.concatenate([c[:-1] for c in curves]),
         np.concatenate([c[1:] for c in curves]), rtol=rtol,
         floor=np.repeat(np.asarray(floors, dtype=float), n_seg))
-    return list(zip(*(_groups(x, n_seg) for x in out)))
+    return list(zip(*(np.split(x, np.cumsum(n_seg)[:-1]) for x in out)))
 
 
 def j_distance(domain: Domain, x, y) -> float:
@@ -272,9 +266,9 @@ class MetricGraph:
             out.append(int(pred[out[-1]]))
         return out[::-1]
 
-    def component_sizes(self):
+    def component_sizes(self) -> np.ndarray:
         ncomp, labels = connected_components(self.adj, directed=False)
-        return np.bincount(labels, minlength=ncomp), labels
+        return np.bincount(labels, minlength=ncomp)
 
 
 def _graph_nodes(domain: Domain, window: Window, level: int, margin: float):
@@ -348,35 +342,23 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
 # ---------------------------------------------------------------------------
 # geodesic refinement
 
-def _split_long(p: np.ndarray, max_len: float) -> tuple[np.ndarray, np.ndarray]:
-    """The path with every segment longer than max_len cut into equal parts,
-    and for each of its segments the segment of p it copies, or -1 for the
-    parts of a cut one."""
-    d = np.hypot(*(p[1:] - p[:-1]).T)
-    if (d <= max_len).all():
-        return p, np.arange(len(p) - 1)
-    out = [p[0]]
-    src = []
-    for k in range(len(p) - 1):
-        if d[k] > max_len:
-            m = int(math.ceil(d[k] / max_len))
-            for t in range(1, m):
-                out.append(p[k] + (p[k + 1] - p[k]) * (t / m))
-            src += [-1] * m
-        else:
-            src.append(k)
-        out.append(p[k + 1])
-    return np.asarray(out), np.array(src)
-
-
-def _segment_costs(domain: Domain, ends: list, floors: np.ndarray) -> list[np.ndarray]:
-    """_panel_cost of the segments a[i] -> b[i] of each (a, b) in `ends`,
-    with one floor per entry, inf where a segment is not certified; one
-    oracle call for all of them."""
-    n_seg = [len(a) for a, _ in ends]
-    v, _ = _panel_cost(domain, np.concatenate([a for a, _ in ends]),
-                       np.concatenate([b for _, b in ends]), floor=np.repeat(floors, n_seg))
-    return _groups(v, n_seg)
+def _split_long(points: np.ndarray, owners: np.ndarray,
+                max_len: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices with every segment longer than max_len cut into equal
+    parts, their owners, and for each new vertex the vertex whose pair it
+    copies, or -1 where its pair is a part of a cut segment. Only a pair of
+    consecutive vertices with one owner is a segment."""
+    d = np.hypot(*(points[1:] - points[:-1]).T)
+    long = (d > max_len) & (owners[1:] == owners[:-1])
+    m = np.ones(len(points), dtype=np.intp)
+    m[:-1][long] = np.ceil(d[long] / max_len)
+    src = np.repeat(np.arange(len(points)), m)
+    t = np.arange(len(src)) - np.repeat(np.cumsum(m) - m, m)
+    part = t > 0
+    p, k = points, src[part]
+    out = p[src]
+    out[part] = p[k] + (p[k + 1] - p[k]) * (t[part] / m[k])[:, None]
+    return out, owners[src], np.where(m[src] > 1, -1, src)
 
 
 def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
@@ -390,40 +372,56 @@ def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
     total by less than REFINE_RTOL (relative), or after REFINE_ROUNDS
     rounds; its floor comes from its own extent.
 
-    Every path keeps the _panel_cost of each of its segments, so a round's
-    total is their sum and only segments that _split_long cuts are scored
-    again. The "stay" candidate's two segments are the vertex's own, so its
-    cost is the kept one; and a vertex that chose to stay, with neither
-    neighbour moved since, would choose it again, so it is not scored. The
+    The live paths are one array of vertices with an owner column; a pair
+    of consecutive vertices with one owner is a segment, any other pair is
+    never cut or scored. Each segment keeps its _panel_cost, so a path's
+    total is the sum over its own slice and only segments that _split_long
+    cuts are scored again. The "stay" candidate's two segments are the
+    vertex's own, so its cost is the kept one; and a vertex that chose to
+    stay, with neither neighbour moved since, would choose it again, so it
+    is not scored. A path that stops leaves the array as its slice. The
     paths are those that scoring every candidate each pass gives.
     """
-    paths = [np.array(p, dtype=float) for p in paths]
     if not paths:
         return []
+    paths = [np.asarray(p, dtype=float) for p in paths]
     floors = np.array([_SD_FLOOR_FRAC * max(np.ptp(p[:, 0]), np.ptp(p[:, 1]), h)
                        for p in paths])
-    paths = [_split_long(p, 2.0 * h)[0] for p in paths]
-    costs = _segment_costs(domain, [(p[:-1], p[1:]) for p in paths], floors)
-    # settled[k][i]: vertex i chose to stay and neither neighbour moved since
-    settled = [np.zeros(len(p), dtype=bool) for p in paths]
-    live = list(range(len(paths)))
-    prev = [float(c.sum()) for c in costs]
-    for _ in range(REFINE_ROUNDS):
+    owner = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
+    pts, owner, _ = _split_long(np.concatenate(paths), owner, 2.0 * h)
+    cost = np.zeros(len(pts))           # cost[i]: the segment i -> i + 1, if it is one
+    fresh = np.flatnonzero(owner[1:] == owner[:-1])
+    # settled[i]: vertex i chose to stay and neither neighbour moved since
+    settled = np.zeros(len(pts), dtype=bool)
+    prev = np.full(len(paths), np.nan)
+    out = [None] * len(paths)
+    for rnd in range(REFINE_ROUNDS + 1):
+        cost[fresh] = _panel_cost(domain, pts[fresh], pts[fresh + 1],
+                                  floor=floors[owner[fresh]])[0]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        ends = np.append(starts[1:], len(owner))
+        ids = owner[starts]
+        total = np.array([cost[s:e - 1].sum() for s, e in zip(starts, ends)])
+        with np.errstate(invalid="ignore"):     # inf - inf: the path is stuck
+            more = prev[ids] - total > REFINE_RTOL * np.maximum(np.abs(total), 1e-12)
+        # every path runs a first round, and none more than REFINE_ROUNDS
+        more = (more | (rnd == 0)) & (rnd < REFINE_ROUNDS)
+        prev[ids] = total
+        for k, s, e in zip(ids[~more], starts[~more], ends[~more]):
+            out[k] = pts[s:e].copy()
+        n = (ends - starts)[more]
+        if not n.size:
+            break
+        keep = np.repeat(more, ends - starts)
+        pts, owner, cost, settled = pts[keep], owner[keep], cost[keep], settled[keep]
+        place = np.arange(len(pts)) - np.repeat(np.cumsum(n) - n, n)
+        inner = (place > 0) & (place < np.repeat(n - 1, n))
         for parity in (1, 0):
-            moves = []
-            for k in live:
-                idx = np.arange(2 - parity, len(paths[k]) - 1, 2)
-                idx = idx[~settled[k][idx]]
-                if idx.size:
-                    moves.append((k, idx))
-            if not moves:
+            idx = np.flatnonzero(inner & (place % 2 == parity) & ~settled)
+            if not idx.size:
                 continue
-            p_prev = np.concatenate([paths[k][idx - 1] for k, idx in moves])
-            p_next = np.concatenate([paths[k][idx + 1] for k, idx in moves])
-            cur = np.concatenate([paths[k][idx] for k, idx in moves])
-            stay = np.concatenate([costs[k][idx - 1] + costs[k][idx] for k, idx in moves])
-            sizes = [idx.size for _, idx in moves]
-            fl = np.repeat(floors[[k for k, _ in moves]], sizes)
+            p_prev, cur, p_next = pts[idx - 1], pts[idx], pts[idx + 1]
+            stay = cost[idx - 1] + cost[idx]
             mid = 0.5 * (p_prev + p_next)
             chord = p_next - p_prev
             clen = np.hypot(chord[:, 0], chord[:, 1])
@@ -446,50 +444,24 @@ def _refine_paths(domain: Domain, paths: list, h: float) -> list[np.ndarray]:
             b = cands[1:].reshape(-1, 2)
             c = np.broadcast_to(p_next, (k_c - 1, m_c, 2)).reshape(-1, 2)
             v, _ = _panel_cost(domain, np.concatenate([a, b]), np.concatenate([b, c]),
-                               floor=np.tile(fl, 2 * (k_c - 1)))
-            n = (k_c - 1) * m_c
-            left, right = v[:n].reshape(k_c - 1, m_c), v[n:].reshape(k_c - 1, m_c)
-            cost = np.vstack([stay[None], left + right])
-            best = np.argmin(cost, axis=0)      # first minimum: 'stay' wins ties
-            at = np.arange(m_c)
-            moved = cands[best, at]
-            pick = np.maximum(best - 1, 0)
-            left, right = left[pick, at], right[pick, at]
-            for (k, idx), go, to, lc, rc in zip(moves, *(_groups(x, sizes) for x in (
-                    best > 0, moved, left, right))):
-                paths[k][idx] = to
-                costs[k][idx[go] - 1] = lc[go]
-                costs[k][idx[go]] = rc[go]
-                settled[k][idx] = ~go
-                settled[k][idx[go] - 1] = settled[k][idx[go] + 1] = False
-        cut = []
-        for k in live:
-            paths[k], src = _split_long(paths[k], 2.0 * h)
-            parts = np.nonzero(src < 0)[0]
-            if parts.size:
-                kept = src >= 0
-                costs[k] = costs[k][np.maximum(src, 0)]
-                # a vertex stays settled when both its segments are kept
-                inner = np.zeros(len(paths[k]), dtype=bool)
-                inner[1:-1] = kept[:-1] & kept[1:] & settled[k][np.maximum(src[1:], 0)]
-                settled[k] = inner
-                cut.append((k, parts))
-        if cut:
-            fresh = _segment_costs(domain, [(paths[k][j], paths[k][j + 1]) for k, j in cut],
-                                   floors[[k for k, _ in cut]])
-            for (k, j), v in zip(cut, fresh):
-                costs[k][j] = v
-        still = []
-        for k in live:
-            total = float(costs[k].sum())
-            stuck = not (math.isfinite(total) or math.isfinite(prev[k]))
-            if not stuck and prev[k] - total > REFINE_RTOL * max(abs(total), 1e-12):
-                prev[k] = total
-                still.append(k)
-        live = still
-        if not live:
-            break
-    return paths
+                               floor=np.tile(floors[owner[idx]], 2 * (k_c - 1)))
+            r = (k_c - 1) * m_c
+            left, right = v[:r].reshape(k_c - 1, m_c), v[r:].reshape(k_c - 1, m_c)
+            best = np.argmin(np.vstack([stay[None], left + right]), axis=0)
+            go = best > 0                       # first minimum: 'stay' wins ties
+            g, at, pick = idx[go], np.flatnonzero(go), best[go] - 1
+            pts[g] = cands[pick + 1, at]
+            cost[g - 1], cost[g] = left[pick, at], right[pick, at]
+            settled[idx] = ~go
+            settled[g - 1] = settled[g + 1] = False
+        pts, owner, src = _split_long(pts, owner, 2.0 * h)
+        kept = src >= 0
+        cost = cost[np.maximum(src, 0)]
+        # a vertex stays settled when both its segments are kept
+        settled = settled[np.maximum(src, 0)] & kept
+        settled[1:] &= kept[:-1]
+        fresh = np.flatnonzero(~kept)
+    return out
 
 
 def qh_distance(graph: MetricGraph, x, y):
@@ -558,11 +530,24 @@ def grid_path(graph: MetricGraph, x, y) -> np.ndarray:
     if not np.isfinite(dist[dst]) and np.isfinite(limit):
         dist, pred = graph.shortest_paths(src)
     if not np.isfinite(dist[dst]):
-        sizes, _ = graph.component_sizes()
+        sizes = graph.component_sizes()
         raise DisconnectedGraphError(
             f"endpoints in different grid components (sizes {sorted(sizes, reverse=True)[:4]}); "
             "refine the resolution", component_sizes=list(sizes))
     return _drop_repeats(np.vstack([x, graph.node_pos[graph.path_nodes(pred, dst)], y]))
+
+
+def _solve_from(graph: MetricGraph, x: np.ndarray):
+    """(leg, dist, pred): the qh length of the snap leg from x to its
+    node, and one Dijkstra solve from that node to every node. Raises
+    QuadratureError when the leg cannot be bracketed."""
+    src = graph.snap(x)
+    leg, _, ok = segment_qh_batch(graph.domain, x[None, :], graph.node_pos[src][None, :],
+                                  floor=_SD_FLOOR_FRAC * graph.window.size)
+    if not ok[0]:
+        raise QuadratureError("snap segment touches the boundary; refine resolution")
+    dist, pred = graph.shortest_paths(src)
+    return leg[0], dist, pred
 
 
 @dataclass
@@ -597,17 +582,11 @@ def qh_distance_to_interior(graph: MetricGraph, x, lam: float,
             f"interior set empty at this lambda ({lam:g}) in the window; "
             "the scale-lambda norm equals the homogeneous norm here")
 
-    src = graph.snap(x)
-    leg_val, _, leg_ok = segment_qh_batch(
-        domain, x[None, :], graph.node_pos[src][None, :],
-        floor=_SD_FLOOR_FRAC * graph.window.size)
-    if not leg_ok[0]:
-        raise QuadratureError("snap segment touches the boundary; refine resolution")
-    dist, pred = graph.shortest_paths(src)
+    leg, dist, pred = _solve_from(graph, x)
     # targets ascend, so the first minimum is the lowest-index nearest one
     k = int(np.argmin(dist[targets]))
     if not np.isfinite(dist[targets[k]]):
-        sizes, _ = graph.component_sizes()
+        sizes = graph.component_sizes()
         raise DisconnectedGraphError("no interior node reachable at this resolution",
                                      component_sizes=list(sizes))
     t_star = targets[k]
@@ -618,7 +597,7 @@ def qh_distance_to_interior(graph: MetricGraph, x, lam: float,
     value, err = qh_length(domain, pts, tol=QUAD_TOL)
     return InteriorDistance(value, graph.node_pos[t_star].copy(),
                             Polyline(pts, qh_value=value, qh_error=err),
-                            float(dist[t_star] + leg_val[0]))
+                            float(dist[t_star] + leg))
 
 
 def eta_lambda(graph: MetricGraph, x, y, lam: float) -> float:

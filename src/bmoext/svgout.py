@@ -10,6 +10,7 @@ import numpy as np
 
 from .domains import Domain
 from .dyadic import Window
+from .whitney import TAG_DOMAIN
 
 FIGURE_PX = 800                 # side of a curve or heatmap figure
 DECOMPOSITION_PX = 900          # side of a cube-layout figure
@@ -150,8 +151,6 @@ def draw_boundary(canvas: SvgCanvas, domain: Domain):
 
 
 def render_decomposition(dec, path):
-    from .whitney import TAG_DOMAIN
-
     w = dec.window
     c, fr = dec.cubes, dec.frontier
     with SvgCanvas(w, DECOMPOSITION_PX, path=path) as canvas:

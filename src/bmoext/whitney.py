@@ -53,14 +53,14 @@ _PROBE_CHUNK = 1 << 13                # cubes probed per vector pass
 INTERIOR_PROBES = 1024                # annulus points find_interior_point tries
 
 
-def matching_size_bound(epsilon: float, delta: float, n: int = N_DIM) -> float:
+def matching_size_bound(epsilon: float, delta: float) -> float:
     """Largest complement-cube side with a guaranteed comparable partner."""
-    return epsilon * delta / (16.0 * n)
+    return epsilon * delta / (16.0 * N_DIM)
 
 
-def matching_distance_constant(epsilon: float, n: int = N_DIM) -> float:
+def matching_distance_constant(epsilon: float) -> float:
     """Partner-distance bound, in units of the queried cube's side."""
-    return 5.0 * math.sqrt(n) + 8.0 * n / epsilon ** 2
+    return 5.0 * SQRT_N + 8.0 * N_DIM / epsilon ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def check_invariants(dec: WhitneyDecomposition):
             "families plus frontier do not tile the window: leaf key ranges "
             f"overlap or leave a gap (first at leaf {int(gaps[0]) if gaps.size else 0})")
 
-    side = np.ldexp(dec.window.size, -c["level"])
+    side = dec.window.cell_sizes(c["level"])
     tol = 1e-9 * dec.window.size
     for bad, bound in ((c["dist_lo"] < WC2_LOW * side - tol, "below side"),
                        ((c["dist_hi"] > WC2_HIGH * side + tol) & (c["level"] >= 1),

@@ -209,15 +209,15 @@ def test_refine_paths_split_mid_run_match_one_path_loop(monkeypatch):
     cuts = []
     split_long = qhyper._split_long
 
-    def spy(p, max_len):
-        out, src = split_long(p, max_len)
+    def spy(p, owners, max_len):
+        out, owners, src = split_long(p, owners, max_len)
         cuts.append(int((src < 0).sum()))
-        return out, src
+        return out, owners, src
 
     monkeypatch.setattr(qhyper, "_split_long", spy)
     got = _refine_paths(dom, chords, H_DISK)
-    # the first len(chords) calls split the inputs; later ones run mid-run
-    assert sum(cuts[len(chords):]) > 0
+    # the first call splits all the inputs; later ones run mid-run
+    assert sum(cuts[1:]) > 0
     for p, g in zip(chords, got):
         assert np.array_equal(g, reference_refine_path(dom, p, H_DISK)[0])
     for name in ("cusp(4)", "square_hole"):

@@ -269,6 +269,21 @@ def test_interior_empty_raises(disk_graph):
         qh_distance_to_interior(disk_graph, (0.0, 0.9), 3.0)
 
 
+def test_unbracketed_source_leg_is_a_quadrature_error(tmp_path, capsys):
+    # 1e-10 above the slit, the leg to the snapped node never brackets; both
+    # whole-graph solves share that leg, and the CLI reports a run failure
+    slit = slit_disk(1.0, 0.5)
+    graph = bmo.field_graph(slit, slit.default_window, 6)
+    x = np.array([0.75, 1e-10])
+    with pytest.raises(QuadratureError):
+        bmo.qh_distance_field(graph, x)
+    with pytest.raises(QuadratureError):
+        qh_distance_to_interior(graph, x, 0.5)
+    assert main(["norm", "--domain", "slit_disk:1,0.5", "--function", "qh:0.75,1e-10",
+                 "--resolution", "1/64", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_eta_basics(hp, hp_graph):
     assert eta_lambda(hp_graph, (0, 2), (1, 3), 1.0) == 0.0
     w = Window((-2.0, 0.0), 8.0)
