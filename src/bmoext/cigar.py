@@ -96,9 +96,11 @@ def epsilon_upper_bound(domain: Domain, x, y) -> np.ndarray:
     Samples each pair's perpendicular bisector (which every joining curve
     must cross inside the domain), refines around the maximum, scales it by
     CAP_SLACK and adds a Lipschitz tail bound beyond the sampled reach; a
-    peak between samples can exceed the cap. All pairs go through
-    each step together, in oracle calls of at most EVAL_BUDGET points; a
-    pair's zoom stops on its own when its bracket closes.
+    peak between samples can exceed the cap. A cap depends only on its own
+    pair, so the pairs go through the whole zoom in blocks of
+    EVAL_BUDGET // 321 (a pair's first pass samples 321 points), with one
+    oracle call per step of a block; a pair's zoom stops on its own when
+    its bracket closes.
     """
     x = np.asarray(x, float).reshape(-1, 2)
     y = np.asarray(y, float).reshape(-1, 2)
@@ -107,6 +109,15 @@ def epsilon_upper_bound(domain: Domain, x, y) -> np.ndarray:
         raise ValueError("pair must have distinct endpoints")
     if not len(x):
         return np.empty(0)
+    step = max(1, EVAL_BUDGET // 321)
+    return np.concatenate([_block_caps(domain, x[lo:lo + step], y[lo:lo + step],
+                                       sep[lo:lo + step])
+                           for lo in range(0, len(x), step)])
+
+
+def _block_caps(domain: Domain, x: np.ndarray, y: np.ndarray,
+                sep: np.ndarray) -> np.ndarray:
+    """epsilon_upper_bound of one block of pairs with separations sep."""
     sd_x, sd_y = domain.signed_distance(x), domain.signed_distance(y)
     dx = np.where(0.0 > sd_x, 0.0, sd_x)        # max(sd(x), 0.0)
     mid = 0.5 * (x + y)
@@ -118,9 +129,7 @@ def epsilon_upper_bound(domain: Domain, x, y) -> np.ndarray:
 
     def quotient(rows, tvals):
         z = mid[rows, None, :] + tvals[:, :, None] * u[rows, None, :]
-        step = max(1, EVAL_BUDGET // tvals.shape[1])
-        sd = np.concatenate([domain.signed_distance(z[lo:lo + step].reshape(-1, 2))
-                             for lo in range(0, len(rows), step)]).reshape(tvals.shape)
+        sd = domain.signed_distance(z.reshape(-1, 2)).reshape(tvals.shape)
         xr, yr, sr = x[rows, None, :], y[rows, None, :], sep[rows, None]
         rx = np.hypot(z[..., 0] - xr[..., 0], z[..., 1] - xr[..., 1])
         ry = np.hypot(z[..., 0] - yr[..., 0], z[..., 1] - yr[..., 1])

@@ -22,16 +22,20 @@ from .dyadic import Window, grid_centers, resolution_level
 from .errors import DisconnectedGraphError, EmptyInteriorError, QuadratureError
 
 _SD_FLOOR_FRAC = 1e-12  # of the window side: below this the integrand is unbounded
-EVAL_BUDGET = 1 << 20   # oracle points per call of segment_qh_batch
+# oracle points per call, edges per block of a graph build and bisector
+# samples per block of caps: a batch's transients take about 100 B a point
+# (98 B on disk(1), 130 B on cusp(4) under tracemalloc), so a 2 MiB cap on
+# them at 128 B a point gives 16,384
+EVAL_BUDGET = (2 << 20) // 128
 MAX_DOUBLINGS = 22      # a segment gets at most 2^22 panels
 CANDIDATE_PANELS = 8    # fixed midpoint panels of a refinement candidate
 EDGE_RTOL = 2e-2        # relative quadrature error of a graph edge weight
 QUAD_TOL = 2e-3         # relative quadrature error of a returned curve length
 REFINE_RTOL = 1e-4      # refinement stops when a round gains less than this
 REFINE_ROUNDS = 60      # ... or after this many rounds
-# finest graph level: the build's peak grows about threefold per level
-# (disk(1) in a fresh process: 101 MB RSS at level 9, 209 MB at level 10,
-# 582 MB at level 11), so level 12 would take well over 1 GB
+# finest graph level: the build's peak tends to grow fourfold per level, as
+# the graph does (disk(1) in a fresh process: 85 MB RSS at level 9, 146 MB
+# at level 10, 392 MB at level 11), so level 12 would take well over 1 GB
 MAX_GRAPH_LEVEL = 11
 
 
@@ -214,7 +218,7 @@ class MetricGraph:
     level: int
     node_pos: np.ndarray
     node_sd: np.ndarray
-    node_grid: np.ndarray          # (N, N) int64 node index, -1 where absent
+    node_grid: np.ndarray          # (N, N) int32 node index, -1 where absent
     adj: csr_matrix = field(repr=False)
 
     def __post_init__(self):
@@ -279,9 +283,37 @@ def _graph_nodes(domain: Domain, window: Window, level: int, margin: float):
     centers = grid_centers(window, level)
     sd = domain.signed_distance(centers)
     flat = np.nonzero(sd > margin)[0]
-    node_grid = np.full((n, n), -1, dtype=np.int64)
+    node_grid = np.full((n, n), -1, dtype=np.int32)
     node_grid.ravel()[flat] = np.arange(flat.size)
     return node_grid, centers[flat], sd[flat]
+
+
+def _offset_edges(node_grid: np.ndarray):
+    """Per forward offset (f, t, fs, ts): the ids of every pair of nodes
+    in neighbouring cells at that offset, f ascending, and the slots the
+    edge fills in f's and in t's row."""
+    n = len(node_grid)
+    for di, dj, fs, ts in _OFFSETS:
+        lo_i, hi_i = max(0, -di), n - max(0, di)
+        lo_j, hi_j = max(0, -dj), n - max(0, dj)
+        from_ids = node_grid[lo_i:hi_i, lo_j:hi_j]
+        to_ids = node_grid[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
+        ok = (from_ids >= 0) & (to_ids >= 0)
+        yield from_ids[ok], to_ids[ok], fs, ts
+
+
+def _csr_layout(node_grid: np.ndarray, n_nodes: int):
+    """(rank, indptr) of the CSR rows of every edge the grid can have: a
+    node's neighbours in ascending node order sit in slot order, so its
+    neighbour in slot s goes to indptr[v] + rank[v, s] - 1."""
+    has = np.zeros((n_nodes, 8), dtype=bool)
+    for f, t, fs, ts in _offset_edges(node_grid):
+        has[f, fs] = has[t, ts] = True
+    rank = np.cumsum(has, axis=1, dtype=np.int8)
+    # nnz <= 8 * 4^MAX_GRAPH_LEVEL fits the int32 indices scipy would choose
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(rank[:, -1], out=indptr[1:])
+    return rank, indptr
 
 
 def build_metric_graph(domain: Domain, window: Window, resolution: float,
@@ -296,45 +328,32 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
     if not 0 < level <= MAX_GRAPH_LEVEL:
         raise ValueError("graph resolution must be 1/2^k with "
                          f"1 <= k <= {MAX_GRAPH_LEVEL}, got {resolution}")
-    n = 1 << level
     node_grid, node_pos, node_sd = _graph_nodes(domain, window, level,
                                                 node_margin * window.cell_size(level))
-
-    # a node's neighbours in ascending node order sit in slot order, so each
-    # edge's two entries go straight to their places in the sorted CSR rows
     n_nodes = len(node_pos)
-    has = np.zeros((n_nodes, 8), dtype=bool)
-    edges = []
-    floor = _SD_FLOOR_FRAC * window.size
-    for di, dj, fs, ts in _OFFSETS:
-        lo_i = max(0, -di)
-        hi_i = n - max(0, di)
-        lo_j = max(0, -dj)
-        hi_j = n - max(0, dj)
-        from_ids = node_grid[lo_i:hi_i, lo_j:hi_j]
-        to_ids = node_grid[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
-        ok = (from_ids >= 0) & (to_ids >= 0)
-        f = from_ids[ok]
-        t = to_ids[ok]
-        if f.size == 0:
-            continue
-        w, _, valid = segment_qh_batch(domain, node_pos[f], node_pos[t],
-                                       rtol=EDGE_RTOL, floor=floor)
-        f, t = f[valid].astype(np.int32), t[valid].astype(np.int32)
-        has[f, fs] = has[t, ts] = True
-        edges.append((f, t, w[valid], fs, ts))
-
-    # nnz <= 8 * 4^MAX_GRAPH_LEVEL fits the int32 indices scipy would choose
-    rank = np.cumsum(has, axis=1, dtype=np.int8)
-    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
-    np.cumsum(rank[:, -1], out=indptr[1:])
+    rank, indptr = _csr_layout(node_grid, n_nodes)
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    for f, t, w, fs, ts in edges:
-        for a, b, slot in ((f, t, fs), (t, f, ts)):
-            at = indptr[a] + (rank[a, slot] - 1)
-            data[at] = w
-            indices[at] = b
+    # each offset's edges in blocks of EVAL_BUDGET, every weight written
+    # straight to its two places; an edge that cannot be bracketed weighs inf
+    floor = _SD_FLOOR_FRAC * window.size
+    dropped = False
+    for f, t, fs, ts in _offset_edges(node_grid):
+        for lo in range(0, f.size, EVAL_BUDGET):
+            bf, bt = f[lo:lo + EVAL_BUDGET], t[lo:lo + EVAL_BUDGET]
+            w, _, valid = segment_qh_batch(domain, node_pos[bf], node_pos[bt],
+                                           rtol=EDGE_RTOL, floor=floor)
+            dropped |= not valid.all()
+            for a, b, slot in ((bf, bt, fs), (bt, bf, ts)):
+                at = indptr[a] + (rank[a, slot] - 1)
+                data[at] = w
+                indices[at] = b
+    if dropped:
+        # one compaction removes the unbracketed edges' entries
+        keep = np.isfinite(data)
+        kept = np.zeros(len(data) + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        indptr, data, indices = kept[indptr], data[keep], indices[keep]
     adj = csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
     return MetricGraph(domain, window, level, node_pos, node_sd, node_grid, adj)
 

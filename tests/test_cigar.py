@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,55 @@ def test_upper_bound_dominates_curve_epsilon(disk1, disk_graph, rng):
             continue
         assert epsilon_upper_bound(disk1, [x], [y])[0] >= e - 1e-9
         done += 1
+
+
+@pytest.fixture(scope="module")
+def slit_cap_pairs():
+    """The slit disk and the (x, y) of every pair that classify at 1/128,
+    24 pairs, seed 7 caps, as in the polygon-geodesic benchmark."""
+    dom = slit_disk(1.0, 0.5)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cigar, "epsilon_upper_bound",
+                   lambda d, x, y: seen.append((np.asarray(x), np.asarray(y)))
+                   or np.zeros(len(x)))
+        cigar._sample_pairs(dom, dom.default_window, 0.5, 24, 1 / 128, 7)
+    (x, y), = seen
+    return dom, x, y
+
+
+def test_caps_do_not_depend_on_the_budget(slit_cap_pairs, monkeypatch):
+    dom, x, y = slit_cap_pairs
+    sizes = []
+
+    def sd_func(pts):
+        sizes.append(len(pts))
+        return dom.sd_func(pts)
+
+    default = epsilon_upper_bound(dom, x, y)
+    # cigar holds its own binding of EVAL_BUDGET: patch the one caps read
+    monkeypatch.setattr(cigar, "EVAL_BUDGET", 1 << 30)
+    whole = epsilon_upper_bound(dom, x, y)
+    monkeypatch.setattr(cigar, "EVAL_BUDGET", 7 * 321)
+    split = epsilon_upper_bound(dataclasses.replace(dom, sd_func=sd_func), x, y)
+    assert len(x) > 100 * 7
+    assert max(sizes) == 7 * 321
+    assert np.array_equal(whole, default)
+    assert np.array_equal(whole, split)
+
+
+@pytest.mark.memory
+def test_cap_memory_is_bounded(slit_cap_pairs):
+    # the (pairs x 321) work arrays of all pairs at once took 41.5 MiB here
+    dom, x, y = slit_cap_pairs
+    tracemalloc.start()
+    try:
+        epsilon_upper_bound(dom, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(x) > 1000
+    assert peak < 8 * 2**20
 
 
 def test_slit_tip_pair_arithmetic():

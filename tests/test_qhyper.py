@@ -384,9 +384,23 @@ def test_csr_matches_coo_assembly_on_star_polygons(case):
     assert_same_csr(g.adj, reference_adjacency(dom, dom.default_window, 1 / 32))
 
 
+def test_csr_drops_unbracketed_edges_across_blocks(monkeypatch):
+    # at this margin nodes sit on both sides of the slit and the edges that
+    # cross it cannot be bracketed; every offset spans several blocks
+    dom = slit_disk(1.0, 0.5)
+    window = dom.default_window
+    monkeypatch.setattr(qhyper, "EVAL_BUDGET", 256)
+    g = build_metric_graph(dom, window, 1 / 64, node_margin=0.25)
+    sizes = [f.size for f, *_ in qhyper._offset_edges(g.node_grid)]
+    assert min(sizes) > 2 * qhyper.EVAL_BUDGET
+    assert g.adj.nnz < 2 * sum(sizes)
+    assert_same_csr(g.adj, reference_adjacency(dom, window, 1 / 64, node_margin=0.25))
+
+
 @pytest.mark.memory
 def test_graph_build_memory_is_bounded(hp):
-    # the COO assembly peaked at 113 MB here; the graph itself holds 33 MB
+    # per-offset edge lists and whole-offset quadrature batches peaked at
+    # 62.7 MiB here; the graph itself holds 31.9 MiB
     tracemalloc.start()
     try:
         g = build_metric_graph(hp, HP_WINDOW, 1 / 512)
@@ -394,7 +408,7 @@ def test_graph_build_memory_is_bounded(hp):
     finally:
         tracemalloc.stop()
     assert g.adj.nnz > 2_000_000
-    assert peak < 80 * 2**20
+    assert peak < 44 * 2**20
 
 
 def test_edge_weight_brackets(disk1, disk_graph, rng):
