@@ -16,7 +16,7 @@ import numpy as np
 from .domains import Domain
 from .dyadic import DyadicCube, SQRT_N, Window, grid_centers
 from .errors import DisconnectedGraphError
-from .qhyper import MetricGraph, _solve_from, build_metric_graph
+from .qhyper import EVAL_BUDGET, MetricGraph, _solve_from, build_metric_graph
 from .whitney import TAG_DOMAIN
 
 MASK_OUTSIDE = 0
@@ -25,10 +25,24 @@ MASK_STRADDLING = 2
 
 SWEEP_BUDGET = 1 << 26
 CELLWISE_AMPLITUDE = 0.5    # half-width of the cube values of a cellwise field
+_PAIRWISE_BLOCK = 128       # numpy sums a contiguous run this long in one unrolled loop
 
 
 def log_plus(x: float) -> float:
     return max(math.log(x), 0.0) if x > 0 else 0.0
+
+
+def _band_rows(n: int) -> int:
+    """Rows in a band of an n-wide grid: the most rows, a power of two, that
+    hold at most EVAL_BUDGET cells, and at least one row. So the bands of a
+    dyadic grid split it evenly and nest with its dyadic cube rows."""
+    return min(n, 1 << max((EVAL_BUDGET // n).bit_length() - 1, 0))
+
+
+def _bands(n: int) -> list:
+    """The row slices of an n x n grid's bands, in order."""
+    rows = _band_rows(n)
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
 @dataclass
@@ -55,7 +69,9 @@ class GridFunction:
 
     @property
     def straddling_fraction(self) -> float:
-        return float((self.mask == MASK_STRADDLING).mean())
+        straddling = sum(int(np.count_nonzero(self.mask[rows] == MASK_STRADDLING))
+                         for rows in _bands(len(self.mask)))
+        return straddling / self.mask.size
 
     def counted(self, cells: str, block=np.s_[:, :]) -> np.ndarray:
         """Cells of the block (the whole grid by default) that integrals count."""
@@ -75,31 +91,44 @@ class GridFunction:
         return slice(i * f, (i + 1) * f), slice(j * f, (j + 1) * f)
 
 
-def classify_cells(domain: Domain, window: Window, level: int):
-    n = 1 << level
-    centers = grid_centers(window, level)
-    sd = domain.signed_distance(centers).reshape(n, n)
+def _classify_band(domain: Domain, window: Window, level: int, rows: slice):
+    """Centers and classification mask of the cells in a band of grid rows."""
+    centers = grid_centers(window, level, rows)
+    sd = domain.signed_distance(centers).reshape(-1, 1 << level)
     half_diag = 0.5 * SQRT_N * window.cell_size(level)
-    mask = np.full((n, n), MASK_STRADDLING, dtype=np.int8)
+    mask = np.full(sd.shape, MASK_STRADDLING, dtype=np.int8)
     mask[sd >= half_diag] = MASK_INSIDE
     mask[sd <= -half_diag] = MASK_OUTSIDE
-    return mask, sd, centers.reshape(n, n, 2)
+    return centers, mask
+
+
+def classify_cells(domain: Domain, window: Window, level: int) -> np.ndarray:
+    """The cell mask of the level-`level` grid, classified band by band."""
+    n = 1 << level
+    mask = np.empty((n, n), dtype=np.int8)
+    for rows in _bands(n):
+        mask[rows] = _classify_band(domain, window, level, rows)[1]
+    return mask
 
 
 def sample_grid_function(domain: Domain, window: Window, level: int, fn,
                          everywhere: bool = False) -> GridFunction:
-    """Evaluate a vectorized field at cell centers.
+    """Evaluate a vectorized field at cell centers, one call of fn per band
+    of rows, so fn must map each point on its own.
 
     With everywhere=False the values are NaN off the inside cells, which is
     the honest representation for functions only known on the domain.
     """
     domain.check_window(window)
-    mask, _, centers = classify_cells(domain, window, level)
     n = 1 << level
-    vals = np.asarray(fn(centers.reshape(-1, 2)), dtype=float).reshape(n, n)
-    if not everywhere:
-        vals = np.where(mask == MASK_INSIDE, vals, np.nan)
-    return GridFunction(window, level, vals, mask)
+    values = np.empty((n, n))
+    mask = np.empty((n, n), dtype=np.int8)
+    for rows in _bands(n):
+        centers, mask[rows] = _classify_band(domain, window, level, rows)
+        vals = np.asarray(fn(centers), dtype=float).reshape(-1, n)
+        values[rows] = vals if everywhere else np.where(mask[rows] == MASK_INSIDE,
+                                                        vals, np.nan)
+    return GridFunction(window, level, values, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -114,37 +143,94 @@ def cube_average(f: GridFunction, q: DyadicCube) -> float:
     return math.fsum(vals.tolist()) / vals.size
 
 
-def _counted_values(f: GridFunction, cells: str):
-    """The level-free inputs of _level_stats: the counted-cell mask and the
-    values with every other cell set to zero."""
-    counted = f.counted(cells)
-    return counted, np.where(counted, np.nan_to_num(f.values, nan=0.0), 0.0)
+def _counted_values(f: GridFunction, cells: str, rows: slice):
+    """The level-free inputs of _level_stats on a band of rows: the
+    counted-cell mask and the values with every other cell set to zero."""
+    counted = f.counted(cells, rows)
+    v = np.where(counted, f.values[rows], 0.0)
+    if not np.isfinite(v).all():        # rare, and nan_to_num is most of a band's cost
+        np.nan_to_num(v, copy=False, nan=0.0)
+    return counted, v
 
 
-def _level_stats(counted: np.ndarray, v: np.ndarray, level: int):
-    """(means, oscillations, counts) over the dyadic cubes at `level` of a
-    grid, given its `_counted_values`."""
-    nb = 1 << level
-    b = len(v) >> level
-    v4 = v.reshape(nb, b, nb, b)
-    c4 = counted.reshape(nb, b, nb, b)
-    counts = c4.sum(axis=(1, 3))
-    sums = v4.sum(axis=(1, 3))
+def _per_count(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    dev = np.where(c4, np.abs(v4 - means[:, None, :, None]), 0.0).sum(axis=(1, 3))
-    with np.errstate(invalid="ignore"):
-        osc = np.where(counts > 0, dev / np.maximum(counts, 1), np.nan)
-    return means, osc, counts
+        return np.where(counts > 0, total / np.maximum(counts, 1), np.nan)
 
 
-def _contained_mask(f: GridFunction, domain: Domain | None, level: int):
-    """Conservative test for 'cube inside the domain' at a sweep level: the
-    clearance at the cube center is at least half the cube's diagonal."""
-    nb = 1 << level
-    if domain is None:
-        return np.ones((nb, nb), dtype=bool)
-    sd = domain.signed_distance(grid_centers(f.window, level)).reshape(nb, nb)
+def _level_stats(f: GridFunction, cells: str, levels):
+    """(level, first cube row, means, oscillations, counts) over the dyadic
+    cubes at each of `levels`, in blocks of whole cube rows that come in row
+    order within each level, from bands of at most EVAL_BUDGET cells.
+
+    The levels whose cube rows fit in a band share each band's counted
+    values and reduce its whole cube rows on their own. A coarser level's
+    cube row spans several bands, whose sums and deviations add up as numpy
+    groups one reduction of the whole grid, so every bit agrees. At level
+    >= 1 that is row after row of pairwise sums over each cube's run of
+    cells. At level 0 it is one pairwise sum of the whole grid, whose halves,
+    down to _PAIRWISE_BLOCK values, are the power-of-two bands' sums combined
+    as a balanced binary tree."""
+    n = f.n_cells
+    rows = _band_rows(n)
+    fine = [lvl for lvl in levels if n >> lvl <= rows]
+    for lo in range(0, n, rows) if fine else ():
+        counted, v = _counted_values(f, cells, slice(lo, lo + rows))
+        for lvl in fine:
+            nb, b = 1 << lvl, n >> lvl
+            c4, v4 = counted.reshape(-1, b, nb, b), v.reshape(-1, b, nb, b)
+            counts = c4.sum(axis=(1, 3))
+            means = _per_count(v4.sum(axis=(1, 3)), counts)
+            dev = np.where(c4, np.abs(v4 - means[:, None, :, None]), 0.0).sum(axis=(1, 3))
+            yield lvl, lo // b, means, _per_count(dev, counts), counts
+    for lvl in levels:
+        if lvl not in fine:
+            yield from _spanning_stats(f, cells, lvl, rows)
+
+
+def _spanning_stats(f: GridFunction, cells: str, level: int, rows: int):
+    """_level_stats of one level whose cube rows are taller than a band of
+    `rows` rows, one cube row at a time: a pass over its bands for the sums,
+    then one for the deviations from the means."""
+    n = f.n_cells
+    nb, b = 1 << level, n >> level
+    if level == 0:
+        rows = max(rows, min(n, _PAIRWISE_BLOCK // n))
+
+    def part(w):        # a band's share of its cube row's sums
+        return w.sum() if level == 0 else w.sum(axis=2)
+
+    def combine(parts):
+        if level == 0:
+            while len(parts) > 1:
+                parts = [x + y for x, y in zip(parts[::2], parts[1::2])]
+            return np.array(parts)
+        total = np.zeros(nb)
+        for row in np.concatenate(parts):
+            total += row
+        return total
+
+    for i in range(nb):
+        bands = [slice(lo, lo + rows) for lo in range(i * b, (i + 1) * b, rows)]
+        counts, sums = 0, []
+        for band in bands:
+            counted, v = _counted_values(f, cells, band)
+            counts = counts + counted.reshape(-1, nb, b).sum(axis=(0, 2))
+            sums.append(part(v.reshape(-1, nb, b)))
+        means = _per_count(combine(sums), counts)
+        devs = []
+        for band in bands:
+            counted, v = _counted_values(f, cells, band)
+            devs.append(part(np.where(counted.reshape(-1, nb, b),
+                                      np.abs(v.reshape(-1, nb, b) - means[:, None]), 0.0)))
+        yield level, i, means[None], _per_count(combine(devs), counts)[None], counts[None]
+
+
+def _contained_mask(f: GridFunction, domain: Domain, level: int, rows: slice):
+    """Conservative test for 'cube inside the domain' on a block of cube rows
+    at a sweep level: the clearance at the cube center is at least half the
+    cube's diagonal."""
+    sd = domain.signed_distance(grid_centers(f.window, level, rows)).reshape(-1, 1 << level)
     side = f.window.cell_size(level)
     return sd >= 0.5 * SQRT_N * side - 1e-12 * f.window.size
 
@@ -167,9 +253,10 @@ class NormReport:
 def require_defined(f: GridFunction, cells: str):
     """Counted cells must carry finite values; NaN would silently leak
     zeros into the sums."""
-    bad = f.counted(cells) & ~np.isfinite(f.values)
-    if bad.any():
-        raise ValueError(f"{int(bad.sum())} counted cells have no value; "
+    bad = sum(int(np.count_nonzero(f.counted(cells, rows) & ~np.isfinite(f.values[rows])))
+              for rows in _bands(f.n_cells))
+    if bad:
+        raise ValueError(f"{bad} counted cells have no value; "
                          "the function is not defined on the requested cells")
 
 
@@ -187,21 +274,25 @@ def _norm_report(f: GridFunction, domain: Domain | None, lam: float | None) -> N
     if subsampled:
         levels = levels[::2] + [f.level]
 
-    # (value, (level, i, j)) of the first largest cube below lam, then at or above it
-    best = [(-math.inf, None), (-math.inf, None)]
-    counted, v = _counted_values(f, cells)
-    for lvl in levels:
-        # the oracle call before the level's stats keeps its peak memory low
-        inside = _contained_mask(f, domain, lvl)
-        means, osc, counts = _level_stats(counted, v, lvl)
-        inside &= counts > 0
-        if not inside.any():
-            continue
-        large = lam is not None and f.window.cell_size(lvl) >= lam
-        cand = np.where(inside, np.abs(means) if large else osc, -math.inf)
+    def is_large(lvl):
+        return lam is not None and f.window.cell_size(lvl) >= lam
+
+    # per level, (value, (level, i, j)) of its first largest cube; a level's
+    # blocks come in (i, j) order, so a strictly larger one wins
+    level_best = {}
+    for lvl, i0, means, osc, counts in _level_stats(f, cells, levels):
+        inside = counts > 0
+        if domain is not None:
+            inside &= _contained_mask(f, domain, lvl, slice(i0, i0 + len(counts)))
+        cand = np.where(inside, np.abs(means) if is_large(lvl) else osc, -math.inf)
         pos = np.unravel_index(np.argmax(cand), cand.shape)
-        if cand[pos] > best[large][0]:
-            best[large] = (float(cand[pos]), (lvl, int(pos[0]), int(pos[1])))
+        if cand[pos] > level_best.get(lvl, (-math.inf,))[0]:
+            level_best[lvl] = (float(cand[pos]), (lvl, i0 + int(pos[0]), int(pos[1])))
+    # the first largest below lam, then at or above it, in level order
+    best = [(-math.inf, None), (-math.inf, None)]
+    for lvl in levels:
+        if lvl in level_best and level_best[lvl][0] > best[is_large(lvl)][0]:
+            best[is_large(lvl)] = level_best[lvl]
     (small, s_at), (large, l_at) = [(max(v, 0.0), at) for v, at in best]
     return NormReport(max(small, large), small, large, lam,
                       s_at if small >= large else l_at, s_at, l_at,
@@ -234,23 +325,25 @@ def dyadic_abc_norm(f: GridFunction, lam: float) -> NormReport:
     b_val = 0.0
     c_val = 0.0
     c_floor = lam / (16.0 * SQRT_N)
-    counted, v = _counted_values(f, cells)
-    for lvl in range(0, f.level + 1):
-        side = f.window.cell_size(lvl)
-        means, osc, counts = _level_stats(counted, v, lvl)
+    prev = {}       # per level, the last cube row of its previous block
+    for lvl, _, means, osc, counts in _level_stats(f, cells, range(0, f.level + 1)):
         ok = counts > 0
         if ok.any():
             a_val = max(a_val, float(np.max(np.where(ok, osc, -math.inf))))
-            if side >= c_floor:
+            if f.window.cell_size(lvl) >= c_floor:
                 c_val = max(c_val, float(np.max(np.where(ok, np.abs(means), -math.inf))))
+        # the block's gaps, and those to the cube row before it
+        m0, k0 = prev.get(lvl, (means[:0], ok[:0]))
+        m, k = np.concatenate([m0, means]), np.concatenate([k0, ok])
         for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            lo_i, hi_i = max(0, -di), means.shape[0] - max(0, di)
-            lo_j, hi_j = max(0, -dj), means.shape[1] - max(0, dj)
-            m1 = means[lo_i:hi_i, lo_j:hi_j]
-            m2 = means[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
-            both = ok[lo_i:hi_i, lo_j:hi_j] & ok[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
+            lo_i, hi_i = max(0, -di), m.shape[0] - max(0, di)
+            lo_j, hi_j = max(0, -dj), m.shape[1] - max(0, dj)
+            m1 = m[lo_i:hi_i, lo_j:hi_j]
+            m2 = m[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
+            both = k[lo_i:hi_i, lo_j:hi_j] & k[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
             if both.any():
                 b_val = max(b_val, float(np.max(np.where(both, np.abs(m1 - m2), -math.inf))))
+        prev[lvl] = means[-1:], ok[-1:]
     direct = bmo_lambda_norm(f, None, lam)
     direct.abc = (a_val, b_val, c_val)
     return direct
@@ -274,7 +367,7 @@ def qh_distance_field(graph: MetricGraph, a) -> GridFunction:
     if not domain.sd(a) > 0:
         raise ValueError("source point must lie inside the domain")
     domain.check_window(window)
-    mask, _, _ = classify_cells(domain, window, level)
+    mask = classify_cells(domain, window, level)
     leg, dist, _ = _solve_from(graph, a)
 
     n = 1 << level
@@ -310,7 +403,7 @@ def whitney_cellwise_field(dec, grid_level: int, rng) -> GridFunction:
     covered by a cube inherit the nearest filled neighbor."""
     window = dec.window
     n = 1 << grid_level
-    mask, _, _ = classify_cells(dec.domain, window, grid_level)
+    mask = classify_cells(dec.domain, window, grid_level)
     # one draw per domain cube no finer than the grid, in build order; each
     # grid cell inside such a cube takes its value
     c = dec.cubes
@@ -344,13 +437,17 @@ def _domain_cube_means(f: GridFunction, dec):
     c = dec.cubes
     out = np.full(len(c), np.nan)
     rows = np.flatnonzero((c["tag"] == TAG_DOMAIN) & (c["level"] <= f.level))
-    counted, v = _counted_values(f, "inside")
+    by_row = {}     # per level, its cubes sorted by cube row, and those rows
     for lvl in np.unique(c["level"][rows]).tolist():
-        means, _, counts = _level_stats(counted, v, lvl)
         k = rows[c["level"][rows] == lvl]
-        i, j = c["i"][k], c["j"][k]
+        k = k[np.argsort(c["i"][k], kind="stable")]
+        by_row[lvl] = k, c["i"][k]
+    for lvl, i0, means, _, counts in _level_stats(f, "inside", list(by_row)):
+        k, ki = by_row[lvl]
+        block = k[np.searchsorted(ki, i0):np.searchsorted(ki, i0 + len(means))]
+        i, j = c["i"][block] - i0, c["j"][block]
         ok = counts[i, j] > 0
-        out[k[ok]] = means[i[ok], j[ok]]
+        out[block[ok]] = means[i[ok], j[ok]]
     return out
 
 

@@ -113,12 +113,14 @@ def level_cell_centers(window: Window, level: int, ij: np.ndarray) -> np.ndarray
     return np.asarray(window.origin) + (ij + 0.5) * s
 
 
-def grid_centers(window: Window, level: int) -> np.ndarray:
-    """Centers of every level-`level` cell as an (n^2, 2) array in (i, j)
-    order: `level_cell_centers` of the whole index grid, bit for bit."""
+def grid_centers(window: Window, level: int, rows: slice = slice(None)) -> np.ndarray:
+    """Centers of the level-`level` cells in a range of cell rows (every
+    row by default) as an (m n, 2) array in (i, j) order:
+    `level_cell_centers` of those rows of the index grid, bit for bit."""
     n = 1 << level
     s = window.cell_size(level)
-    centers = np.empty((n, n, 2))
-    centers[..., 0] = (window.origin[0] + (np.arange(n) + 0.5) * s)[:, None]
+    i = np.arange(n)[rows]
+    centers = np.empty((len(i), n, 2))
+    centers[..., 0] = (window.origin[0] + (i + 0.5) * s)[:, None]
     centers[..., 1] = window.origin[1] + (np.arange(n) + 0.5) * s
     return centers.reshape(-1, 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bmo import (GridFunction, MASK_INSIDE, MASK_OUTSIDE, NormReport,
+from .bmo import (GridFunction, MASK_INSIDE, MASK_OUTSIDE, NormReport, _bands,
                   bmo_lambda_norm, cube_average, dipole_field, field_graph,
                   qh_distance_field, sample_grid_function, whitney_cellwise_field)
 from .domains import Domain, intro_lipschitz
@@ -57,7 +57,7 @@ class ExtensionPlan:
     mask: np.ndarray                    # the grid's cell classification
     lam: float
     # per cell: -1 keeps f on inside cells (NaN elsewhere), 0 paints zero,
-    # k >= 1 paints the mean of f over sources[k - 1]
+    # k >= 1 paints the mean of f over sources[k - 1]; int32
     source: np.ndarray
     sources: tuple                      # distinct matched domain cubes
     assignment: np.ndarray              # (A, 6): complement key, matched key
@@ -147,7 +147,7 @@ def plan_extension(dec: WhitneyDecomposition, mask, lam: float, epsilon: float,
         raise ExtensionError([tuple(k) for k in keys[failed].tolist()])
     paint[failed] = 0
 
-    cube_paint = np.full(len(dec.cubes) + 1, -1)    # the last entry serves row -1
+    cube_paint = np.full(len(dec.cubes) + 1, -1, dtype=np.int32)   # the last entry serves row -1
     cube_paint[comp] = paint
     source = cube_paint[dec.cell_rows(level)]
 
@@ -212,9 +212,13 @@ def extend(f: GridFunction, plan: ExtensionPlan) -> ExtensionResult:
     if (f.window != plan.window or f.level != plan.level
             or not np.array_equal(f.mask, plan.mask)):
         raise ValueError("grid function and plan differ in window, level or mask")
-    table = np.array([0.0] + [cube_average(f, q) for q in plan.sources])
-    own = np.where(f.mask == MASK_INSIDE, f.values, np.nan)
-    vals = np.where(plan.source < 0, own, table[plan.source])
+    # the last entry serves source -1: NaN, then f again on inside cells
+    table = np.array([0.0] + [cube_average(f, q) for q in plan.sources] + [np.nan])
+    vals = np.empty(f.values.shape)
+    for rows in _bands(f.n_cells):
+        src = plan.source[rows]
+        vals[rows] = table[src]
+        np.copyto(vals[rows], f.values[rows], where=(src < 0) & (f.mask[rows] == MASK_INSIDE))
 
     out = GridFunction(f.window, f.level, vals, f.mask.copy())
     return ExtensionResult(out, plan.assignment, plan.zero_region, plan.failed,

@@ -22,8 +22,10 @@ from .dyadic import Window, grid_centers, resolution_level
 from .errors import DisconnectedGraphError, EmptyInteriorError, QuadratureError
 
 _SD_FLOOR_FRAC = 1e-12  # of the window side: below this the integrand is unbounded
-# oracle points per call, edges per block of a graph build and bisector
-# samples per block of caps: a batch's transients take about 100 B a point
+# oracle points per call, edges per block of a graph build, bisector
+# samples per block of caps and cells per band of a grid pass in `bmo` and
+# `extension` (sampling, sweeps, extend): a batch's transients take about
+# 100 B a point
 # (98 B on disk(1), 130 B on cusp(4) under tracemalloc), so a 2 MiB cap on
 # them at 128 B a point gives 16,384
 EVAL_BUDGET = (2 << 20) // 128

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bmoext import Window, disk, half_plane
+from bmoext.bmo import _level_stats
 from bmoext.qhyper import build_metric_graph
 from bmoext.whitney import build_whitney
 
@@ -38,3 +39,10 @@ def hp_graph(hp):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def whole_level_stats(f, cells, level):
+    """(means, oscillations, counts) of every cube at `level`: the blocks of
+    cube rows from `_level_stats` joined in order."""
+    blocks = list(_level_stats(f, cells, [level]))
+    return tuple(np.concatenate([block[k] for block in blocks]) for k in (2, 3, 4))

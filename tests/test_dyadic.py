@@ -85,3 +85,7 @@ def test_grid_centers_match_the_three_grid_expressions(x0, y0, size, level):
     assert got.shape == (n * n, 2)
     for ref in refs:
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # a range of rows is the same rows of the whole grid
+    for lo in range(0, n, max(1, n // 8)):
+        band = grid_centers(window, level, slice(lo, lo + 3))
+        assert np.array_equal(band.view(np.int64), got[lo * n:(lo + 3) * n].view(np.int64))

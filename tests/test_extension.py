@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from bmoext import DyadicCube, Window, disk, intro_lipschitz, l_shape, slit_disk
+from bmoext import DyadicCube, Window, bmo, disk, intro_lipschitz, l_shape, slit_disk
 from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, GridFunction, classify_cells,
-                        dipole_field, dyadic_abc_norm, field_graph, log_plus,
-                        sample_grid_function, _counted_values, _level_stats)
+                        bmo_lambda_norm, dipole_field, dyadic_abc_norm, field_graph,
+                        log_plus, sample_grid_function)
 from bmoext.cigar import curve_constants, epsilon_from_ab
 from bmoext.dyadic import box_distance, resolution_level
 from bmoext.errors import ExtensionError
@@ -18,7 +21,7 @@ from bmoext.extension import (GROWTH_CELL, GROWTH_DELTA, GROWTH_EPSILON,
                               operator_norm_experiment, plan_extension)
 from bmoext.qhyper import j_distance
 from bmoext.whitney import TAG_COMPLEMENT, build_whitney, find_big_cube_near, matching_cube
-from tests.conftest import DISK_WINDOW
+from tests.conftest import DISK_WINDOW, whole_level_stats
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +57,7 @@ def test_max_extension_scale_values():
 NAN_CALLS = {
     "max_extension_scale": lambda dom, dec: max_extension_scale(0.3, math.nan),
     "plan_extension": lambda dom, dec: plan_extension(
-        dec, classify_cells(dom, DISK_WINDOW, 8)[0], math.nan, 0.3, 0.5),
+        dec, classify_cells(dom, DISK_WINDOW, 8), math.nan, 0.3, 0.5),
     "matching_cube": lambda dom, dec: matching_cube(
         dec, dec.cube(int(dec.indices(TAG_COMPLEMENT)[0])), 0.3, math.nan),
     "find_big_cube_near": lambda dom, dec: find_big_cube_near(dec, (0.9, 0.0), 0.3, math.nan),
@@ -240,8 +243,7 @@ def test_extension_average_growth_bound(disk_dec, suite, plan):
         tf = res.extended
         cubes = [disk_dec.cube(k) for k in range(len(disk_dec.cubes))]
         cubes = [q for q in cubes if q.level <= tf.level]
-        counted, v = _counted_values(tf, "inside")
-        stats = {lvl: _level_stats(counted, v, lvl) for lvl in {q.level for q in cubes}}
+        stats = {lvl: whole_level_stats(tf, "inside", lvl) for lvl in {q.level for q in cubes}}
         worst = 0.0
         for q in cubes:
             means, _, counts = stats[q.level]
@@ -278,6 +280,19 @@ def test_counterexample_growth_small():
     vals = [r["ratio"] for r in control]
     assert max(vals) / min(vals) <= 1.5
     assert all(not r["input_degenerate"] for r in control)
+
+
+@pytest.mark.memory
+def test_counterexample_memory_is_bounded():
+    # whole-grid sampling, norm sweeps and extend peaked at 33.4 MiB here;
+    # a band of rows at a time, measured 13.7 MiB
+    tracemalloc.start()
+    try:
+        counterexample_experiment([16], 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
 
 
 def test_counterexample_zero_control():
@@ -323,3 +338,28 @@ def test_plan_is_read_only(plan):
         with pytest.raises(ValueError):
             arr[...] = 0
     assert isinstance(plan.sources, tuple) and len(plan.sources) > 0
+
+
+def test_queries_on_a_shared_plan_run_concurrently(disk1, suite, plan):
+    # extend and the norm sweep on one plan and shared grid functions, four
+    # at a time, give the serial run's bits; bands of 16 rows make every
+    # call go through many bands while the others do
+    def run_extend(f):
+        res = extend(f, plan)
+        return (res.extended.values.tobytes(), res.extended.mask.tobytes(),
+                repr(dataclasses.astuple(res.input_report)),
+                repr(dataclasses.astuple(res.output_report)))
+
+    def run_norm(job):
+        f, lam = job
+        return repr(dataclasses.astuple(bmo_lambda_norm(f, disk1, lam)))
+
+    functions = [f for _, f in suite]
+    norm_jobs = [(f, lam) for f in functions for lam in (0.05, 0.3)]
+    with mock.patch.object(bmo, "EVAL_BUDGET", 16 * functions[0].n_cells):
+        serial = ([run_extend(f) for f in functions], [run_norm(j) for j in norm_jobs])
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                extended = pool.map(run_extend, functions)
+                norms = pool.map(run_norm, norm_jobs)
+                assert (list(extended), list(norms)) == serial
