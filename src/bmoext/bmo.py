@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain
-from .dyadic import DyadicCube, SQRT_N, Window, grid_centers
+from .dyadic import EVAL_BUDGET, DyadicCube, SQRT_N, Window, grid_centers
 from .errors import DisconnectedGraphError
-from .qhyper import EVAL_BUDGET, MetricGraph, _solve_from, build_metric_graph
+from .qhyper import MetricGraph, _solve_from, build_metric_graph
 from .whitney import TAG_DOMAIN
 
 MASK_OUTSIDE = 0

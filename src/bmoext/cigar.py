@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import Domain
-from .dyadic import Window, grid_centers
+from .dyadic import EVAL_BUDGET, Window, grid_centers
 from .errors import GeometryError, QuadratureError
-from .qhyper import (EVAL_BUDGET, QUAD_TOL, MetricGraph, Polyline, _curve_segments,
-                     _length_floor, _refine_paths, build_metric_graph, grid_path,
-                     j_distance)
+from .qhyper import (QUAD_TOL, MetricGraph, Polyline, _curve_segments, _length_floor,
+                     _refine_paths, build_metric_graph, grid_path, j_distance)
 
 ENDPOINT_EXCLUSION = 1e-3  # arclength fraction dropped around each endpoint
 SQRT2 = math.sqrt(2.0)

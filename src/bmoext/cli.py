@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bmo, cigar, extension, svgout
 from .domains import Domain, parse_domain_arg, parse_domain_file
-from .dyadic import Window, resolution_level
+from .dyadic import EVAL_BUDGET, Window, resolution_level
 from .errors import GeometryError, PolygonError
 from .qhyper import build_metric_graph, qh_distance
 from .whitney import FRONTIER, build_whitney
@@ -80,7 +80,7 @@ def write_csv(path, schema: str, header: list[str], columns):
     """Write a table given as equal-length columns (arrays or sequences),
     a chunk of rows at a time; each value prints as `_fmt` prints it."""
     n = len(columns[0]) if len(columns) else 0
-    step = svgout.CHUNK_ROWS
+    step = EVAL_BUDGET
     with open(path, "w", newline="") as fh:
         fh.write(f"# {CSV_VERSION} schema={schema}\n")
         fh.write(_csv_rows([[h] for h in header]))
@@ -103,7 +103,7 @@ def read_csv(path):
 
 
 def write_grid(path, gf: bmo.GridFunction):
-    step = max(1, svgout.CHUNK_ROWS // gf.n_cells)      # grid lines per pass
+    step = max(1, EVAL_BUDGET // gf.n_cells)     # grid lines per pass
     with open(path, "w") as fh:
         fh.write(f"# {GRID_VERSION}\n")
         fh.write(f"# window: {gf.window.origin[0]!r} {gf.window.origin[1]!r} "

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyadic import Window
+from .dyadic import EVAL_BUDGET, Window
 from .errors import PolygonError
 
 
@@ -80,12 +80,6 @@ def square(s: float = 2.0) -> Domain:
     m = 0.75 * s
     return Domain(sd, (-s, -s, s, s), f"square({s:g})",
                   default_window=Window((-m, -m), 2 * m))
-
-
-# The oracle's kernels work in blocks of at most this many (point, edge) or
-# (edge, edge) pairs, so their temporaries stay cache-sized whatever the
-# number of points.
-_BLOCK_PAIRS = 1 << 14
 
 
 # Relative margin on squared distances within which two edges count as
@@ -173,7 +167,7 @@ def _segment_distances(pts: np.ndarray, edges: tuple) -> np.ndarray:
     minimum over edges is a reduction across rows (_nearest).
     """
     out = np.empty(len(pts))
-    step = max(1, _BLOCK_PAIRS // len(edges[0]))
+    step = max(1, EVAL_BUDGET // len(edges[0]))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for lo in range(0, len(pts), step):
             px, py = pts[lo:lo + step, 0], pts[lo:lo + step, 1]
@@ -269,7 +263,7 @@ def _run_distances(pts: np.ndarray, index: _RunIndex) -> np.ndarray:
     number (_nearest).
     """
     out = np.empty(len(pts))
-    step = max(1, _BLOCK_PAIRS // index.cols.shape[1])
+    step = max(1, EVAL_BUDGET // index.cols.shape[1])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for lo in range(0, len(pts), step):
             px, py = pts[lo:lo + step, 0].copy(), pts[lo:lo + step, 1].copy()
@@ -325,7 +319,7 @@ def _crossings_parity(pts: np.ndarray, index: _SlabIndex) -> np.ndarray:
     parity); a point tests only the edges spanning its slab, in (edges,
     points) arrays."""
     inside = np.empty(len(pts), dtype=bool)
-    step = max(1, _BLOCK_PAIRS // index.edges.shape[0])
+    step = max(1, EVAL_BUDGET // index.edges.shape[0])
     for lo in range(0, len(pts), step):
         px, py = pts[lo:lo + step, 0], pts[lo:lo + step, 1]
         e = index.edges.take(np.searchsorted(index.heights, py, side="right"), axis=1)
@@ -353,7 +347,7 @@ def _first_crossing(loops: list[np.ndarray]):
     a, b = _edge_ends(loops)
     n = len(a)
     j = np.arange(n)
-    step = max(1, _BLOCK_PAIRS // n)
+    step = max(1, EVAL_BUDGET // n)
     for lo in range(0, n, step):
         i = np.arange(lo, min(lo + step, n))[:, None]
         o1, o2 = _orient(a[i], b[i], a[None]), _orient(a[i], b[i], b[None])

@@ -15,6 +15,17 @@ import numpy as np
 
 N_DIM = 2
 SQRT_N = math.sqrt(N_DIM)
+# The one batch size of every chunked pass: at most this many items at once,
+# whatever the input's size. An item is an oracle point or a graph edge
+# (`qhyper`, `cigar`), a ring probe (`whitney`: EVAL_BUDGET // 20 cubes), a
+# cell-box distance (`extension`'s frontier fill), a (point, edge) or (edge,
+# edge) pair (`domains`), a band cell of a grid pass (`bmo`, `extension`) or a
+# text row, square or grid value (`cli`, `svgout`). A batch's transients take
+# about 100 B a point (98 B on disk(1), 130 B on cusp(4) under tracemalloc)
+# and 89 B a ring probe, so a 2 MiB cap at 128 B an item gives 16,384. A text
+# pass peaks higher: 434 B a row of the 7-column cube table, 529 B an SVG
+# square, 73 B a grid-file value.
+EVAL_BUDGET = (2 << 20) // 128
 
 
 @dataclass(frozen=True)

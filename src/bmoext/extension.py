@@ -24,13 +24,12 @@ from .bmo import (GridFunction, MASK_INSIDE, MASK_OUTSIDE, NormReport, _bands,
                   bmo_lambda_norm, cube_average, dipole_field, field_graph,
                   qh_distance_field, sample_grid_function, whitney_cellwise_field)
 from .domains import Domain, intro_lipschitz
-from .dyadic import (DyadicCube, N_DIM, SQRT_N, Window, box_distance,
-                     resolution_level)
+from .dyadic import (EVAL_BUDGET, DyadicCube, N_DIM, SQRT_N, Window,
+                     box_distance, resolution_level)
 from .errors import ExtensionError, MatchingError
 from .whitney import (TAG_COMPLEMENT, WhitneyDecomposition, build_whitney,
                       matching_cube)
 
-_FILL_BUDGET = 1 << 20        # cell-cube distances held at once by the frontier fill
 # the window-growth experiment: cell side and geometry claimed for the plan
 GROWTH_CELL = 0.0625
 GROWTH_EPSILON = 0.3
@@ -196,7 +195,7 @@ def _nearest_boxes(window: Window, level: int, cells, lows, highs) -> np.ndarray
     for blo, rows in zip(b_lo, np.split(order, first[1:])):
         d = box_distance(blo, blo + size, lows, highs)
         box = np.flatnonzero(d <= d.min() + reach)
-        step = max(1, _FILL_BUDGET // len(box))      # cells per distance block
+        step = max(1, EVAL_BUDGET // len(box))       # cells per distance block
         for a in range(0, len(rows), step):
             c = centers[rows[a:a + step], None, :]
             # argmin takes the first of equals, and `box` is in box order
@@ -212,6 +211,8 @@ def extend(f: GridFunction, plan: ExtensionPlan) -> ExtensionResult:
     if (f.window != plan.window or f.level != plan.level
             or not np.array_equal(f.mask, plan.mask)):
         raise ValueError("grid function and plan differ in window, level or mask")
+    # the input's sweep runs before the output grid exists
+    input_report = bmo_lambda_norm(f, plan.domain, plan.lam)
     # the last entry serves source -1: NaN, then f again on inside cells
     table = np.array([0.0] + [cube_average(f, q) for q in plan.sources] + [np.nan])
     vals = np.empty(f.values.shape)
@@ -222,7 +223,7 @@ def extend(f: GridFunction, plan: ExtensionPlan) -> ExtensionResult:
 
     out = GridFunction(f.window, f.level, vals, f.mask.copy())
     return ExtensionResult(out, plan.assignment, plan.zero_region, plan.failed,
-                           plan.frontier_filled, bmo_lambda_norm(f, plan.domain, plan.lam),
+                           plan.frontier_filled, input_report,
                            bmo_lambda_norm(out, None, plan.lam))
 
 
@@ -328,6 +329,7 @@ def counterexample_experiment(window_sizes, lam: float, field=None):
             warnings.simplefilter("ignore")
             plan = plan_extension(dec, f.mask, lam, GROWTH_EPSILON, GROWTH_DELTA,
                                   best_effort=True)
+        del dec                 # the plan holds no reference to it
         res = extend(f, plan)
         rows.append({
             "window": float(r_size), "lam": lam, "resolution": GROWTH_CELL / side,

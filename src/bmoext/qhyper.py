@@ -18,17 +18,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sp_dijkstra
 
 from .domains import Domain
-from .dyadic import Window, grid_centers, resolution_level
+from .dyadic import EVAL_BUDGET, Window, grid_centers, resolution_level
 from .errors import DisconnectedGraphError, EmptyInteriorError, QuadratureError
 
 _SD_FLOOR_FRAC = 1e-12  # of the window side: below this the integrand is unbounded
-# oracle points per call, edges per block of a graph build, bisector
-# samples per block of caps and cells per band of a grid pass in `bmo` and
-# `extension` (sampling, sweeps, extend): a batch's transients take about
-# 100 B a point
-# (98 B on disk(1), 130 B on cusp(4) under tracemalloc), so a 2 MiB cap on
-# them at 128 B a point gives 16,384
-EVAL_BUDGET = (2 << 20) // 128
 MAX_DOUBLINGS = 22      # a segment gets at most 2^22 panels
 CANDIDATE_PANELS = 8    # fixed midpoint panels of a refinement candidate
 EDGE_RTOL = 2e-2        # relative quadrature error of a graph edge weight

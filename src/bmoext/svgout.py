@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 
 from .domains import Domain
-from .dyadic import Window
+from .dyadic import EVAL_BUDGET, Window
 from .whitney import TAG_DOMAIN
 
 FIGURE_PX = 800                 # side of a curve or heatmap figure
@@ -18,7 +18,6 @@ MARKER_PX = 3.0                 # radius of a curve endpoint marker
 BOUNDARY_SAMPLES = 256          # marching-squares cells per window side
 HEATMAP_BLOCKS = 256            # heatmap blocks per side at most
 CURVE_COLORS = ("#c02020", "#2020c0", "#20a020", "#c0a000")
-CHUNK_ROWS = 1 << 14            # rows, squares or grid values formatted per pass
 
 
 class _Parts:
@@ -89,8 +88,8 @@ class SvgCanvas:
         tail = f'stroke="{stroke}" stroke-width="{stroke_width}" fill-opacity="{opacity}"/>'
         template = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" '
                     + tail.replace("%", "%%"))
-        for lo in range(0, len(x), CHUNK_ROWS):
-            cut = slice(lo, lo + CHUNK_ROWS)
+        for lo in range(0, len(x), EVAL_BUDGET):
+            cut = slice(lo, lo + EVAL_BUDGET)
             ww = w[cut].tolist()
             self.parts.append("\n".join(map(
                 template.__mod__,

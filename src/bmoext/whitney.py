@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import Domain
-from .dyadic import (DyadicCube, Window, SQRT_N, N_DIM, box_distance,
-                     level_cell_centers)
+from .dyadic import (EVAL_BUDGET, DyadicCube, Window, SQRT_N, N_DIM,
+                     box_distance, level_cell_centers)
 from .errors import MatchingError, WhitneyInvariantError
 
 ACCEPT_FACTOR = 1.5 * SQRT_N          # clearance/side ratio that accepts a cell
@@ -49,7 +49,6 @@ CUBE_DTYPE = np.dtype([("tag", "U2"), ("level", np.int64), ("i", np.int64),
 # of those cells from the cube's lower corner.
 _RING = np.array([(a, b) for a in range(-1, 5) for b in range(-1, 5)
                   if not (0 <= a < 4 and 0 <= b < 4)], dtype=np.int64)
-_PROBE_CHUNK = 1 << 13                # cubes probed per vector pass
 INTERIOR_PROBES = 1024                # annulus points find_interior_point tries
 
 
@@ -173,20 +172,20 @@ class WhitneyDecomposition:
         return np.searchsorted(self.leaf_keys, keys, side="right") - 1
 
     def cell_rows(self, level: int) -> np.ndarray:
-        """(n, n) rows in `cubes` of the cube holding each level-`level` cell;
-        -1 where the cell's leaf is a frontier cell or finer than the cell.
+        """(n, n) int32 rows in `cubes` of the cube holding each level-`level`
+        cell; -1 where the cell's leaf is a frontier cell or finer than the cell.
 
         Each level l <= `level` paints its cubes' rows into the b x b blocks,
         b = 2**(level - l), of an (2**l, b, 2**l, b) view of the output."""
         n = 1 << level
-        out = np.full((n, n), -1, dtype=np.intp)
+        out = np.full((n, n), -1, dtype=np.int32)
         c = self.cubes
         starts = np.searchsorted(c["level"], np.arange(min(level, self.depth) + 2))
         for lvl in range(min(level, self.depth) + 1):
             cut = slice(starts[lvl], starts[lvl + 1])
             m, b = 1 << lvl, 1 << (level - lvl)
             out.reshape(m, b, m, b)[c["i"][cut], :, c["j"][cut], :] = \
-                np.arange(cut.start, cut.stop)[:, None, None]
+                np.arange(cut.start, cut.stop, dtype=np.int32)[:, None, None]
         return out
 
     def index_of(self, q: DyadicCube) -> int:
@@ -228,15 +227,16 @@ class WhitneyDecomposition:
         s/4 that touches the cube, so in a ring cell; that ring cell is then
         not inside one leaf, so the leaf its probe locates is finer than it.
 
-        Probes are taken a chunk of ascending cubes at a time; a chunk keeps
-        its rows' neighbor counts and their columns, so no array of all
-        (cube, neighbor) pairs is made.
+        Probes are taken a chunk of ascending cubes at a time, at most
+        EVAL_BUDGET probes; a chunk keeps its rows' neighbor counts and
+        their columns, so no array of all (cube, neighbor) pairs is made.
         """
         n = len(self.cubes)
         is_domain = self.cubes["tag"] == TAG_DOMAIN
+        step = max(1, EVAL_BUDGET // len(_RING))         # cubes per probe pass
         counts, cols = [np.zeros(1, np.intp)], [np.empty(0, np.int64)]
-        for lo in range(0, n, _PROBE_CHUNK):
-            count, col = self._ring_neighbors(lo, min(lo + _PROBE_CHUNK, n), is_domain)
+        for lo in range(0, n, step):
+            count, col = self._ring_neighbors(lo, min(lo + step, n), is_domain)
             counts.append(count)
             cols.append(col)
         return np.cumsum(np.concatenate(counts)), np.concatenate(cols)

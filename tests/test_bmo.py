@@ -14,8 +14,7 @@ from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, MASK_STRADDLING, GridFunction
                         dipole_field, dyadic_abc_norm,
                         log_growth_ratio, qh_distance_field,
                         log_plus, sample_grid_function, whitney_cellwise_field)
-from bmoext.dyadic import SQRT_N, DyadicCube, grid_centers, level_cell_centers
-from bmoext.qhyper import EVAL_BUDGET
+from bmoext.dyadic import EVAL_BUDGET, SQRT_N, DyadicCube, grid_centers, level_cell_centers
 from bmoext.qhyper import qh_distance
 from bmoext.whitney import TAG_DOMAIN, build_whitney
 from tests.conftest import DISK_WINDOW

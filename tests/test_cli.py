@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bmoext
-from bmoext import Window, disk, svgout
+from bmoext import Window, cli, disk
 from bmoext.bmo import GridFunction, sample_grid_function
 from bmoext.cli import main, read_csv, read_grid, write_csv, write_grid
 from bmoext.domains import _first_crossing
@@ -389,7 +389,7 @@ def tables(draw):
 def test_write_csv_matches_row_loop(tmp_path_factory, table):
     header, cols, chunk = table
     d = tmp_path_factory.mktemp("csv")
-    with mock.patch.object(svgout, "CHUNK_ROWS", chunk):
+    with mock.patch.object(cli, "EVAL_BUDGET", chunk):
         write_csv(d / "got.csv", "t", header, cols)
     reference_write_csv(d / "want.csv", "t", header, zip(*cols))
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
@@ -405,7 +405,7 @@ def test_write_grid_matches_line_loop(tmp_path, chunk):
     values[3, 3] = 5e-324
     mask = np.random.default_rng(6).integers(0, 3, size=(8, 8)).astype(np.int8)
     gf = GridFunction(Window((-1.25, 0.1), 2.5), 3, values, mask)
-    with mock.patch.object(svgout, "CHUNK_ROWS", chunk):
+    with mock.patch.object(cli, "EVAL_BUDGET", chunk):
         write_grid(tmp_path / "got.csv", gf)
     reference_write_grid(tmp_path / "want.csv", gf)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

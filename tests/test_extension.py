@@ -8,7 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bmoext import DyadicCube, Window, bmo, disk, intro_lipschitz, l_shape, slit_disk
+from bmoext import (DyadicCube, Window, bmo, disk, extension, intro_lipschitz, l_shape,
+                    slit_disk)
 from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, GridFunction, classify_cells,
                         bmo_lambda_norm, dipole_field, dyadic_abc_norm, field_graph,
                         log_plus, sample_grid_function)
@@ -222,6 +223,9 @@ def test_frontier_fill_equals_brute_force(make):
     dec, plan = make()
     assert plan.frontier_filled > 0
     assert reference_fill(dec, plan).tobytes() == plan.source.tobytes()
+    # at 64 distances a block, a bucket's cells are measured one or a few at a time
+    with mock.patch.object(extension, "EVAL_BUDGET", 64):
+        assert make()[1].source.tobytes() == plan.source.tobytes()
 
 
 def test_frontier_fill_ties_go_to_the_first_painted_cube():
@@ -284,15 +288,18 @@ def test_counterexample_growth_small():
 
 @pytest.mark.memory
 def test_counterexample_memory_is_bounded():
-    # whole-grid sampling, norm sweeps and extend peaked at 33.4 MiB here;
-    # a band of rows at a time, measured 13.7 MiB
+    # whole-grid sampling, norm sweeps and extend peaked at 33.4 MiB here,
+    # and 13.7 MiB a band of rows at a time, where the Whitney build's probe
+    # pass of 8,192 cubes set the peak; measured 7.5 MiB with passes of
+    # EVAL_BUDGET probes, an int32 cell map and the input norm taken before
+    # extend allocates its output
     tracemalloc.start()
     try:
         counterexample_experiment([16], 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2**20
+    assert peak < 9 * 2**20
 
 
 def test_counterexample_zero_control():

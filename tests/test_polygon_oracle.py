@@ -10,6 +10,7 @@ is the loop-by-loop validation that one pass over all loops replaced.
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bmoext.errors import PolygonError
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
 SQUARE_HOLE = [(1, 1), (3, 1), (3, 3), (1, 3)]
 L_LOOP = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+SMALL_BUDGET = 256      # pairs a block: an oracle call takes many blocks
 
 
 def reference_distances(pts, seg_a, seg_b, pairs=1 << 20):
@@ -124,7 +126,10 @@ CASES = {
 def test_oracle_bitwise_equals_reference(name, rng):
     loops, dom = CASES[name]
     pts = probe_points(loops, dom.default_window, rng, 20_000)
-    assert np.array_equal(dom.signed_distance(pts), reference_sd(loops, pts))
+    want = reference_sd(loops, pts)
+    assert np.array_equal(dom.signed_distance(pts), want)
+    with mock.patch.object(domains, "EVAL_BUDGET", SMALL_BUDGET):
+        assert np.array_equal(dom.signed_distance(pts), want)
 
 
 def test_oracle_handles_horizontal_edges_at_point_height():
@@ -163,7 +168,10 @@ def test_star_polygons_match_reference_and_are_lipschitz(case):
     dom = polygon(loops[0], holes=loops[1:])
     rng = np.random.default_rng(seed)
     pts = probe_points(loops, dom.default_window, rng, 2_000)
-    assert np.array_equal(dom.signed_distance(pts), reference_sd(loops, pts))
+    want = reference_sd(loops, pts)
+    assert np.array_equal(dom.signed_distance(pts), want)
+    with mock.patch.object(domains, "EVAL_BUDGET", SMALL_BUDGET):
+        assert np.array_equal(dom.signed_distance(pts), want)
     w = dom.default_window
     x = np.asarray(w.origin) + rng.uniform(-0.25, 1.25, size=(4_000, 2)) * w.size
     y = x + rng.normal(scale=0.3, size=x.shape)

@@ -122,7 +122,7 @@ def test_save_matches_joined_document(tmp_path, n_parts):
 
 def test_canvas_writes_parts_as_they_are_drawn(tmp_path):
     canvas = SvgCanvas(Window((-1.0, -1.0), 2.0), path=tmp_path / "fig.svg")
-    with mock.patch.object(svgout, "CHUNK_ROWS", 10):
+    with mock.patch.object(svgout, "EVAL_BUDGET", 10):
         canvas.rects(np.zeros(30), 0.0, 0.5, "#ff0000")
     canvas.parts.fh.flush()
     assert (tmp_path / "fig.svg.part").read_text().count("<rect ") == 31
@@ -184,7 +184,7 @@ SQUARE_HOLE = polygon([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (3, 1), 
 def test_decomposition_svg_matches_rect_loop(tmp_path, dom):
     dec = build_whitney(dom, dom.default_window, 8)
     assert len(dec.frontier) > 0
-    with mock.patch.object(svgout, "CHUNK_ROWS", 1000):
+    with mock.patch.object(svgout, "EVAL_BUDGET", 1000):
         render_decomposition(dec, tmp_path / "got.svg")
     reference_render_decomposition(dec, tmp_path / "want.svg")
     assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
@@ -221,7 +221,7 @@ def test_grid_svg_matches_rect_loop(tmp_path, blocks):
     values[8, 8] = np.inf
     gf = GridFunction(Window((-1.1, 0.3), 2.5), 4, values, np.ones((16, 16), np.int8))
     with mock.patch.object(svgout, "HEATMAP_BLOCKS", blocks), \
-            mock.patch.object(svgout, "CHUNK_ROWS", 50):
+            mock.patch.object(svgout, "EVAL_BUDGET", 50):
         render_grid(gf, disk(1.0), tmp_path / "got.svg")
         reference_render_grid(gf, disk(1.0), tmp_path / "want.svg")
     assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()

@@ -224,8 +224,8 @@ def test_adjacency_matches_global_sort(dom, depth):
 def test_adjacency_matches_global_sort_on_star_polygons(case):
     dom = polygon(*case)
     dec = build_whitney(dom, dom.default_window, 7)
-    # small chunks, so keys meet across many chunk boundaries
-    with mock.patch.object(whitney, "_PROBE_CHUNK", 97):
+    # passes of 97 cubes, so keys meet across many chunk boundaries
+    with mock.patch.object(whitney, "EVAL_BUDGET", 97 * len(whitney._RING)):
         assert_same_adjacency(dec.neighbor_indices(), dec)
 
 
@@ -246,14 +246,31 @@ def test_whitney_build_memory_is_bounded():
 def test_whitney_build_peak_stays_near_its_result():
     # the adjacency's copies at the end of neighbor_indices, a side-ratio pass
     # over it in check_invariants and the build's last level, all alive at
-    # once, peaked at 48.4 MiB here; the decomposition itself holds 15 MiB
+    # once, peaked at 48.4 MiB here, and probe passes of 8,192 cubes at
+    # 27.3 MiB; the decomposition itself holds 15 MiB, and with passes of
+    # EVAL_BUDGET probes the build measured 20.7 MiB
     tracemalloc.start()
     try:
         build_whitney(disk(1.0), DISK_WINDOW, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36 * 2**20
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.memory
+def test_whitney_build_peak_is_its_result_plus_one_probe_pass():
+    # the window-16 build of the window-growth experiment (8,722 cubes):
+    # probe passes of 8,192 cubes peaked at 13.7 MiB here; with passes of
+    # EVAL_BUDGET probes it measured 2.9 MiB, of which the result holds 1.5
+    tracemalloc.start()
+    try:
+        dec = build_whitney(intro_lipschitz(), Window((-16.0, -16.0), 32.0), 9)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dec.cubes) == 8_722
+    assert peak < held + whitney.EVAL_BUDGET * 128
 
 
 @pytest.mark.parametrize("fine, raises", [(3, False), (4, True)])
@@ -279,7 +296,7 @@ def reference_cell_rows(dec, level):
     pos = dec.leaf_containing(level, *np.indices((n, n)).reshape(2, -1))
     ids = dec.leaf_ids[pos]
     held = (dec.leaf_levels[pos] <= level) & (ids < len(dec.cubes))
-    return np.where(held, ids, -1).reshape(n, n)
+    return np.where(held, ids, -1).astype(np.int32).reshape(n, n)
 
 
 CELL_ROW_DOMAINS = [disk(1.0), slit_disk(1.0, 0.5), l_shape(), cusp(4.0), intro_lipschitz()]
