@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain
-from .dyadic import EVAL_BUDGET, DyadicCube, SQRT_N, Window, grid_centers
+from .dyadic import DyadicCube, SQRT_N, Window, bands, grid_centers
 from .errors import DisconnectedGraphError
 from .qhyper import MetricGraph, _solve_from, build_metric_graph
 from .whitney import TAG_DOMAIN
@@ -30,19 +30,6 @@ _PAIRWISE_BLOCK = 128       # numpy sums a contiguous run this long in one unrol
 
 def log_plus(x: float) -> float:
     return max(math.log(x), 0.0) if x > 0 else 0.0
-
-
-def _band_rows(n: int) -> int:
-    """Rows in a band of an n-wide grid: the most rows, a power of two, that
-    hold at most EVAL_BUDGET cells, and at least one row. So the bands of a
-    dyadic grid split it evenly and nest with its dyadic cube rows."""
-    return min(n, 1 << max((EVAL_BUDGET // n).bit_length() - 1, 0))
-
-
-def _bands(n: int) -> list:
-    """The row slices of an n x n grid's bands, in order."""
-    rows = _band_rows(n)
-    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
 @dataclass
@@ -70,7 +57,7 @@ class GridFunction:
     @property
     def straddling_fraction(self) -> float:
         straddling = sum(int(np.count_nonzero(self.mask[rows] == MASK_STRADDLING))
-                         for rows in _bands(len(self.mask)))
+                         for rows in bands(len(self.mask)))
         return straddling / self.mask.size
 
     def counted(self, cells: str, block=np.s_[:, :]) -> np.ndarray:
@@ -106,7 +93,7 @@ def classify_cells(domain: Domain, window: Window, level: int) -> np.ndarray:
     """The cell mask of the level-`level` grid, classified band by band."""
     n = 1 << level
     mask = np.empty((n, n), dtype=np.int8)
-    for rows in _bands(n):
+    for rows in bands(n):
         mask[rows] = _classify_band(domain, window, level, rows)[1]
     return mask
 
@@ -123,7 +110,7 @@ def sample_grid_function(domain: Domain, window: Window, level: int, fn,
     n = 1 << level
     values = np.empty((n, n))
     mask = np.empty((n, n), dtype=np.int8)
-    for rows in _bands(n):
+    for rows in bands(n):
         centers, mask[rows] = _classify_band(domain, window, level, rows)
         vals = np.asarray(fn(centers), dtype=float).reshape(-1, n)
         values[rows] = vals if everywhere else np.where(mask[rows] == MASK_INSIDE,
@@ -172,17 +159,18 @@ def _level_stats(f: GridFunction, cells: str, levels):
     down to _PAIRWISE_BLOCK values, are the power-of-two bands' sums combined
     as a balanced binary tree."""
     n = f.n_cells
-    rows = _band_rows(n)
+    grid_bands = bands(n)
+    rows = grid_bands[0].stop           # rows in a band
     fine = [lvl for lvl in levels if n >> lvl <= rows]
-    for lo in range(0, n, rows) if fine else ():
-        counted, v = _counted_values(f, cells, slice(lo, lo + rows))
+    for band in grid_bands if fine else ():
+        counted, v = _counted_values(f, cells, band)
         for lvl in fine:
             nb, b = 1 << lvl, n >> lvl
             c4, v4 = counted.reshape(-1, b, nb, b), v.reshape(-1, b, nb, b)
             counts = c4.sum(axis=(1, 3))
             means = _per_count(v4.sum(axis=(1, 3)), counts)
             dev = np.where(c4, np.abs(v4 - means[:, None, :, None]), 0.0).sum(axis=(1, 3))
-            yield lvl, lo // b, means, _per_count(dev, counts), counts
+            yield lvl, band.start // b, means, _per_count(dev, counts), counts
     for lvl in levels:
         if lvl not in fine:
             yield from _spanning_stats(f, cells, lvl, rows)
@@ -254,7 +242,7 @@ def require_defined(f: GridFunction, cells: str):
     """Counted cells must carry finite values; NaN would silently leak
     zeros into the sums."""
     bad = sum(int(np.count_nonzero(f.counted(cells, rows) & ~np.isfinite(f.values[rows])))
-              for rows in _bands(f.n_cells))
+              for rows in bands(f.n_cells))
     if bad:
         raise ValueError(f"{bad} counted cells have no value; "
                          "the function is not defined on the requested cells")

@@ -294,7 +294,7 @@ def mirror_pairs(domain: Domain, window: Window, delta: float) -> list[PairSampl
                 continue
             uu = u[ok]
             gu = _gradient(domain, uu, max(1e-6 * sigma, 1e-14))
-            vv = uu - 2.0 * domain.signed_distance(uu)[:, None] * gu
+            vv = uu - 2.0 * sd_u[ok][:, None] * gu
             fine = np.isfinite(vv[:, 0])
             sd_v = np.where(fine, domain.signed_distance(np.nan_to_num(vv)), -1.0)
             sep = np.hypot(uu[:, 0] - vv[:, 0], uu[:, 1] - vv[:, 1])

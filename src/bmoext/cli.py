@@ -1,8 +1,9 @@
 """Command-line front end: reproducible experiments with CSV and SVG output.
 
-Subcommands: decompose, geodesic, classify, norm, extend, report. A fixed
-seed makes every output byte-identical across runs; numeric rows always
-carry the resolution and, where applicable, an error-bound column.
+Subcommands: decompose, geodesic, classify, norm, extend, report. The
+commands that draw random inputs (classify, norm, extend) take --seed, and
+a fixed seed makes every output byte-identical across runs; numeric rows
+always carry the resolution and, where applicable, an error-bound column.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import bmo, cigar, extension, svgout
 from .domains import Domain, parse_domain_arg, parse_domain_file
-from .dyadic import EVAL_BUDGET, Window, resolution_level
+from .dyadic import EVAL_BUDGET, Window, bands, resolution_level
 from .errors import GeometryError, PolygonError
 from .qhyper import build_metric_graph, qh_distance
 from .whitney import FRONTIER, build_whitney
@@ -103,7 +104,6 @@ def read_csv(path):
 
 
 def write_grid(path, gf: bmo.GridFunction):
-    step = max(1, EVAL_BUDGET // gf.n_cells)     # grid lines per pass
     with open(path, "w") as fh:
         fh.write(f"# {GRID_VERSION}\n")
         fh.write(f"# window: {gf.window.origin[0]!r} {gf.window.origin[1]!r} "
@@ -112,8 +112,8 @@ def write_grid(path, gf: bmo.GridFunction):
         for title, block, kind in (("values (line index = x cell index)", gf.values, float),
                                    ("mask (0 outside, 1 inside, 2 straddling)", gf.mask, int)):
             fh.write(f"# block: {title}\n")
-            for lo in range(0, gf.n_cells, step):
-                lines = block[lo:lo + step].astype(kind).tolist()
+            for rows in bands(gf.n_cells):
+                lines = block[rows].astype(kind).tolist()
                 fh.write("".join(",".join(map(repr, line)) + "\n" for line in lines))
 
 
@@ -394,13 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "bmo-scale norms and boundary extensions on planar domains")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--domain", required=True,
                        help="builtin[:params] or a domain spec file")
         p.add_argument("--window", type=_parse_window, default=None,
                        help="x0,y0,side (default: the domain's window)")
         p.add_argument("--resolution", type=_parse_resolution, default=1 / 256)
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:          # only the commands that draw random inputs
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--outdir", default=os.environ.get("BMOEXT_OUTDIR", "out"))
 
     p = sub.add_parser("decompose", help="build the Whitney families")
@@ -415,19 +416,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_geodesic)
 
     p = sub.add_parser("classify", help="cigar-condition diagnostics")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--pairs", type=int, default=48)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("norm", help="bmo norm estimates of a grid function")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--function", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("extend", help="extend a function across the boundary")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--function", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)

@@ -124,6 +124,15 @@ def level_cell_centers(window: Window, level: int, ij: np.ndarray) -> np.ndarray
     return np.asarray(window.origin) + (ij + 0.5) * s
 
 
+def bands(n: int) -> list:
+    """The row slices of an n x n grid's bands, in order. A band holds the
+    most rows, a power of two, whose cells number at most EVAL_BUDGET, and
+    at least one row; so the bands of a dyadic grid split it evenly and nest
+    with its dyadic cube rows."""
+    rows = min(n, 1 << max((EVAL_BUDGET // n).bit_length() - 1, 0))
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+
+
 def grid_centers(window: Window, level: int, rows: slice = slice(None)) -> np.ndarray:
     """Centers of the level-`level` cells in a range of cell rows (every
     row by default) as an (m n, 2) array in (i, j) order:

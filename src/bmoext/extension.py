@@ -14,18 +14,17 @@ as a gather of one average per matched domain cube.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bmo import (GridFunction, MASK_INSIDE, MASK_OUTSIDE, NormReport, _bands,
+from .bmo import (GridFunction, MASK_INSIDE, MASK_OUTSIDE, NormReport,
                   bmo_lambda_norm, cube_average, dipole_field, field_graph,
                   qh_distance_field, sample_grid_function, whitney_cellwise_field)
 from .domains import Domain, intro_lipschitz
 from .dyadic import (EVAL_BUDGET, DyadicCube, N_DIM, SQRT_N, Window,
-                     box_distance, resolution_level)
+                     bands, box_distance, resolution_level)
 from .errors import ExtensionError, MatchingError
 from .whitney import (TAG_COMPLEMENT, WhitneyDecomposition, build_whitney,
                       matching_cube)
@@ -216,7 +215,7 @@ def extend(f: GridFunction, plan: ExtensionPlan) -> ExtensionResult:
     # the last entry serves source -1: NaN, then f again on inside cells
     table = np.array([0.0] + [cube_average(f, q) for q in plan.sources] + [np.nan])
     vals = np.empty(f.values.shape)
-    for rows in _bands(f.n_cells):
+    for rows in bands(f.n_cells):
         src = plan.source[rows]
         vals[rows] = table[src]
         np.copyto(vals[rows], f.values[rows], where=(src < 0) & (f.mask[rows] == MASK_INSIDE))
@@ -231,18 +230,16 @@ def extend(f: GridFunction, plan: ExtensionPlan) -> ExtensionResult:
 # experiment suites
 
 def make_suite(domain: Domain, window: Window, resolution: float,
-               dec: WhitneyDecomposition, seed: int,
-               n_const: int = 3, n_qh: int = 4, n_dipole: int = 3,
-               n_random: int = 9):
-    """Named test functions: constants, the zero function, distance fields
-    from sources at several boundary clearances, dipoles, and random
-    cube-wise functions with unit adjacent oscillation."""
+               dec: WhitneyDecomposition, seed: int):
+    """Twenty named test functions: three constants, the zero function,
+    four distance fields from sources whose clearances lie near the 0.9,
+    0.5, 0.2 and 0.05 quantiles of the graph nodes', three dipoles, and nine
+    random cube-wise functions with unit adjacent oscillation."""
     rng = np.random.default_rng(seed)
     level = resolution_level(resolution)
     graph = field_graph(domain, window, level)
     suite = []
-    for k in range(n_const):
-        c = (-2.0, 1.0, 0.5, 3.0)[k % 4]
+    for k, c in enumerate((-2.0, 1.0, 0.5)):
         suite.append((f"const_{k}", sample_grid_function(
             domain, window, level, lambda p, c=c: np.full(len(p), c))))
     suite.append(("zero", sample_grid_function(
@@ -250,20 +247,19 @@ def make_suite(domain: Domain, window: Window, resolution: float,
 
     pos = graph.node_pos
     sdv = graph.node_sd
-    qs = np.quantile(sdv, [0.9, 0.5, 0.2, 0.05])
-    for k in range(n_qh):
-        band = np.nonzero(np.abs(sdv - qs[k % len(qs)]) < 0.25 * qs[k % len(qs)] + 1e-12)[0]
+    for k, q in enumerate(np.quantile(sdv, [0.9, 0.5, 0.2, 0.05])):
+        band = np.nonzero(np.abs(sdv - q) < 0.25 * q + 1e-12)[0]
         if band.size == 0:
             band = np.arange(len(pos))
         a = pos[band[int(rng.integers(band.size))]]
         suite.append((f"qh_{k}", qh_distance_field(graph, a)))
-    for k in range(n_dipole):
+    for k in range(3):
         i, j = rng.integers(len(pos)), rng.integers(len(pos))
         r1 = float(rng.uniform(0.5, 3.0))
         r2 = float(rng.uniform(0.5, 3.0))
         suite.append((f"dipole_{k}", dipole_field(graph, pos[int(i)], pos[int(j)],
                                                   r1, r2)))
-    for k in range(n_random):
+    for k in range(9):
         suite.append((f"cellwise_{k}", whitney_cellwise_field(dec, level, rng)))
     return suite
 
@@ -298,12 +294,6 @@ def operator_norm_experiment(domain: Domain, epsilon: float, delta: float,
                 "excluded_fraction": res.extended.straddling_fraction,
             })
     return rows
-
-
-def max_suite_ratio(rows, lam) -> float:
-    vals = [r["ratio"] for r in rows
-            if r["lam"] == lam and r["ratio"] is not None]
-    return max(vals) if vals else math.nan
 
 
 def counterexample_experiment(window_sizes, lam: float, field=None):

@@ -571,16 +571,15 @@ class InteriorDistance:
     value: float            # quadrature length of `path`, its qh_value
     attaining: np.ndarray
     path: Polyline
-    raw_value: float        # grid sum of the unrefined path plus the snap leg
 
 
-def qh_distance_to_interior(graph: MetricGraph, x, lam: float,
-                            refine: bool = True) -> InteriorDistance:
+def qh_distance_to_interior(graph: MetricGraph, x, lam: float) -> InteriorDistance:
     """Shortest quasi-hyperbolic access to {dist >= lam}.
 
     One Dijkstra solve from the snapped node of x reaches every node; the
     nearest interior node, lowest index first among equals, ends the curve,
-    and the reported distance is that curve's measured length.
+    which is then refined as `qh_distance` refines its path, and the
+    reported distance is that curve's measured length.
     """
     domain = graph.domain
     x = np.asarray(x, float)
@@ -588,7 +587,7 @@ def qh_distance_to_interior(graph: MetricGraph, x, lam: float,
         raise ValueError("x must lie inside the domain")
     if domain.sd(x) >= lam:
         pl = Polyline(np.array([x, x + 0.0]), qh_value=0.0, qh_error=0.0)
-        return InteriorDistance(0.0, x, pl, 0.0)
+        return InteriorDistance(0.0, x, pl)
 
     targets = np.nonzero(graph.node_sd >= lam)[0]
     if targets.size == 0:
@@ -596,7 +595,7 @@ def qh_distance_to_interior(graph: MetricGraph, x, lam: float,
             f"interior set empty at this lambda ({lam:g}) in the window; "
             "the scale-lambda norm equals the homogeneous norm here")
 
-    leg, dist, pred = _solve_from(graph, x)
+    _, dist, pred = _solve_from(graph, x)
     # targets ascend, so the first minimum is the lowest-index nearest one
     k = int(np.argmin(dist[targets]))
     if not np.isfinite(dist[targets[k]]):
@@ -606,12 +605,11 @@ def qh_distance_to_interior(graph: MetricGraph, x, lam: float,
     t_star = targets[k]
 
     pts = _drop_repeats(np.vstack([x, graph.node_pos[graph.path_nodes(pred, t_star)]]))
-    if refine and len(pts) > 2:
+    if len(pts) > 2:
         pts = _refine_paths(domain, [pts], graph.h)[0]
     value, err = qh_length(domain, pts, tol=QUAD_TOL)
     return InteriorDistance(value, graph.node_pos[t_star].copy(),
-                            Polyline(pts, qh_value=value, qh_error=err),
-                            float(dist[t_star] + leg))
+                            Polyline(pts, qh_value=value, qh_error=err))
 
 
 def eta_lambda(graph: MetricGraph, x, y, lam: float) -> float:

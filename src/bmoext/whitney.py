@@ -91,10 +91,13 @@ def _morton(i, j, depth: int):
 
 def _first_cell_at(depth: int, level, i, j):
     """Coordinates at `depth` of each cell's first (lowest) descendant, or of
-    its ancestor when the cell is finer than `depth`."""
-    shift = np.subtract(depth, level)
-    up, down = np.maximum(shift, 0), np.maximum(-shift, 0)
-    return (np.asarray(i) << up) >> down, (np.asarray(j) << up) >> down
+    its ancestor when the cell is finer than `depth`. The cells are integers
+    or integer arrays; integers stay Python integers, so locating one cell
+    costs no numpy scalar arithmetic."""
+    shift = depth - level
+    up = shift * (shift > 0)
+    down = up - shift
+    return (i << up) >> down, (j << up) >> down
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ class WhitneyDecomposition:
     leaf_levels: np.ndarray = field(init=False, repr=False)
     leaf_ids: np.ndarray = field(init=False, repr=False)
     # same-family adjacency: neighbors of cube k, in build order, are
-    # adj_indices[adj_indptr[k]:adj_indptr[k + 1]]
+    # adj_indices[adj_indptr[k]:adj_indptr[k + 1]], int32 rows of `cubes`
     adj_indptr: np.ndarray = field(init=False, repr=False)
     adj_indices: np.ndarray = field(init=False, repr=False)
 
@@ -192,9 +195,7 @@ class WhitneyDecomposition:
         """Row of the cube q; KeyError when q is not a cube of this
         decomposition, including a cube of another window."""
         if q.window == self.window and q.level <= self.depth:
-            shift = self.depth - q.level
-            key = _morton(q.coords[0] << shift, q.coords[1] << shift, self.depth)
-            pos = np.searchsorted(self.leaf_keys, key, side="right") - 1
+            pos = self.leaf_containing(q.level, *q.coords)
             idx = int(self.leaf_ids[pos])
             if self.leaf_levels[pos] == q.level and idx < len(self.cubes):
                 return idx
@@ -234,7 +235,7 @@ class WhitneyDecomposition:
         n = len(self.cubes)
         is_domain = self.cubes["tag"] == TAG_DOMAIN
         step = max(1, EVAL_BUDGET // len(_RING))         # cubes per probe pass
-        counts, cols = [np.zeros(1, np.intp)], [np.empty(0, np.int64)]
+        counts, cols = [np.zeros(1, np.intp)], [np.empty(0, np.int32)]
         for lo in range(0, n, step):
             count, col = self._ring_neighbors(lo, min(lo + step, n), is_domain)
             counts.append(count)
@@ -242,7 +243,8 @@ class WhitneyDecomposition:
         return np.cumsum(np.concatenate(counts)), np.concatenate(cols)
 
     def _ring_neighbors(self, lo: int, hi: int, is_domain: np.ndarray):
-        """Neighbor counts of cubes lo..hi-1 and their neighbors, row by row."""
+        """Neighbor counts of cubes lo..hi-1 and their neighbors' int32 rows,
+        row by row."""
         c = self.cubes
         n = len(c)
         cube = np.arange(lo, hi)
@@ -267,7 +269,7 @@ class WhitneyDecomposition:
         # which is (level, i, j) order within a family
         key = np.sort(cube[same] * n + leaf[same])
         key = key[np.diff(key, prepend=-1) != 0]
-        return np.bincount(key // n - lo, minlength=hi - lo), key % n
+        return np.bincount(key // n - lo, minlength=hi - lo), (key % n).astype(np.int32)
 
     def adjacent(self, idx: int) -> np.ndarray:
         return self.adj_indices[self.adj_indptr[idx]:self.adj_indptr[idx + 1]]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,11 @@ def whole_level_stats(f, cells, level):
     cube rows from `_level_stats` joined in order."""
     blocks = list(_level_stats(f, cells, [level]))
     return tuple(np.concatenate([block[k] for block in blocks]) for k in (2, 3, 4))
+
+
+def max_suite_ratio(rows, lam) -> float:
+    """The largest extension-to-input ratio among experiment rows at lam;
+    NaN when no row there has one."""
+    vals = [r["ratio"] for r in rows
+            if r["lam"] == lam and r["ratio"] is not None]
+    return max(vals) if vals else math.nan

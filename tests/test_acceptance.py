@@ -20,12 +20,11 @@ from bmoext.dyadic import DyadicCube, SQRT_N
 from bmoext.errors import MatchingError
 from bmoext.qhyper import build_metric_graph
 from bmoext.extension import (counterexample_experiment, make_suite,
-                              max_extension_scale, max_suite_ratio,
-                              operator_norm_experiment)
+                              max_extension_scale, operator_norm_experiment)
 from bmoext.whitney import (TAG_COMPLEMENT, build_whitney,
                             matching_cube, matching_size_bound,
                             matching_distance_constant)
-from tests.conftest import DISK_WINDOW, IL_WINDOW
+from tests.conftest import DISK_WINDOW, IL_WINDOW, max_suite_ratio
 from tests.test_whitney import (built_families, cube_gap, exhaustive_whitney,
                                 frontier_cells)
 from tests.test_bmo import oracle_average

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmoext import Window, bmo, disk, intro_lipschitz, l_shape, polygon, slit_disk
+from bmoext import Window, bmo, disk, dyadic, intro_lipschitz, l_shape, polygon, slit_disk
 from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, MASK_STRADDLING, GridFunction, NormReport, adjacent_average_gap,
                         bmo_homogeneous_norm, bmo_lambda_norm, cube_average,
                         dipole_field, dyadic_abc_norm,
@@ -334,7 +334,7 @@ def test_norm_reports_match_the_reference_sweep(dom, level, seed, lam_frac, ties
             pairs.append((bmo_lambda_norm, reference_lambda_norm, (f, domain, lam)))
         pairs.append((bmo_homogeneous_norm, reference_homogeneous_norm, (f, domain)))
     with mock.patch.object(bmo, "SWEEP_BUDGET", budget), \
-            mock.patch.object(bmo, "EVAL_BUDGET", band_budget):
+            mock.patch.object(dyadic, "EVAL_BUDGET", band_budget):
         for got_fn, want_fn, args in pairs:
             got, want = got_fn(*args), want_fn(*args)
             for fld in dataclasses.fields(NormReport):
@@ -363,7 +363,7 @@ def test_banded_level_stats_equal_the_whole_grid_reduction(random_grid, band_bud
     f = random_grid
     levels = list(range(f.level + 1))
     blocks = {level: [] for level in levels}
-    with mock.patch.object(bmo, "EVAL_BUDGET", band_budget):
+    with mock.patch.object(dyadic, "EVAL_BUDGET", band_budget):
         for level, *block in bmo._level_stats(f, "inside", levels):
             blocks[level].append(block)
     for level in levels:
@@ -398,7 +398,7 @@ def test_sampling_one_row_at_a_time_matches_one_call(dom, everywhere):
     window = dom.default_window
     fn = lambda p: np.sin(3.0 * p[:, 0]) * np.exp(-p[:, 1] ** 2) + p[:, 0] * p[:, 1]
     level = 7
-    with mock.patch.object(bmo, "EVAL_BUDGET", 1):
+    with mock.patch.object(dyadic, "EVAL_BUDGET", 1):
         f = sample_grid_function(dom, window, level, fn, everywhere=everywhere)
         mask = bmo.classify_cells(dom, window, level)
     values, want = reference_sample(dom, window, level, fn, everywhere)

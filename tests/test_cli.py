@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bmoext
-from bmoext import Window, cli, disk
+from bmoext import Window, cli, disk, dyadic
 from bmoext.bmo import GridFunction, sample_grid_function
 from bmoext.cli import main, read_csv, read_grid, write_csv, write_grid
 from bmoext.domains import _first_crossing
@@ -189,6 +189,21 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         assert run(["norm", "--domain", "disk:1", f"--function={spec}",
                     "--outdir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_seed_only_where_it_is_read(tmp_path, capsys):
+    # decompose and geodesic draw nothing at random, so they take no seed
+    parser = cli.build_parser()
+    for command in (["decompose"], ["geodesic", "--from=0,0", "--to=0.5,0"]):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--domain", "disk:1", "--seed", "1", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    for command in (["classify"], ["norm", "--function", "ramp"],
+                    ["extend", "--function", "ramp", "--lambda", "0.1", "--epsilon", "0.3",
+                     "--delta", "0.5"]):
+        args = parser.parse_args(command + ["--domain", "disk:1", "--seed", "1"])
+        assert args.seed == 1
 
 
 @pytest.mark.parametrize("args", ["0.3", "0.3,0,1"])
@@ -405,7 +420,7 @@ def test_write_grid_matches_line_loop(tmp_path, chunk):
     values[3, 3] = 5e-324
     mask = np.random.default_rng(6).integers(0, 3, size=(8, 8)).astype(np.int8)
     gf = GridFunction(Window((-1.25, 0.1), 2.5), 3, values, mask)
-    with mock.patch.object(cli, "EVAL_BUDGET", chunk):
+    with mock.patch.object(dyadic, "EVAL_BUDGET", chunk):
         write_grid(tmp_path / "got.csv", gf)
     reference_write_grid(tmp_path / "want.csv", gf)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

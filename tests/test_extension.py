@@ -8,27 +8,39 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bmoext import (DyadicCube, Window, bmo, disk, extension, intro_lipschitz, l_shape,
+from bmoext import (DyadicCube, Window, disk, dyadic, extension, intro_lipschitz, l_shape,
                     slit_disk)
 from bmoext.bmo import (MASK_INSIDE, MASK_OUTSIDE, GridFunction, classify_cells,
                         bmo_lambda_norm, dipole_field, dyadic_abc_norm, field_graph,
-                        log_plus, sample_grid_function)
+                        log_plus, qh_distance_field, sample_grid_function,
+                        whitney_cellwise_field)
 from bmoext.cigar import curve_constants, epsilon_from_ab
 from bmoext.dyadic import box_distance, resolution_level
 from bmoext.errors import ExtensionError
 from bmoext.extension import (GROWTH_CELL, GROWTH_DELTA, GROWTH_EPSILON,
-                              counterexample_experiment, extend, make_suite,
-                              max_extension_scale, max_suite_ratio,
+                              counterexample_experiment, extend, max_extension_scale,
                               operator_norm_experiment, plan_extension)
 from bmoext.qhyper import j_distance
 from bmoext.whitney import TAG_COMPLEMENT, build_whitney, find_big_cube_near, matching_cube
-from tests.conftest import DISK_WINDOW, whole_level_stats
+from tests.conftest import DISK_WINDOW, max_suite_ratio, whole_level_stats
 
 
 @pytest.fixture(scope="module")
 def suite(disk1, disk_dec):
-    return make_suite(disk1, DISK_WINDOW, 1 / 256, disk_dec, seed=3,
-                      n_const=1, n_qh=2, n_dipole=1, n_random=2)
+    # one or two functions of each kind make_suite draws, from its generators
+    level = disk_dec.max_depth
+    graph = field_graph(disk1, DISK_WINDOW, level)
+    rng = np.random.default_rng(3)
+
+    def const(c):
+        return sample_grid_function(disk1, DISK_WINDOW, level, lambda p: np.full(len(p), c))
+
+    return [("const_0", const(-2.0)), ("zero", const(0.0)),
+            ("qh_0", qh_distance_field(graph, (0.3, 0.1))),
+            ("qh_1", qh_distance_field(graph, (-0.5, 0.5))),
+            ("dipole_0", dipole_field(graph, (-0.3, 0.4), (0.6, -0.1), 1.5, 2.0)),
+            ("cellwise_0", whitney_cellwise_field(disk_dec, level, rng)),
+            ("cellwise_1", whitney_cellwise_field(disk_dec, level, rng))]
 
 
 def quiet_plan(*args, **kwargs):
@@ -363,7 +375,7 @@ def test_queries_on_a_shared_plan_run_concurrently(disk1, suite, plan):
 
     functions = [f for _, f in suite]
     norm_jobs = [(f, lam) for f in functions for lam in (0.05, 0.3)]
-    with mock.patch.object(bmo, "EVAL_BUDGET", 16 * functions[0].n_cells):
+    with mock.patch.object(dyadic, "EVAL_BUDGET", 16 * functions[0].n_cells):
         serial = ([run_extend(f) for f in functions], [run_norm(j) for j in norm_jobs])
         with ThreadPoolExecutor(max_workers=4) as pool:
             for _ in range(3):

@@ -2,6 +2,8 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -199,18 +201,15 @@ def _disk_access_points(rng, lam, count):
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
 
-def _check_against_multi_source_oracle(domain, graph, x, lam):
-    """raw_value minus the snap leg is the graph distance from the snapped
-    node to the nearest interior node, solved independently from all
-    interior nodes at once (edge weights are symmetric); attaining is such
-    a nearest node, and no lower-index interior node is as near."""
-    r = qh_distance_to_interior(graph, x, lam, refine=False)
+def _check_against_multi_source_oracle(graph, x, lam):
+    """attaining is an interior node nearest the snapped node of x: its
+    graph distance from that node is the minimum over all interior nodes,
+    solved independently from all of them at once (edge weights are
+    symmetric), and no lower-index interior node is as near."""
+    r = qh_distance_to_interior(graph, x, lam)
     targets = np.nonzero(graph.node_sd >= lam)[0]
     src = graph.snap(x)
-    leg, _, _ = segment_qh_batch(domain, x[None, :], graph.node_pos[src][None, :])
-    d_min = r.raw_value - leg[0]
-    to_interior = csgraph.dijkstra(graph.adj, indices=targets, min_only=True)
-    assert d_min == pytest.approx(to_interior[src], rel=1e-12)
+    d_min = csgraph.dijkstra(graph.adj, indices=targets, min_only=True)[src]
     t = int(np.flatnonzero((graph.node_pos == r.attaining).all(axis=1))[0])
     assert t in targets
     assert csgraph.dijkstra(graph.adj, indices=t)[src] == pytest.approx(d_min, rel=1e-12)
@@ -220,14 +219,14 @@ def _check_against_multi_source_oracle(domain, graph, x, lam):
         assert below[src] > d_min * (1.0 + 1e-12)
 
 
-def test_interior_distance_matches_multi_source_oracle(disk1, disk_graph):
+def test_interior_distance_matches_multi_source_oracle(disk_graph):
     for x in _disk_access_points(np.random.default_rng(11), 0.5, 8):
-        _check_against_multi_source_oracle(disk1, disk_graph, x, 0.5)
+        _check_against_multi_source_oracle(disk_graph, x, 0.5)
     # here the graph-nearest interior node lies farther from x than the
     # Euclidean-nearest one does, so no search ball of that radius holds it
     slit = slit_disk(1.0, 0.5)
     graph = build_metric_graph(slit, slit.default_window, 1 / 128)
-    _check_against_multi_source_oracle(slit, graph, np.array([-0.7965, -0.2831]), 0.16)
+    _check_against_multi_source_oracle(graph, np.array([-0.7965, -0.2831]), 0.16)
 
 
 def test_interior_distance_solves_once(disk_graph, monkeypatch):
@@ -238,10 +237,8 @@ def test_interior_distance_solves_once(disk_graph, monkeypatch):
         return csgraph.dijkstra(*args, **kwargs)
 
     monkeypatch.setattr(qhyper, "_sp_dijkstra", counted)
-    for refine in (False, True):
-        calls.clear()
-        qh_distance_to_interior(disk_graph, (0.05, -0.93), 0.5, refine=refine)
-        assert len(calls) == 1
+    qh_distance_to_interior(disk_graph, (0.05, -0.93), 0.5)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("lam", [0.2, 0.3, 0.5])
@@ -251,15 +248,13 @@ def test_interior_distance_radial_access_on_disk(disk_graph, lam):
     rng = np.random.default_rng(int(lam * 10))
     for x in _disk_access_points(rng, lam, 6):
         exact = math.log(lam / (1.0 - math.hypot(*x)))
-        for refine in (False, True):
-            r = qh_distance_to_interior(disk_graph, x, lam, refine=refine)
-            assert exact <= r.value + r.path.qh_error
+        r = qh_distance_to_interior(disk_graph, x, lam)
+        assert exact <= r.value + r.path.qh_error
 
 
-@pytest.mark.parametrize("refine", [False, True])
-def test_interior_distance_is_length_of_returned_path(disk1, disk_graph, refine):
+def test_interior_distance_is_length_of_returned_path(disk1, disk_graph):
     x = np.array([0.05, -0.93])
-    r = qh_distance_to_interior(disk_graph, x, 0.5, refine=refine)
+    r = qh_distance_to_interior(disk_graph, x, 0.5)
     assert r.value == r.path.qh_value
     assert r.path.qh_value == qh_length(disk1, r.path, tol=2e-3)[0]
 
@@ -292,6 +287,27 @@ def test_eta_basics(hp, hp_graph):
     assert v == pytest.approx(math.log(4) + math.log(2), rel=0.03)
     v2 = eta_lambda(g, (3, 0.5), (0, 0.25), 1.0)
     assert v2 == pytest.approx(v, rel=1e-12)
+
+
+def test_queries_on_a_shared_graph_run_concurrently(disk_graph):
+    # distances, interior accesses and grid paths on one graph, four at a
+    # time, give the serial run's bits
+    pts = _disk_access_points(np.random.default_rng(9), 0.5, 6)
+    jobs = ([partial(qh_distance, disk_graph, x, y) for x, y in zip(pts[:3], pts[3:])]
+            + [partial(qh_distance_to_interior, disk_graph, x, 0.5) for x in pts]
+            + [partial(grid_path, disk_graph, x, -x) for x in pts])
+
+    def run(job):
+        got = job()
+        if isinstance(got, np.ndarray):
+            return got.tobytes()
+        value, path = got if isinstance(got, tuple) else (got.value, got.path)
+        return repr((value, path.qh_error)), path.points.tobytes()
+
+    serial = [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(2):
+            assert list(pool.map(run, jobs)) == serial
 
 
 # -- graph internals ---------------------------------------------------------

@@ -2,6 +2,8 @@ import dataclasses
 import heapq
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from bmoext import (Window, cusp, disk, half_plane, intro_lipschitz, l_shape, polygon,
                     slit_disk, whitney)
 from bmoext.dyadic import DyadicCube, SQRT_N, box_distance
-from bmoext.errors import WhitneyInvariantError
+from bmoext.errors import MatchingError, WhitneyInvariantError
 from bmoext.whitney import (ACCEPT_FACTOR, TAG_COMPLEMENT, TAG_DOMAIN,
                             _nearest_domain_cube, build_whitney,
                             find_big_cube_near, find_interior_point,
@@ -201,7 +203,7 @@ def reference_neighbor_indices(dec):
     pairs = np.sort(cube[same] * n + leaf[same])
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     rows, cols = np.divmod(pairs, max(n, 1))
-    return np.searchsorted(rows, np.arange(n + 1)), cols
+    return np.searchsorted(rows, np.arange(n + 1)), cols.astype(np.int32)
 
 
 def assert_same_adjacency(indptr_indices, dec):
@@ -247,15 +249,16 @@ def test_whitney_build_peak_stays_near_its_result():
     # the adjacency's copies at the end of neighbor_indices, a side-ratio pass
     # over it in check_invariants and the build's last level, all alive at
     # once, peaked at 48.4 MiB here, and probe passes of 8,192 cubes at
-    # 27.3 MiB; the decomposition itself holds 15 MiB, and with passes of
-    # EVAL_BUDGET probes the build measured 20.7 MiB
+    # 27.3 MiB; with passes of EVAL_BUDGET probes the build measured 20.7
+    # MiB over a 15 MiB result, and with int32 adjacency columns 16.1 MiB
+    # over a 12.6 MiB result
     tracemalloc.start()
     try:
         build_whitney(disk(1.0), DISK_WINDOW, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 18 * 2**20
 
 
 @pytest.mark.memory
@@ -340,6 +343,49 @@ def test_cube_of_another_window_is_a_caller_error():
         dec.index_of(other)
     with pytest.raises(KeyError, match="not a complement cube"):
         matching_cube(dec, other, 0.5, 0.5)
+
+
+def test_index_of_finds_cubes_and_refuses_other_cells(disk_dec):
+    for k in range(len(disk_dec.cubes)):
+        assert disk_dec.index_of(disk_dec.cube(k)) == k
+    w = disk_dec.window
+    q = disk_dec.cube(int(np.flatnonzero(disk_dec.cubes["level"] == 5)[0]))
+    i, j = q.coords
+    level, fi, fj = disk_dec.frontier[0].tolist()
+    refused = [DyadicCube(disk_dec.depth + 1, (0, 0), w),       # finer than the build
+               DyadicCube(4, (i // 2, j // 2), w),             # coarser than its leaf
+               DyadicCube(6, (2 * i, 2 * j), w),               # finer than its leaf
+               DyadicCube(level, (fi, fj), w)]                 # a frontier cell
+    for cell in refused:
+        with pytest.raises(KeyError, match="not in this decomposition"):
+            disk_dec.index_of(cell)
+
+
+def test_queries_on_a_shared_decomposition_run_concurrently(disk_dec):
+    # matching, point location, chains and big-cube searches on one
+    # decomposition, four at a time, give the serial run's results
+    rng = np.random.default_rng(8)
+    comp = disk_dec.indices(TAG_COMPLEMENT)
+    cubes = [disk_dec.cube(int(k)) for k in rng.choice(comp, 24, replace=False)]
+    r = np.sqrt(rng.uniform(0.0, 0.8, size=12))
+    th = rng.uniform(0.0, 2.0 * math.pi, size=12)
+    points = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    jobs = ([partial(matching_cube, disk_dec, q, 0.3, 0.5) for q in cubes]
+            + [partial(disk_dec.locate, p) for p in points]
+            + [partial(whitney_chain, disk_dec, p, -p) for p in points[:6]]
+            + [partial(find_big_cube_near, disk_dec, p, 0.3, 0.5) for p in points])
+
+    def run(job):
+        try:
+            return job()
+        except MatchingError as exc:
+            return repr(exc)
+
+    serial = [run(job) for job in jobs]
+    assert any(isinstance(got, DyadicCube) for got in serial[:len(cubes)])
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(3):
+            assert list(pool.map(run, jobs)) == serial
 
 
 def test_matching_constant_value():
@@ -582,8 +628,8 @@ def test_containment_relation_with_accepted_family(disk_dec):
             # the leaves holding the first and the last finest cell of the
             # window cell bound the run of leaves that meet it
             first, last = disk_dec.leaf_containing(
-                [disk_dec.depth] * 2, [i << shift, ((i + 1) << shift) - 1],
-                [j << shift, ((j + 1) << shift) - 1])
+                disk_dec.depth, np.array([i << shift, ((i + 1) << shift) - 1]),
+                np.array([j << shift, ((j + 1) << shift) - 1]))
             leaf_level = int(disk_dec.leaf_levels[first])
             if leaf_level <= level:
                 # the cell is a cube, or lies inside an accepted ancestor,
