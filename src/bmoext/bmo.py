@@ -358,19 +358,23 @@ def qh_distance_field(graph: MetricGraph, a) -> GridFunction:
     mask = classify_cells(domain, window, level)
     leg, dist, _ = _solve_from(graph, a)
 
-    n = 1 << level
-    vals = np.full((n, n), np.nan)
-    node_cells = graph.node_grid >= 0
-    if ((mask == MASK_INSIDE) & ~node_cells).any():
+    # band by band, each inside cell takes its node's distance; a cell
+    # without a node reads dist[-1] but is refused before the field returns
+    vals = np.empty(mask.shape)
+    missing = unreachable = 0
+    for rows in bands(len(mask)):
+        ids = graph.node_grid[rows]
+        inside = mask[rows] == MASK_INSIDE
+        vals[rows] = np.where(inside, dist[ids] + leg, np.nan)
+        missing += np.count_nonzero(inside & (ids < 0))
+        unreachable += np.count_nonzero(inside & ~np.isfinite(vals[rows]))
+    if missing:
         raise ValueError("the graph has no node at some inside cells; "
                          "build it with field_graph")
-    vals[node_cells] = dist[graph.node_grid[node_cells]] + leg
-    unreachable = (mask == MASK_INSIDE) & ~np.isfinite(vals)
-    if unreachable.any():
+    if unreachable:
         raise DisconnectedGraphError(
-            f"{int(unreachable.sum())} inside cells unreachable from the source; "
+            f"{unreachable} inside cells unreachable from the source; "
             "refine the resolution")
-    vals = np.where(mask == MASK_INSIDE, vals, np.nan)
     return GridFunction(window, level, vals, mask)
 
 

@@ -77,16 +77,21 @@ def _csv_rows(columns) -> str:
     return "".join(map((",".join(codes) + "\r\n").__mod__, zip(*values)))
 
 
-def write_csv(path, schema: str, header: list[str], columns):
-    """Write a table given as equal-length columns (arrays or sequences),
-    a chunk of rows at a time; each value prints as `_fmt` prints it."""
-    n = len(columns[0]) if len(columns) else 0
-    step = EVAL_BUDGET
+def write_csv(path, schema: str, header: list[str], columns, n_rows: int | None = None):
+    """Write a table given as equal-length columns (arrays or sequences), or
+    as `n_rows` rows whose columns `columns(rows)` gives for a slice of them;
+    each value prints as `_fmt` prints it. A pass prints EVAL_BUDGET fields,
+    so EVAL_BUDGET // len(header) rows, and at least one row."""
+    whole = n_rows is None
+    if whole:
+        n_rows = len(columns[0]) if len(columns) else 0
+    step = max(1, EVAL_BUDGET // max(1, len(header)))
     with open(path, "w", newline="") as fh:
         fh.write(f"# {CSV_VERSION} schema={schema}\n")
         fh.write(_csv_rows([[h] for h in header]))
-        for lo in range(0, n, step):
-            fh.write(_csv_rows([c[lo:lo + step] for c in columns]))
+        for lo in range(0, n_rows, step):
+            rows = slice(lo, lo + step)
+            fh.write(_csv_rows([c[rows] for c in columns] if whole else columns(rows)))
 
 
 def read_csv(path):
@@ -232,14 +237,20 @@ def cmd_decompose(args, domain: Domain, window: Window, out: Path):
     depth = resolution_level(args.resolution) if args.max_depth is None else args.max_depth
     dec = build_whitney(domain, window, depth)
     c, fr = dec.cubes, dec.frontier
-    level = np.concatenate([c["level"], fr[:, 0]])
-    unknown = np.full(len(fr), np.nan)          # frontier cells carry no distances
+
+    def cube_table(rows: slice):
+        # the cubes, then the frontier cells, which carry no distances
+        cb, fb = c[rows], fr[max(rows.start - len(c), 0):max(rows.stop - len(c), 0)]
+        level = np.concatenate([cb["level"], fb[:, 0]])
+        unknown = np.full(len(fb), np.nan)
+        return [np.concatenate([cb["tag"], np.full(len(fb), FRONTIER)]), level,
+                np.concatenate([cb["i"], fb[:, 1]]), np.concatenate([cb["j"], fb[:, 2]]),
+                window.cell_sizes(level), np.concatenate([cb["dist_lo"], unknown]),
+                np.concatenate([cb["dist_hi"], unknown])]
+
     write_csv(out / "cubes.csv", "whitney-cubes",
-              ["tag", "level", "i", "j", "side", "dist_lo", "dist_hi"],
-              [np.concatenate([c["tag"], np.full(len(fr), FRONTIER)]), level,
-               np.concatenate([c["i"], fr[:, 1]]), np.concatenate([c["j"], fr[:, 2]]),
-               window.cell_sizes(level), np.concatenate([c["dist_lo"], unknown]),
-               np.concatenate([c["dist_hi"], unknown])])
+              ["tag", "level", "i", "j", "side", "dist_lo", "dist_hi"], cube_table,
+              n_rows=len(c) + len(fr))
     svgout.render_decomposition(dec, out / "decomposition.svg")
     print(f"{len(dec.cubes)} cubes, frontier fraction "
           f"{dec.frontier_volume_fraction:.3e} -> {out}")

@@ -19,12 +19,15 @@ SQRT_N = math.sqrt(N_DIM)
 # whatever the input's size. An item is an oracle point or a graph edge
 # (`qhyper`, `cigar`), a ring probe (`whitney`: EVAL_BUDGET // 20 cubes), a
 # cell-box distance (`extension`'s frontier fill), a (point, edge) or (edge,
-# edge) pair (`domains`), a band cell of a grid pass (`bmo`, `extension`) or a
-# text row, square or grid value (`cli`, `svgout`). A batch's transients take
-# about 100 B a point (98 B on disk(1), 130 B on cusp(4) under tracemalloc)
-# and 89 B a ring probe, so a 2 MiB cap at 128 B an item gives 16,384. A text
-# pass peaks higher: 434 B a row of the 7-column cube table, 529 B an SVG
-# square, 73 B a grid-file value.
+# edge) pair (`domains`), a band cell of a grid pass (`bmo`, `extension`, the
+# graph's node and edge bands in `qhyper`) or a printed field of a text pass
+# (`cli`, `svgout`: a pass takes EVAL_BUDGET // fields rows, so 2,340 rows of
+# the 7-column cube table, 3,276 SVG squares of 5 fields, a band of grid-file
+# lines). A batch's transients take about 100 B a point (98 B on disk(1),
+# 130 B on cusp(4) under tracemalloc) and 89 B a ring probe, so a 2 MiB cap at
+# 128 B an item gives 16,384. A text pass peaks at 63 B a printed field of
+# the cube table (0.98 MiB a pass), 91 B of an SVG square (1.42 MiB) and 73 B
+# of a grid file.
 EVAL_BUDGET = (2 << 20) // 128
 
 
@@ -122,6 +125,13 @@ def level_cell_centers(window: Window, level: int, ij: np.ndarray) -> np.ndarray
     """Centers of level-`level` cells with integer coords `ij` of shape (M, 2)."""
     s = window.cell_size(level)
     return np.asarray(window.origin) + (ij + 0.5) * s
+
+
+def cell_centers(window: Window, level: int, cells) -> np.ndarray:
+    """Centers of the level-`level` cells with flat indices `cells`
+    (i * 2**level + j; an integer gives one (2,) center): `grid_centers`'
+    float expression, so the same bits as its rows."""
+    return level_cell_centers(window, level, np.stack(np.divmod(cells, 1 << level), axis=-1))
 
 
 def bands(n: int) -> list:

@@ -245,20 +245,19 @@ def make_suite(domain: Domain, window: Window, resolution: float,
     suite.append(("zero", sample_grid_function(
         domain, window, level, lambda p: np.zeros(len(p)))))
 
-    pos = graph.node_pos
     sdv = graph.node_sd
     for k, q in enumerate(np.quantile(sdv, [0.9, 0.5, 0.2, 0.05])):
         band = np.nonzero(np.abs(sdv - q) < 0.25 * q + 1e-12)[0]
         if band.size == 0:
-            band = np.arange(len(pos))
-        a = pos[band[int(rng.integers(band.size))]]
+            band = np.arange(graph.n_nodes)
+        a = graph.positions(band[int(rng.integers(band.size))])
         suite.append((f"qh_{k}", qh_distance_field(graph, a)))
     for k in range(3):
-        i, j = rng.integers(len(pos)), rng.integers(len(pos))
+        i, j = rng.integers(graph.n_nodes), rng.integers(graph.n_nodes)
         r1 = float(rng.uniform(0.5, 3.0))
         r2 = float(rng.uniform(0.5, 3.0))
-        suite.append((f"dipole_{k}", dipole_field(graph, pos[int(i)], pos[int(j)],
-                                                  r1, r2)))
+        suite.append((f"dipole_{k}", dipole_field(graph, graph.positions(int(i)),
+                                                  graph.positions(int(j)), r1, r2)))
     for k in range(9):
         suite.append((f"cellwise_{k}", whitney_cellwise_field(dec, level, rng)))
     return suite

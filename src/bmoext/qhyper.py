@@ -18,7 +18,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sp_dijkstra
 
 from .domains import Domain
-from .dyadic import EVAL_BUDGET, Window, grid_centers, resolution_level
+from .dyadic import (EVAL_BUDGET, Window, bands, cell_centers, grid_centers,
+                     resolution_level)
 from .errors import DisconnectedGraphError, EmptyInteriorError, QuadratureError
 
 _SD_FLOOR_FRAC = 1e-12  # of the window side: below this the integrand is unbounded
@@ -29,8 +30,9 @@ QUAD_TOL = 2e-3         # relative quadrature error of a returned curve length
 REFINE_RTOL = 1e-4      # refinement stops when a round gains less than this
 REFINE_ROUNDS = 60      # ... or after this many rounds
 # finest graph level: the build's peak tends to grow fourfold per level, as
-# the graph does (disk(1) in a fresh process: 85 MB RSS at level 9, 146 MB
-# at level 10, 392 MB at level 11), so level 12 would take well over 1 GB
+# the graph does (disk(1) in a fresh process: 80 MB RSS at level 9, 126 MB
+# at level 10, 309 MB at level 11, of which the imports take 63 MB), so
+# level 12 would take about 1 GB
 MAX_GRAPH_LEVEL = 11
 
 
@@ -211,13 +213,13 @@ class MetricGraph:
     domain: Domain
     window: Window
     level: int
-    node_pos: np.ndarray
-    node_sd: np.ndarray
-    node_grid: np.ndarray          # (N, N) int32 node index, -1 where absent
+    node_cell: np.ndarray          # int32 flat cell i * 2^level + j of each node
+    node_sd: np.ndarray            # center clearance of each node
+    node_grid: np.ndarray          # (n, n) int32 node index, -1 where absent
     adj: csr_matrix = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.node_pos, self.node_sd, self.node_grid,
+        for a in (self.node_cell, self.node_sd, self.node_grid,
                   self.adj.data, self.adj.indices, self.adj.indptr):
             a.flags.writeable = False
 
@@ -227,7 +229,12 @@ class MetricGraph:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_pos)
+        return len(self.node_cell)
+
+    def positions(self, nodes=slice(None)) -> np.ndarray:
+        """Positions of the nodes (an id, ids or a slice; every node by
+        default): their cell centers, the bits of `grid_centers`' rows."""
+        return cell_centers(self.window, self.level, self.node_cell[nodes])
 
     def snap(self, p) -> int:
         """Nearest node to p, ties broken by cell index."""
@@ -246,11 +253,11 @@ class MetricGraph:
         block = self.node_grid[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2].ravel()
         block = block[block >= 0]              # in (i, j) order, so ascending
         if block.size:
-            d2 = ((self.node_pos[block] - p) ** 2).sum(axis=1)
+            d2 = ((self.positions(block) - p) ** 2).sum(axis=1)
             k = int(np.argmin(d2))
             if d2[k] < (1.5 * self.h) ** 2 * (1.0 - 1e-9):
                 return int(block[k])
-        return int(np.argmin(((self.node_pos - p) ** 2).sum(axis=1)))
+        return int(np.argmin(((self.positions() - p) ** 2).sum(axis=1)))
 
     def shortest_paths(self, src: int, limit: float = np.inf):
         """(distances, predecessors) from one node to all nodes; nodes
@@ -271,44 +278,53 @@ class MetricGraph:
 
 
 def _graph_nodes(domain: Domain, window: Window, level: int, margin: float):
-    """(node_grid, node_pos, node_sd) of the level's cell centers whose
-    clearance exceeds `margin`, numbered in (i, j) cell order; the
-    whole-grid centers and clearances are gone when it returns."""
+    """(node_grid, node_cell, node_sd) of the level's cells whose center
+    clearance exceeds `margin`, numbered in (i, j) cell order; the cells are
+    tested a band of rows at a time, so no whole-grid centers or clearances
+    are made."""
     n = 1 << level
-    centers = grid_centers(window, level)
-    sd = domain.signed_distance(centers)
-    flat = np.nonzero(sd > margin)[0]
     node_grid = np.full((n, n), -1, dtype=np.int32)
-    node_grid.ravel()[flat] = np.arange(flat.size)
-    return node_grid, centers[flat], sd[flat]
+    cells, sds, count = [], [], 0
+    for rows in bands(n):
+        sd = domain.signed_distance(grid_centers(window, level, rows))
+        flat = np.flatnonzero(sd > margin)
+        node_grid[rows].ravel()[flat] = np.arange(count, count + flat.size)
+        cells.append((flat + rows.start * n).astype(np.int32))
+        sds.append(sd[flat])
+        count += flat.size
+    return node_grid, np.concatenate(cells), np.concatenate(sds)
 
 
 def _offset_edges(node_grid: np.ndarray):
-    """Per forward offset (f, t, fs, ts): the ids of every pair of nodes
-    in neighbouring cells at that offset, f ascending, and the slots the
-    edge fills in f's and in t's row."""
+    """Per forward offset, a band of cell rows at a time, (f, t, fs, ts):
+    the ids of the pairs of nodes in neighbouring cells at that offset
+    whose first cell lies in the band, f ascending, and the slots the edge
+    fills in f's and in t's row. A band with no such pair yields nothing."""
     n = len(node_grid)
     for di, dj, fs, ts in _OFFSETS:
-        lo_i, hi_i = max(0, -di), n - max(0, di)
         lo_j, hi_j = max(0, -dj), n - max(0, dj)
-        from_ids = node_grid[lo_i:hi_i, lo_j:hi_j]
-        to_ids = node_grid[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
-        ok = (from_ids >= 0) & (to_ids >= 0)
-        yield from_ids[ok], to_ids[ok], fs, ts
+        for rows in bands(n):
+            lo_i, hi_i = max(rows.start, -di), min(rows.stop, n - di)
+            from_ids = node_grid[lo_i:hi_i, lo_j:hi_j]
+            to_ids = node_grid[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
+            ok = (from_ids >= 0) & (to_ids >= 0)
+            if ok.any():
+                yield from_ids[ok], to_ids[ok], fs, ts
 
 
 def _csr_layout(node_grid: np.ndarray, n_nodes: int):
-    """(rank, indptr) of the CSR rows of every edge the grid can have: a
-    node's neighbours in ascending node order sit in slot order, so its
-    neighbour in slot s goes to indptr[v] + rank[v, s] - 1."""
-    has = np.zeros((n_nodes, 8), dtype=bool)
+    """(bits, indptr) of the CSR rows of every edge the grid can have: bit
+    s of bits[v] is set when v has a neighbour in slot s. A node's
+    neighbours in ascending node order sit in slot order, so its neighbour
+    in slot s goes to indptr[v] plus the number of v's bits below s."""
+    bits = np.zeros(n_nodes, dtype=np.uint8)
     for f, t, fs, ts in _offset_edges(node_grid):
-        has[f, fs] = has[t, ts] = True
-    rank = np.cumsum(has, axis=1, dtype=np.int8)
+        bits[f] |= np.uint8(1 << fs)
+        bits[t] |= np.uint8(1 << ts)
     # nnz <= 8 * 4^MAX_GRAPH_LEVEL fits the int32 indices scipy would choose
     indptr = np.zeros(n_nodes + 1, dtype=np.int32)
-    np.cumsum(rank[:, -1], out=indptr[1:])
-    return rank, indptr
+    np.cumsum(np.bitwise_count(bits), out=indptr[1:])
+    return bits, indptr
 
 
 def build_metric_graph(domain: Domain, window: Window, resolution: float,
@@ -323,26 +339,26 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
     if not 0 < level <= MAX_GRAPH_LEVEL:
         raise ValueError("graph resolution must be 1/2^k with "
                          f"1 <= k <= {MAX_GRAPH_LEVEL}, got {resolution}")
-    node_grid, node_pos, node_sd = _graph_nodes(domain, window, level,
-                                                node_margin * window.cell_size(level))
-    n_nodes = len(node_pos)
-    rank, indptr = _csr_layout(node_grid, n_nodes)
+    node_grid, node_cell, node_sd = _graph_nodes(domain, window, level,
+                                                 node_margin * window.cell_size(level))
+    n_nodes = len(node_cell)
+    bits, indptr = _csr_layout(node_grid, n_nodes)
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    # each offset's edges in blocks of EVAL_BUDGET, every weight written
-    # straight to its two places; an edge that cannot be bracketed weighs inf
+    # a band's edges at one offset, at most one band's cells, make one
+    # quadrature batch, every weight written straight to its two places;
+    # an edge that cannot be bracketed weighs inf
     floor = _SD_FLOOR_FRAC * window.size
     dropped = False
     for f, t, fs, ts in _offset_edges(node_grid):
-        for lo in range(0, f.size, EVAL_BUDGET):
-            bf, bt = f[lo:lo + EVAL_BUDGET], t[lo:lo + EVAL_BUDGET]
-            w, _, valid = segment_qh_batch(domain, node_pos[bf], node_pos[bt],
-                                           rtol=EDGE_RTOL, floor=floor)
-            dropped |= not valid.all()
-            for a, b, slot in ((bf, bt, fs), (bt, bf, ts)):
-                at = indptr[a] + (rank[a, slot] - 1)
-                data[at] = w
-                indices[at] = b
+        w, _, valid = segment_qh_batch(domain, cell_centers(window, level, node_cell[f]),
+                                       cell_centers(window, level, node_cell[t]),
+                                       rtol=EDGE_RTOL, floor=floor)
+        dropped |= not valid.all()
+        for a, b, slot in ((f, t, fs), (t, f, ts)):
+            at = indptr[a] + np.bitwise_count(bits[a] & np.uint8((1 << slot) - 1))
+            data[at] = w
+            indices[at] = b
     if dropped:
         # one compaction removes the unbracketed edges' entries
         keep = np.isfinite(data)
@@ -350,7 +366,7 @@ def build_metric_graph(domain: Domain, window: Window, resolution: float,
         np.cumsum(keep, out=kept[1:])
         indptr, data, indices = kept[indptr], data[keep], indices[keep]
     adj = csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
-    return MetricGraph(domain, window, level, node_pos, node_sd, node_grid, adj)
+    return MetricGraph(domain, window, level, node_cell, node_sd, node_grid, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +528,7 @@ def _walk_bound(graph: MetricGraph, src: int, dst: int) -> float:
     sum of the lattice walk that takes diagonal steps first and straight
     steps after, times (1 + 1e-9) against rounding in the sums; inf when a
     node or an edge of that walk is not in the graph."""
-    o = np.asarray(graph.window.origin)
-    (i0, j0), (i1, j1) = np.floor((graph.node_pos[[src, dst]] - o) / graph.h).astype(int)
+    (i0, i1), (j0, j1) = np.divmod(graph.node_cell[[src, dst]].tolist(), 1 << graph.level)
     di, dj = i1 - i0, j1 - j0
     k = np.arange(max(abs(di), abs(dj)) + 1)
     ii = i0 + np.sign(di) * np.minimum(k, abs(di))
@@ -538,7 +553,7 @@ def grid_path(graph: MetricGraph, x, y) -> np.ndarray:
     src = graph.snap(x)
     dst = graph.snap(y)
     if src == dst:
-        return _drop_repeats(np.vstack([x, graph.node_pos[src], y]))
+        return _drop_repeats(np.vstack([x, graph.positions(src), y]))
     limit = _walk_bound(graph, src, dst)
     dist, pred = graph.shortest_paths(src, limit=limit)
     if not np.isfinite(dist[dst]) and np.isfinite(limit):
@@ -548,7 +563,7 @@ def grid_path(graph: MetricGraph, x, y) -> np.ndarray:
         raise DisconnectedGraphError(
             f"endpoints in different grid components (sizes {sorted(sizes, reverse=True)[:4]}); "
             "refine the resolution", component_sizes=list(sizes))
-    return _drop_repeats(np.vstack([x, graph.node_pos[graph.path_nodes(pred, dst)], y]))
+    return _drop_repeats(np.vstack([x, graph.positions(graph.path_nodes(pred, dst)), y]))
 
 
 def _solve_from(graph: MetricGraph, x: np.ndarray):
@@ -556,7 +571,7 @@ def _solve_from(graph: MetricGraph, x: np.ndarray):
     node, and one Dijkstra solve from that node to every node. Raises
     QuadratureError when the leg cannot be bracketed."""
     src = graph.snap(x)
-    leg, _, ok = segment_qh_batch(graph.domain, x[None, :], graph.node_pos[src][None, :],
+    leg, _, ok = segment_qh_batch(graph.domain, x[None, :], graph.positions(src)[None, :],
                                   floor=_SD_FLOOR_FRAC * graph.window.size)
     if not ok[0]:
         raise QuadratureError("snap segment touches the boundary; refine resolution")
@@ -604,11 +619,11 @@ def qh_distance_to_interior(graph: MetricGraph, x, lam: float) -> InteriorDistan
                                      component_sizes=list(sizes))
     t_star = targets[k]
 
-    pts = _drop_repeats(np.vstack([x, graph.node_pos[graph.path_nodes(pred, t_star)]]))
+    pts = _drop_repeats(np.vstack([x, graph.positions(graph.path_nodes(pred, t_star))]))
     if len(pts) > 2:
         pts = _refine_paths(domain, [pts], graph.h)[0]
     value, err = qh_length(domain, pts, tol=QUAD_TOL)
-    return InteriorDistance(value, graph.node_pos[t_star].copy(),
+    return InteriorDistance(value, graph.positions(t_star),
                             Polyline(pts, qh_value=value, qh_error=err))
 
 

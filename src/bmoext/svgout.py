@@ -18,6 +18,7 @@ MARKER_PX = 3.0                 # radius of a curve endpoint marker
 BOUNDARY_SAMPLES = 256          # marching-squares cells per window side
 HEATMAP_BLOCKS = 256            # heatmap blocks per side at most
 CURVE_COLORS = ("#c02020", "#2020c0", "#20a020", "#c0a000")
+SQUARE_FIELDS = 5               # printed fields of a square: x, y, width, height, fill
 
 
 class _Parts:
@@ -78,22 +79,22 @@ class SvgCanvas:
         """Squares with lower-left corners (x0, y0) and sides `side`, given
         as arrays or scalars; `fill` is one color or one per square. The
         pixel coordinates are the float expressions of `_xy`, in its order,
-        so they print the same digits as a point-by-point mapping."""
+        so they print the same digits as a point-by-point mapping. A pass
+        prints EVAL_BUDGET fields, EVAL_BUDGET // SQUARE_FIELDS squares."""
         x0, y0, side = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x0, y0, side)))
         fill = np.broadcast_to(np.asarray(fill), x0.shape)
         s = self.px / self.window.size
-        x = (x0 - self.window.origin[0]) * s
-        y = self.px - (y0 + side - self.window.origin[1]) * s
-        w = side * self.px / self.window.size
         tail = f'stroke="{stroke}" stroke-width="{stroke_width}" fill-opacity="{opacity}"/>'
         template = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" '
                     + tail.replace("%", "%%"))
-        for lo in range(0, len(x), EVAL_BUDGET):
-            cut = slice(lo, lo + EVAL_BUDGET)
-            ww = w[cut].tolist()
+        step = max(1, EVAL_BUDGET // SQUARE_FIELDS)
+        for lo in range(0, len(x0), step):
+            cut = slice(lo, lo + step)
+            x = (x0[cut] - self.window.origin[0]) * s
+            y = self.px - (y0[cut] + side[cut] - self.window.origin[1]) * s
+            w = (side[cut] * self.px / self.window.size).tolist()
             self.parts.append("\n".join(map(
-                template.__mod__,
-                zip(x[cut].tolist(), y[cut].tolist(), ww, ww, fill[cut].tolist()))))
+                template.__mod__, zip(x.tolist(), y.tolist(), w, w, fill[cut].tolist()))))
 
     def polyline(self, pts, stroke="black", width=1.5):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (self._xy(p) for p in pts))
@@ -150,16 +151,22 @@ def draw_boundary(canvas: SvgCanvas, domain: Domain):
 
 
 def render_decomposition(dec, path):
+    """The cubes, then the frontier cells, then the boundary; the cube table
+    and the frontier are read one pass of `rects` at a time."""
     w = dec.window
-    c, fr = dec.cubes, dec.frontier
+    step = max(1, EVAL_BUDGET // SQUARE_FIELDS)
     with SvgCanvas(w, DECOMPOSITION_PX, path=path) as canvas:
-        side = w.cell_sizes(c["level"])
-        canvas.rects(w.origin[0] + c["i"] * side, w.origin[1] + c["j"] * side, side,
-                     np.where(c["tag"] == TAG_DOMAIN, "#7fbf7f", "#7f9fff"),
-                     stroke="#404040", opacity=0.8, stroke_width=0.3)
+        for lo in range(0, len(dec.cubes), step):
+            c = dec.cubes[lo:lo + step]
+            side = w.cell_sizes(c["level"])
+            canvas.rects(w.origin[0] + c["i"] * side, w.origin[1] + c["j"] * side, side,
+                         np.where(c["tag"] == TAG_DOMAIN, "#7fbf7f", "#7f9fff"),
+                         stroke="#404040", opacity=0.8, stroke_width=0.3)
         side = w.cell_size(dec.max_depth)
-        canvas.rects(w.origin[0] + fr[:, 1] * side, w.origin[1] + fr[:, 2] * side, side,
-                     "url(#hatch)", opacity=0.9)
+        for lo in range(0, len(dec.frontier), step):
+            fr = dec.frontier[lo:lo + step]
+            canvas.rects(w.origin[0] + fr[:, 1] * side, w.origin[1] + fr[:, 2] * side, side,
+                         "url(#hatch)", opacity=0.9)
         draw_boundary(canvas, dec.domain)
 
 

@@ -112,18 +112,20 @@ class WhitneyDecomposition:
     frontier: np.ndarray               # (F, 3) int64 rows (level, i, j)
     depth: int = field(init=False)     # deepest level of any leaf
     # the domain cubes in build order, which is (level, i, j) order: their
-    # rows in `cubes`, their closed boxes [domain_lo, domain_hi], and
+    # int32 rows in `cubes`, their closed boxes [domain_lo, domain_hi], and
     # [domain_starts[l], domain_starts[l + 1]) spanning level l, l <= depth
     domain_rows: np.ndarray = field(init=False, repr=False)
     domain_lo: np.ndarray = field(init=False, repr=False)
     domain_hi: np.ndarray = field(init=False, repr=False)
     domain_starts: np.ndarray = field(init=False, repr=False)
-    # leaves (cubes, then frontier rows offset by len(cubes)) in key order
+    # leaves (cubes, then frontier rows offset by len(cubes)) in key order:
+    # their keys, int8 levels and int32 rows
     leaf_keys: np.ndarray = field(init=False, repr=False)
     leaf_levels: np.ndarray = field(init=False, repr=False)
     leaf_ids: np.ndarray = field(init=False, repr=False)
     # same-family adjacency: neighbors of cube k, in build order, are
     # adj_indices[adj_indptr[k]:adj_indptr[k + 1]], int32 rows of `cubes`
+    # under int32 row pointers
     adj_indptr: np.ndarray = field(init=False, repr=False)
     adj_indices: np.ndarray = field(init=False, repr=False)
 
@@ -133,14 +135,15 @@ class WhitneyDecomposition:
         depth = int(level.max())
         keys = _morton(*_first_cell_at(depth, level, np.concatenate([c["i"], fr[:, 1]]),
                                        np.concatenate([c["j"], fr[:, 2]])), depth)
-        order = np.argsort(keys, kind="stable")
-        rows = np.flatnonzero(c["tag"] == TAG_DOMAIN)
+        order = np.argsort(keys, kind="stable").astype(np.int32)
+        rows = np.flatnonzero(c["tag"] == TAG_DOMAIN).astype(np.int32)
         side = self.window.cell_sizes(c["level"][rows])[:, None]
         lo = np.asarray(self.window.origin) + np.column_stack([c["i"][rows], c["j"][rows]]) * side
         self._attach(cubes=c, frontier=fr, depth=depth, domain_rows=rows, domain_lo=lo,
                      domain_hi=lo + side,
                      domain_starts=np.searchsorted(c["level"][rows], np.arange(depth + 2)),
-                     leaf_keys=keys[order], leaf_levels=level[order], leaf_ids=order)
+                     leaf_keys=keys[order], leaf_levels=level[order].astype(np.int8),
+                     leaf_ids=order)
         del level, keys                # unsorted copies, freed before adjacency
         indptr, indices = self.neighbor_indices()
         self._attach(adj_indptr=indptr, adj_indices=indices)
@@ -240,7 +243,7 @@ class WhitneyDecomposition:
             count, col = self._ring_neighbors(lo, min(lo + step, n), is_domain)
             counts.append(count)
             cols.append(col)
-        return np.cumsum(np.concatenate(counts)), np.concatenate(cols)
+        return np.cumsum(np.concatenate(counts), dtype=np.int32), np.concatenate(cols)
 
     def _ring_neighbors(self, lo: int, hi: int, is_domain: np.ndarray):
         """Neighbor counts of cubes lo..hi-1 and their neighbors' int32 rows,
@@ -345,7 +348,8 @@ def check_invariants(dec: WhitneyDecomposition):
 
     # sorted leaf key ranges must tile [0, 4**depth) end to end
     one = np.ones(len(dec.leaf_keys), dtype=dec.leaf_keys.dtype)
-    ends = dec.leaf_keys + (one << (2 * (dec.depth - dec.leaf_levels)).astype(one.dtype))
+    shift = 2 * (dec.depth - dec.leaf_levels.astype(np.int64))     # int8 levels, widened
+    ends = dec.leaf_keys + (one << shift.astype(one.dtype))
     gaps = np.flatnonzero(dec.leaf_keys[1:] != ends[:-1])
     if dec.leaf_keys[0] != 0 or ends[-1] != 4 ** dec.depth or gaps.size:
         raise WhitneyInvariantError(

@@ -426,6 +426,22 @@ def test_sampling_memory_is_its_result_plus_one_band():
 
 # -- generators ----------------------------------------------------------
 
+@pytest.mark.memory
+def test_qh_field_memory_is_its_result_plus_one_solve(disk1):
+    # whole-grid node maps and value copies peaked at 6.5 MiB here; band by
+    # band the field holds its result (9 B a cell) and the solve's distances
+    # and predecessors (12 B a node), and it measured 4.0 MiB
+    g = bmo.field_graph(disk1, DISK_WINDOW, 9)
+    tracemalloc.start()
+    try:
+        f = qh_distance_field(g, (0.3, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.n_cells == 512
+    assert peak < 512 * 512 * 9 + g.n_nodes * 12 + 2**20
+
+
 def test_qh_field_zero_at_source(disk1, field_graph):
     f = qh_distance_field(field_graph, (0.3, 0.0))
     i, j = DISK_WINDOW.cell_of_point((0.3, 0.0), 8)

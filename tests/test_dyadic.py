@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmoext import DyadicCube, Window
-from bmoext.dyadic import box_distance, grid_centers, level_cell_centers, resolution_level
+from bmoext.dyadic import (box_distance, cell_centers, grid_centers, level_cell_centers,
+                           resolution_level)
 from bmoext.extension import make_suite
 from bmoext.qhyper import build_metric_graph
 from tests.conftest import DISK_WINDOW
@@ -89,3 +90,20 @@ def test_grid_centers_match_the_three_grid_expressions(x0, y0, size, level):
     for lo in range(0, n, max(1, n // 8)):
         band = grid_centers(window, level, slice(lo, lo + 3))
         assert np.array_equal(band.view(np.int64), got[lo * n:(lo + 3) * n].view(np.int64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 11),
+       st.data())
+def test_cell_centers_are_grid_centers_rows(x0, y0, size, level, data):
+    # bitwise, from flat int32 cells as a metric graph stores its nodes
+    window = Window((x0, y0), size)
+    n = 1 << level
+    rows = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+    cells = np.concatenate([i * n + np.arange(n) for i in rows]).astype(np.int32)
+    want = np.concatenate([grid_centers(window, level, slice(i, i + 1)) for i in rows])
+    got = cell_centers(window, level, cells)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    one = cell_centers(window, level, cells[-1])
+    assert one.shape == (2,) and np.array_equal(one.view(np.int64), want[-1].view(np.int64))

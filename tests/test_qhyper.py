@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -10,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
-from bmoext import (Polyline, Window, bmo, cigar, cusp, disk, half_plane, l_shape, polygon,
-                    qh_distance, qh_length, qhyper, slit_disk)
+from bmoext import (Polyline, Window, bmo, cigar, cusp, disk, dyadic, half_plane, l_shape,
+                    polygon, qh_distance, qh_length, qhyper, slit_disk)
 from bmoext.cli import main
-from bmoext.dyadic import grid_centers, resolution_level
+from bmoext.dyadic import EVAL_BUDGET, grid_centers, resolution_level
 from bmoext.errors import (DisconnectedGraphError, EmptyInteriorError,
                            QuadratureError)
 from bmoext.qhyper import (EDGE_RTOL, QUAD_TOL, build_metric_graph, eta_lambda, grid_path,
@@ -210,7 +211,7 @@ def _check_against_multi_source_oracle(graph, x, lam):
     targets = np.nonzero(graph.node_sd >= lam)[0]
     src = graph.snap(x)
     d_min = csgraph.dijkstra(graph.adj, indices=targets, min_only=True)[src]
-    t = int(np.flatnonzero((graph.node_pos == r.attaining).all(axis=1))[0])
+    t = int(np.flatnonzero((graph.positions() == r.attaining).all(axis=1))[0])
     assert t in targets
     assert csgraph.dijkstra(graph.adj, indices=t)[src] == pytest.approx(d_min, rel=1e-12)
     lower = targets[targets < t]
@@ -387,7 +388,7 @@ def test_csr_matches_coo_assembly(dom, window, resolution):
     assert_same_csr(g.adj, reference_adjacency(dom, window, resolution))
     assert g.adj.has_sorted_indices
     if dom is STRIP:
-        assert g.n_nodes > 0 and (g.node_pos[:, 1] == 2.0625).all()
+        assert g.n_nodes > 0 and (g.positions()[:, 1] == 2.0625).all()
     if resolution == 1 / 2:
         assert g.n_nodes == 0
 
@@ -402,21 +403,89 @@ def test_csr_matches_coo_assembly_on_star_polygons(case):
 
 def test_csr_drops_unbracketed_edges_across_blocks(monkeypatch):
     # at this margin nodes sit on both sides of the slit and the edges that
-    # cross it cannot be bracketed; every offset spans several blocks
+    # cross it cannot be bracketed; every offset spans several bands
     dom = slit_disk(1.0, 0.5)
     window = dom.default_window
-    monkeypatch.setattr(qhyper, "EVAL_BUDGET", 256)
+    monkeypatch.setattr(dyadic, "EVAL_BUDGET", 256)
     g = build_metric_graph(dom, window, 1 / 64, node_margin=0.25)
-    sizes = [f.size for f, *_ in qhyper._offset_edges(g.node_grid)]
-    assert min(sizes) > 2 * qhyper.EVAL_BUDGET
-    assert g.adj.nnz < 2 * sum(sizes)
+    blocks = [(fs, f.size) for f, _, fs, _ in qhyper._offset_edges(g.node_grid)]
+    assert min(Counter(fs for fs, _ in blocks).values()) > 2
+    assert g.adj.nnz < 2 * sum(size for _, size in blocks)
     assert_same_csr(g.adj, reference_adjacency(dom, window, 1 / 64, node_margin=0.25))
+
+
+def reference_graph(domain, window, resolution, node_margin):
+    """(node_grid, node_pos, node_sd, adj) as the whole-grid builder made
+    them: the whole grid's centers and clearances at once, an N x 8 table of
+    slot ranks, and each offset's edges in blocks of EVAL_BUDGET."""
+    level = resolution_level(resolution)
+    n = 1 << level
+    centers = grid_centers(window, level)
+    sd = domain.signed_distance(centers)
+    flat = np.nonzero(sd > node_margin * window.cell_size(level))[0]
+    node_grid = np.full((n, n), -1, dtype=np.int32)
+    node_grid.ravel()[flat] = np.arange(flat.size)
+    node_pos, node_sd = centers[flat], sd[flat]
+
+    def offset_edges():
+        for di, dj, fs, ts in qhyper._OFFSETS:
+            lo_i, hi_i = max(0, -di), n - max(0, di)
+            lo_j, hi_j = max(0, -dj), n - max(0, dj)
+            from_ids = node_grid[lo_i:hi_i, lo_j:hi_j]
+            to_ids = node_grid[lo_i + di:hi_i + di, lo_j + dj:hi_j + dj]
+            ok = (from_ids >= 0) & (to_ids >= 0)
+            yield from_ids[ok], to_ids[ok], fs, ts
+
+    has = np.zeros((flat.size, 8), dtype=bool)
+    for f, t, fs, ts in offset_edges():
+        has[f, fs] = has[t, ts] = True
+    rank = np.cumsum(has, axis=1, dtype=np.int8)
+    indptr = np.zeros(flat.size + 1, dtype=np.int32)
+    np.cumsum(rank[:, -1], out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for f, t, fs, ts in offset_edges():
+        for lo in range(0, f.size, EVAL_BUDGET):
+            bf, bt = f[lo:lo + EVAL_BUDGET], t[lo:lo + EVAL_BUDGET]
+            w, _, _ = segment_qh_batch(domain, node_pos[bf], node_pos[bt], rtol=EDGE_RTOL,
+                                       floor=qhyper._SD_FLOOR_FRAC * window.size)
+            for a, b, slot in ((bf, bt, fs), (bt, bf, ts)):
+                at = indptr[a] + (rank[a, slot] - 1)
+                data[at] = w
+                indices[at] = b
+    keep = np.isfinite(data)
+    kept = np.zeros(len(data) + 1, dtype=np.int32)
+    np.cumsum(keep, out=kept[1:])
+    adj = csr_matrix((data[keep], indices[keep], kept[indptr]), shape=(flat.size, flat.size))
+    return node_grid, node_pos, node_sd, adj
+
+
+@pytest.mark.parametrize("dom, window, resolution, margin", [
+    (disk(1.0), None, 1 / 512, 0.5 * math.sqrt(2.0) * (1.0 - 1e-9)),     # field_graph's
+    (half_plane(), HP_WINDOW, 1 / 256, math.sqrt(2.0)),
+    (cusp(4.0), None, 1 / 128, math.sqrt(2.0)),
+    (slit_disk(1.0, 0.5), None, 1 / 256, math.sqrt(2.0)),
+], ids=["disk", "half_plane", "cusp", "slit_disk"])
+def test_graph_matches_the_whole_grid_builder(dom, window, resolution, margin):
+    # bitwise: nodes found band by band, edges batched band by band, slot
+    # places from neighbour bits, positions from int32 cells
+    window = window or dom.default_window
+    g = build_metric_graph(dom, window, resolution, node_margin=margin)
+    node_grid, node_pos, node_sd, adj = reference_graph(dom, window, resolution, margin)
+    assert_same_csr(g.adj, adj)
+    assert g.node_cell.dtype == np.int32
+    for got, want in ((g.node_grid, node_grid), (g.node_sd, node_sd),
+                      (g.positions(), node_pos)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 @pytest.mark.memory
 def test_graph_build_memory_is_bounded(hp):
     # per-offset edge lists and whole-offset quadrature batches peaked at
-    # 62.7 MiB here; the graph itself holds 31.9 MiB
+    # 62.7 MiB here, and whole-grid centers, clearances and an N x 8 slot
+    # table at 40.4 MiB; band by band it measured 31.8 MiB, of which the
+    # graph holds 28.9 MiB
     tracemalloc.start()
     try:
         g = build_metric_graph(hp, HP_WINDOW, 1 / 512)
@@ -424,7 +493,7 @@ def test_graph_build_memory_is_bounded(hp):
     finally:
         tracemalloc.stop()
     assert g.adj.nnz > 2_000_000
-    assert peak < 44 * 2**20
+    assert peak < 34 * 2**20
 
 
 def test_edge_weight_brackets(disk1, disk_graph, rng):
@@ -432,8 +501,8 @@ def test_edge_weight_brackets(disk1, disk_graph, rng):
     coo = disk_graph.adj.tocoo()
     idx = rng.choice(len(coo.data), size=200, replace=False)
     for k in idx:
-        a = disk_graph.node_pos[coo.row[k]]
-        b = disk_graph.node_pos[coo.col[k]]
+        a = disk_graph.positions(coo.row[k])
+        b = disk_graph.positions(coo.col[k])
         w = coo.data[k]
         seg = np.linalg.norm(b - a)
         sd3 = disk1.signed_distance(np.array([a, 0.5 * (a + b), b]))
@@ -489,17 +558,17 @@ def test_snap_ties_go_to_the_lower_cell(disk_graph):
     i, j = (int(v[0]) for v in np.nonzero(g.node_grid == k))
     h = g.h
     # a cell-edge midpoint is as far from two nodes, a grid vertex from four
-    assert g.snap(g.node_pos[k] + (h / 2, 0.0)) == k
-    assert g.snap(g.node_pos[k] + (0.0, h / 2)) == k
-    assert g.snap(g.node_pos[k] + (h / 2, h / 2)) == k
-    assert g.snap(g.node_pos[k] - (h / 2, 0.0)) == g.node_grid[i - 1, j]
-    assert g.snap(g.node_pos[k] - (h / 2, h / 2)) == g.node_grid[i - 1, j - 1]
+    assert g.snap(g.positions(k) + (h / 2, 0.0)) == k
+    assert g.snap(g.positions(k) + (0.0, h / 2)) == k
+    assert g.snap(g.positions(k) + (h / 2, h / 2)) == k
+    assert g.snap(g.positions(k) - (h / 2, 0.0)) == g.node_grid[i - 1, j]
+    assert g.snap(g.positions(k) - (h / 2, h / 2)) == g.node_grid[i - 1, j - 1]
     # brute force over every node with the (d^2, i, j) rule
     ii, jj = np.nonzero(g.node_grid >= 0)
     cells = sorted(zip(ii, jj), key=lambda c: g.node_grid[c])
     rng = np.random.default_rng(2)
     for p in rng.uniform(-1.25, 1.25, size=(50, 2)):
-        d2 = ((g.node_pos - p) ** 2).sum(axis=1)
+        d2 = ((g.positions() - p) ** 2).sum(axis=1)
         want = min(range(g.n_nodes), key=lambda n: (d2[n], *cells[n]))
         assert g.snap(p) == want
 
@@ -521,7 +590,7 @@ NEAR_CIRCLE = st.tuples(st.floats(0.0, 2.0 * math.pi),
 def test_snap_matches_the_full_scan(disk_graph, p):
     g = disk_graph
     assert g.h == H_256
-    want = int(np.argmin(((g.node_pos - np.asarray(p)) ** 2).sum(axis=1)))
+    want = int(np.argmin(((g.positions() - np.asarray(p)) ** 2).sum(axis=1)))
     assert g.snap(p) == want
 
 
@@ -562,7 +631,7 @@ def unlimited_grid_path(graph, x, y):
     src, dst = graph.snap(x), graph.snap(y)
     _, pred = graph.shortest_paths(src)
     return qhyper._drop_repeats(
-        np.vstack([x, graph.node_pos[graph.path_nodes(pred, dst)], y]))
+        np.vstack([x, graph.positions(graph.path_nodes(pred, dst)), y]))
 
 
 def _random_pairs(dom, graph, n, seed):

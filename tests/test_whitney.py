@@ -125,13 +125,20 @@ def test_decomposition_is_read_only(disk_dec):
         disk_dec.cubes["level"][0] = 3
 
 
+def test_index_columns_are_narrow(disk_dec):
+    assert disk_dec.leaf_levels.dtype == np.int8
+    for col in (disk_dec.leaf_ids, disk_dec.domain_rows, disk_dec.adj_indptr,
+                disk_dec.adj_indices):
+        assert col.dtype == np.int32
+
+
 def test_graph_is_read_only(disk_graph):
     with pytest.raises(dataclasses.FrozenInstanceError):
         disk_graph.level = 3
     with pytest.raises(dataclasses.FrozenInstanceError):
-        disk_graph.node_pos = disk_graph.node_pos.copy()
+        disk_graph.node_cell = disk_graph.node_cell.copy()
     adj = disk_graph.adj
-    for arr in (disk_graph.node_pos, disk_graph.node_sd, disk_graph.node_grid,
+    for arr in (disk_graph.node_cell, disk_graph.node_sd, disk_graph.node_grid,
                 adj.data, adj.indices, adj.indptr):
         with pytest.raises(ValueError):
             arr[0] = arr[-1]
@@ -203,7 +210,7 @@ def reference_neighbor_indices(dec):
     pairs = np.sort(cube[same] * n + leaf[same])
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     rows, cols = np.divmod(pairs, max(n, 1))
-    return np.searchsorted(rows, np.arange(n + 1)), cols.astype(np.int32)
+    return np.searchsorted(rows, np.arange(n + 1)).astype(np.int32), cols.astype(np.int32)
 
 
 def assert_same_adjacency(indptr_indices, dec):
